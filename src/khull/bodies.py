@@ -190,8 +190,10 @@ class Polytope:
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.facet_normals is not None:
-            return np.all(points @ self.facet_normals.T
-                          <= self.facet_offsets + GEO_TOL, axis=1)
+            # (facets, n) slack, reduced along the long axis.
+            slack = self.facet_normals @ points.T
+            return np.all(slack <= (self.facet_offsets + GEO_TOL)[:, None],
+                          axis=0)
         return np.array([_in_convex_hull(p, self.vertices) for p in points])
 
     def facet_vertex_sets(self):

@@ -53,16 +53,12 @@ class PoissonSample:
     def arrays(self):
         """Stack the marks into (t, eta, u) arrays."""
         if not self.marks:
-            d = _body_dim(self.body)
+            d = self.body.dim
             return (np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
         t = np.array([m.t for m in self.marks])
         eta = np.array([m.eta for m in self.marks])
         u = np.array([m.u for m in self.marks])
         return t, eta, u
-
-
-def _body_dim(body):
-    return body.dim
 
 
 def spawn_rng(seed, *key):

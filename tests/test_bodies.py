@@ -4,6 +4,7 @@ import pytest
 from khull.bodies import (
     Ball,
     EMPTY,
+    GEO_TOL,
     EmptySet,
     HalfBall,
     HalfSpace,
@@ -192,3 +193,31 @@ def test_convex_hull_collinear():
     seg = convex_hull(pts)
     assert len(seg.vertices) == 2
     assert not seg.is_full_dimensional
+
+
+@pytest.mark.parametrize("body", [cube(3), cross_polytope(3)],
+                         ids=["cube3", "cross3"])
+def test_polytope_contains_matches_row_formula(body):
+    n, h = body.facet_normals, body.facet_offsets
+
+    def reference(p):
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        return np.all(p @ n.T <= h + GEO_TOL, axis=1)
+
+    rng = np.random.default_rng(0)
+    random = 2.4 * rng.random((2000, 3)) - 1.2
+    on_facet = []
+    for idx in body.facet_vertex_sets():
+        w = rng.dirichlet(np.ones(len(idx)), size=20)
+        on_facet.append(w @ body.vertices[idx])
+    on_facet = np.concatenate(on_facet)
+    normals = np.repeat(n, 20, axis=0)
+    pushed_out = on_facet + 2 * GEO_TOL * normals
+    pushed_in = on_facet - 2 * GEO_TOL * normals
+    for pts in (random, on_facet, pushed_out, pushed_in, np.zeros((0, 3)),
+                random[0]):
+        assert np.array_equal(body.contains(pts), reference(pts))
+    assert body.contains(pushed_in).all()
+    assert not body.contains(pushed_out).any()
+    assert body.contains(np.zeros((0, 3))).shape == (0,)
+    assert body.contains(random[0]).shape == (1,)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from khull.bodies import Ball, HalfBall, cube
+from khull.bodies import Ball, HalfBall, Polytope, cross_polytope, cube
 from khull.empirical import (
     directional_extent_empirical,
     dual_cone_intensity_experiment,
@@ -30,6 +30,29 @@ def test_uniform_sample_square_mean():
     assert SQUARE.contains(pts).all()
     sigma = (2.0 / np.sqrt(12)) / np.sqrt(len(pts))
     assert np.all(np.abs(pts.mean(axis=0)) < 3 * sigma)
+
+
+def _reference_polytope_sample(body, n, seed):
+    """First n in-body rows of one large bounding-box batch."""
+    rng = spawn_rng(seed)
+    lo = body.vertices.min(axis=0)
+    hi = body.vertices.max(axis=0)
+    cand = lo + (hi - lo) * rng.random((12 * n + 100, body.dim))
+    cand = cand[body.contains(cand)]
+    assert len(cand) >= n
+    return cand[:n]
+
+
+@pytest.mark.parametrize("body", [
+    cube(2), cube(3), cross_polytope(3),
+    Polytope.from_vertices(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+], ids=["square", "cube3", "cross3", "triangle"])
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_uniform_sample_polytope_is_stream_prefix(body, n):
+    # The sample must not depend on how the candidate stream is batched.
+    for seed in (0, 1, 12345):
+        got = uniform_sample(body, n, seed=seed)
+        assert np.array_equal(got, _reference_polytope_sample(body, n, seed))
 
 
 def test_uniform_sample_ball_radial_cdf():
