@@ -24,11 +24,12 @@ from khull import (
 def main():
     square = cube(2)
     sample = sample_PK(square, t_max=3.0, seed=7)
-    print(f"Poisson sample on (0, 3] x Nor(K): {len(sample.marks)} marks "
-          f"(rate {2.0:.0f} per unit weight)")
-    for mark in sample.marks[:3]:
-        print(f"  t={mark.t:.3f}  eta=({mark.eta[0]:+.2f},{mark.eta[1]:+.2f})"
-              f"  u=({mark.u[0]:+.0f},{mark.u[1]:+.0f})")
+    print(f"Poisson sample on (0, 3] x Nor(K): {len(sample)} marks "
+          f"(rate {2.0:.0f} per unit weight), held as arrays t "
+          f"{sample.t.shape}, eta {sample.eta.shape}, u {sample.u.shape}")
+    for t, eta, u in zip(sample.t[:3], sample.eta[:3], sample.u[:3]):
+        print(f"  t={t:.3f}  eta=({eta[0]:+.2f},{eta[1]:+.2f})"
+              f"  u=({u[0]:+.0f},{u[1]:+.0f})")
     print("  ...")
 
     system = build_zero_cell(square, window_radius=3.0, seed=7)

@@ -346,7 +346,8 @@ class BallIntersection:
         return np.all(d2 <= self.radius + GEO_TOL, axis=1)
 
     def is_empty(self):
-        return not bool(self.contains([chebyshev_like_center(self)])[0])
+        """Exact: empty iff the centres' enclosing ball is wider than r."""
+        return min_enclosing_ball(self.centers)[1] > self.radius + GEO_TOL
 
     def support(self, u, n_grid=0):
         """h(X, u) by maximizing <x, u> over the ball intersection."""
@@ -357,15 +358,53 @@ class BallIntersection:
                  "fun": (lambda x, c=c: self.radius**2
                          - np.sum((x - c)**2))}
                 for c in self.centers]
-        x0 = self.centers.mean(axis=0)
+        # The enclosing-ball centre is feasible whenever the set is
+        # non-empty; the centroid of the centres need not be.
+        x0 = min_enclosing_ball(self.centers)[0]
         res = minimize(lambda x: -(x @ u), x0, constraints=cons,
                        method="SLSQP",
                        options={"ftol": 1e-12, "maxiter": 200})
         return float(res.x @ u)
 
 
-def chebyshev_like_center(x: BallIntersection):
-    return x.centers.mean(axis=0)
+def min_enclosing_ball(points):
+    """Centre and radius of the smallest ball containing the points.
+
+    Welzl's algorithm (1991) in any dimension, over a fixed-seed
+    permutation so the result is deterministic.  The recursion depth is
+    at most d + 1: each level adds one point to the boundary set.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = pts[np.random.default_rng(0).permutation(len(pts))]
+    d = pts.shape[1]
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(pts), initial=0.0)))
+
+    def circumball(boundary):
+        if not boundary:
+            return np.zeros(d), -np.inf
+        b = np.array(boundary)
+        a = b[1:] - b[0]
+        # Centre b0 + a^T lam, equidistant from every boundary point.
+        lam = np.linalg.lstsq(a @ a.T, 0.5 * np.sum(a * a, axis=1),
+                              rcond=None)[0]
+        c = b[0] + lam @ a
+        return c, float(np.max(np.linalg.norm(b - c, axis=1)))
+
+    def welzl(n, boundary):
+        c, r = circumball(boundary)
+        if len(boundary) > d:
+            return c, r
+        i = 0
+        while True:
+            outside = np.nonzero(np.linalg.norm(pts[i:n] - c, axis=1)
+                                 > r + tol)[0]
+            if not len(outside):
+                return c, r
+            i += int(outside[0])
+            c, r = welzl(i, boundary + [pts[i]])
+            i += 1
+
+    return welzl(len(pts), [])
 
 
 # -- support function ---------------------------------------------------------

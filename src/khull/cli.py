@@ -138,8 +138,7 @@ def cmd_simulate_pk(args):
     d = body.dim
     header = (["t"] + [f"eta_{i + 1}" for i in range(d)]
               + [f"u_{i + 1}" for i in range(d)])
-    rows = [[m.t, *map(float, m.eta), *map(float, m.u)]
-            for m in sample.marks]
+    rows = np.column_stack([sample.t, sample.eta, sample.u]).tolist()
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -148,21 +147,21 @@ def cmd_simulate_zerocell(args):
     body = _load_body(args.body)
     if args.window <= 0:
         raise ConfigError("--window must be positive")
-    if args.cone not in CONE_PRESETS:
-        raise ConfigError(f"unknown cone preset: {args.cone}")
     system = build_zero_cell(body, args.window, seed=args.seed)
+    s = system.sample
     doc = {
         "body": body_to_json(body),
-        "cone": args.cone,
+        # The constraints live in the full tangent space R^d x M_d.
+        "cone": "full",
         "window_radius": _fmt(args.window),
         "seed": args.seed,
         "constraints": [
             {"normal": [_fmt(v) for v in n], "offset": _fmt(t)}
             for n, t in zip(system.normals, system.offsets)],
         "marks": [
-            {"t": _fmt(m.t), "eta": [_fmt(v) for v in m.eta],
-             "u": [_fmt(v) for v in m.u]}
-            for m in system.sample.marks],
+            {"t": _fmt(t), "eta": [_fmt(v) for v in eta],
+             "u": [_fmt(v) for v in u]}
+            for t, eta, u in zip(s.t, s.eta, s.u)],
     }
     _write_json(args.out, doc)
     return EXIT_OK
@@ -295,7 +294,6 @@ def build_parser():
 
     zc = simsub.add_parser("zerocell", help="build a truncated zero cell")
     zc.add_argument("--body", required=True)
-    zc.add_argument("--cone", default="full")
     zc.add_argument("--window", type=float, required=True)
     zc.add_argument("--seed", type=int, default=0)
     zc.add_argument("--out", required=True)
@@ -310,7 +308,6 @@ def build_parser():
     so2.add_argument("--limit-reps", type=int, default=10000,
                      dest="limit_reps")
     so2.add_argument("--seed", type=int, default=0)
-    so2.add_argument("--threads", type=int, default=1)
     so2.add_argument("--check", action="store_true")
     so2.add_argument("--out")
     so2.add_argument("--samples-out", dest="samples_out")
@@ -320,7 +317,6 @@ def build_parser():
     box.add_argument("--n", type=int, default=5000)
     box.add_argument("--reps", type=int, default=10000)
     box.add_argument("--seed", type=int, default=0)
-    box.add_argument("--threads", type=int, default=1)
     box.add_argument("--check", action="store_true")
     box.add_argument("--out")
     box.add_argument("--samples-out", dest="samples_out")
@@ -333,7 +329,6 @@ def build_parser():
     inc.add_argument("--n", type=int, default=2000)
     inc.add_argument("--reps", type=int, default=2000)
     inc.add_argument("--seed", type=int, default=0)
-    inc.add_argument("--threads", type=int, default=1)
     inc.add_argument("--check", action="store_true")
     inc.add_argument("--out")
     inc.set_defaults(func=cmd_experiment_inclusion)

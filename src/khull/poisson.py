@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, HalfBall, Polytope, support_function
+from .bodies import Ball, HalfBall, Polytope
 
 __all__ = [
-    "NormalBundleMark",
     "PoissonSample",
-    "boundary_sampler",
     "process_rate",
     "sample_PK",
     "spawn_rng",
@@ -26,39 +24,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NormalBundleMark:
-    """One Poisson point (t, eta, u): time, boundary point, outer normal."""
+class PoissonSample:
+    """Marks as arrays: weights t (n,), boundary points eta (n, d) and
+    outer unit normals u (n, d); mark i is (t[i], eta[i], u[i])."""
 
-    t: float
+    t: np.ndarray
     eta: np.ndarray
     u: np.ndarray
-
-    def is_valid(self, body, tol=1e-9):
-        h = support_function(body, self.u)
-        return (self.t > 0
-                and abs(float(self.eta @ self.u) - h) <= tol
-                and abs(np.linalg.norm(self.u) - 1.0) <= tol)
-
-
-@dataclass(frozen=True)
-class PoissonSample:
-    marks: tuple
     t_max: float
     body: object
     seed: object = None
 
     def __len__(self):
-        return len(self.marks)
-
-    def arrays(self):
-        """Stack the marks into (t, eta, u) arrays."""
-        if not self.marks:
-            d = self.body.dim
-            return (np.zeros(0), np.zeros((0, d)), np.zeros((0, d)))
-        t = np.array([m.t for m in self.marks])
-        eta = np.array([m.eta for m in self.marks])
-        u = np.array([m.u for m in self.marks])
-        return t, eta, u
+        return len(self.t)
 
 
 def spawn_rng(seed, *key):
@@ -67,60 +45,50 @@ def spawn_rng(seed, *key):
 
 
 def _polytope_facet_geometry(body):
-    """Per-facet (area, vertex array) for a full-dimensional polytope."""
-    areas, facet_verts = [], []
-    for idx in body.facet_vertex_sets():
-        verts = body.vertices[idx]
-        if body.dim == 2:
+    """Facet areas, vertices and fan cdfs of a full-dimensional polytope.
+
+    Returns the (F,) areas, the (F, V, d) facet vertices (zero-padded to
+    the largest facet) and, in d=3, the (F, V-2) cdfs over each facet's
+    fan triangles (padded with inf).  In d=3 each facet's vertices are
+    sorted by angle around its centre and fanned from the first one; the
+    cdf is the one `Generator.choice` builds from the area probabilities.
+    """
+    d = body.dim
+    if d not in (2, 3):
+        raise ValueError("polytope sampling supported for d in {2, 3}")
+    sets = body.facet_vertex_sets()
+    width = max(len(idx) for idx in sets)
+    areas = np.zeros(len(sets))
+    verts = np.zeros((len(sets), width, d))
+    cdfs = np.full((len(sets), width - 2), np.inf)
+    for f, (idx, normal) in enumerate(zip(sets, body.facet_normals)):
+        v = body.vertices[idx]
+        if d == 2:
             # Facet is a segment; order is irrelevant for two points.
-            areas.append(float(np.linalg.norm(verts[1] - verts[0])))
-            facet_verts.append(verts)
-        elif body.dim == 3:
-            center = verts.mean(axis=0)
-            normal = _facet_normal(body, idx)
-            ref = verts[0] - center
+            areas[f] = float(np.linalg.norm(v[1] - v[0]))
+        else:
+            center = v.mean(axis=0)
+            ref = v[0] - center
             ref = ref / np.linalg.norm(ref)
             perp = np.cross(normal, ref)
-            ang = np.arctan2((verts - center) @ perp, (verts - center) @ ref)
-            verts = verts[np.argsort(ang)]
-            area = 0.0
-            for i in range(1, len(verts) - 1):
-                area += 0.5 * np.linalg.norm(
-                    np.cross(verts[i] - verts[0], verts[i + 1] - verts[0]))
-            areas.append(area)
-            facet_verts.append(verts)
-        else:
-            raise ValueError("polytope sampling supported for d in {2, 3}")
-    return np.array(areas), facet_verts
-
-
-def _facet_normal(body, vertex_idx):
-    for n, h in zip(body.facet_normals, body.facet_offsets):
-        if np.all(np.abs(body.vertices[vertex_idx] @ n - h) <= 1e-7):
-            return n
-    raise RuntimeError("facet normal lookup failed")
+            ang = np.arctan2((v - center) @ perp, (v - center) @ ref)
+            v = v[np.argsort(ang)]
+            tri = np.array([
+                0.5 * np.linalg.norm(np.cross(v[i] - v[0], v[i + 1] - v[0]))
+                for i in range(1, len(v) - 1)])
+            # Left to right: the rate, hence the mark count, sees the
+            # last bit of the area.
+            areas[f] = sum(tri.tolist())
+            cdf = (tri / tri.sum()).cumsum()
+            cdfs[f, :len(tri)] = cdf / cdf[-1]
+        verts[f, :len(v)] = v
+    return areas, verts, (cdfs if d == 3 else None)
 
 
 def _polytope_volume(body):
     from scipy.spatial import ConvexHull
 
     return float(ConvexHull(body.vertices).volume)
-
-
-def _sample_facet_point(verts, rng):
-    """Uniform point on a segment (2 vertices) or a fan-triangulated polygon."""
-    if len(verts) == 2:
-        lam = rng.random()
-        return verts[0] + lam * (verts[1] - verts[0])
-    tri_areas = np.array([
-        0.5 * np.linalg.norm(np.cross(verts[i] - verts[0],
-                                      verts[i + 1] - verts[0]))
-        for i in range(1, len(verts) - 1)])
-    i = 1 + rng.choice(len(tri_areas), p=tri_areas / tri_areas.sum())
-    a, b = rng.random(2)
-    if a + b > 1:
-        a, b = 1 - a, 1 - b
-    return verts[0] + a * (verts[i] - verts[0]) + b * (verts[i + 1] - verts[0])
 
 
 def _ball_surface_area(r, d):
@@ -135,15 +103,15 @@ def _ball_volume(r, d):
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r ** d
 
 
-def _uniform_sphere(rng, d, n=1):
+def _uniform_sphere(rng, d, n):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _uniform_disk(rng, d, r):
-    """Uniform point in the (d-1)-dimensional disk of radius r (in R^{d-1})."""
-    u = _uniform_sphere(rng, d - 1)[0]
-    return r * u * rng.random() ** (1.0 / (d - 1))
+def _uniform_disk(rng, d, r, n):
+    """n uniform points in the (d-1)-dimensional disk of radius r."""
+    u = _uniform_sphere(rng, d - 1, n)
+    return r * u * (rng.random(n) ** (1.0 / (d - 1)))[:, None]
 
 
 class BoundarySampler:
@@ -154,11 +122,9 @@ class BoundarySampler:
         if isinstance(body, Polytope):
             if not body.is_full_dimensional:
                 raise ValueError("body must be full-dimensional")
-            areas, fverts = _polytope_facet_geometry(body)
-            self.facet_areas = areas
+            areas, self.facet_verts, self.fan_cdfs = \
+                _polytope_facet_geometry(body)
             self.facet_probs = areas / areas.sum()
-            self.facet_verts = fverts
-            self.facet_normals = list(body.facet_normals)
             self.surface_area = float(areas.sum())
             self.volume = _polytope_volume(body)
         elif isinstance(body, Ball):
@@ -178,36 +144,46 @@ class BoundarySampler:
         else:
             raise TypeError(f"unsupported body {type(body).__name__}")
 
-    def draw(self, rng, n=1):
-        """n independent (eta, u) pairs."""
+    def draw(self, rng, n):
+        """n independent marks as (eta, u), two (n, d) arrays.
+
+        Polytopes draw all facet indices, then one uniform row per mark:
+        the position along a segment (d=2), or the fan triangle and the
+        two barycentric coordinates (d=3).
+        """
         body = self.body
-        out = []
+        d = body.dim
         if isinstance(body, Polytope):
             idx = rng.choice(len(self.facet_probs), size=n,
                              p=self.facet_probs)
-            for i in idx:
-                eta = _sample_facet_point(self.facet_verts[i], rng)
-                out.append((eta, self.facet_normals[i]))
-        elif isinstance(body, Ball):
-            for u in _uniform_sphere(rng, body.dim, n):
-                out.append((body.radius * u, u))
-        else:  # HalfBall
-            d, r = body.dim, body.radius
-            for _ in range(n):
-                if rng.random() < self.cap_area / self.surface_area:
-                    while True:
-                        u = _uniform_sphere(rng, d)[0]
-                        if u @ body.axis >= 0:
-                            break
-                    out.append((r * u, u))
-                else:
-                    y = self.frame @ _uniform_disk(rng, d, r)
-                    out.append((y, -body.axis))
-        return out
-
-
-def boundary_sampler(body):
-    return BoundarySampler(body)
+            u = body.facet_normals[idx]
+            v0 = self.facet_verts[idx, 0]
+            if d == 2:
+                lam = rng.random(n)[:, None]
+                return v0 + lam * (self.facet_verts[idx, 1] - v0), u
+            c, a, b = rng.random((n, 3)).T
+            flip = a + b > 1
+            a, b = np.where(flip, 1 - a, a), np.where(flip, 1 - b, b)
+            # searchsorted(cdf, c, side="right") of each mark's facet.
+            i = 1 + np.sum(self.fan_cdfs[idx] <= c[:, None], axis=1)
+            eta = (v0 + a[:, None] * (self.facet_verts[idx, i] - v0)
+                   + b[:, None] * (self.facet_verts[idx, i + 1] - v0))
+            return eta, u
+        r = body.radius
+        if isinstance(body, Ball):
+            u = _uniform_sphere(rng, d, n)
+            return r * u, u
+        # HalfBall: cap marks, then flat marks; a cap normal drawn in the
+        # lower hemisphere is reflected into the upper one.
+        cap = rng.random(n) < self.cap_area / self.surface_area
+        k = int(cap.sum())
+        cap_u = _uniform_sphere(rng, d, k)
+        cap_u[cap_u @ body.axis < 0] *= -1
+        eta, u = np.empty((n, d)), np.empty((n, d))
+        eta[cap], u[cap] = r * cap_u, cap_u
+        eta[~cap] = _uniform_disk(rng, d, r, n - k) @ self.frame.T
+        u[~cap] = -body.axis
+        return eta, u
 
 
 def process_rate(body):
@@ -216,7 +192,7 @@ def process_rate(body):
     return s.surface_area / s.volume
 
 
-def sample_PK(body, t_max, seed=None, rng=None, sampler=None):
+def sample_PK(body, t_max, seed=None, rng=None):
     """Poisson sample of marks with t <= t_max.
 
     The count is Poisson(rate * t_max); t values are i.i.d. uniform on
@@ -226,10 +202,9 @@ def sample_PK(body, t_max, seed=None, rng=None, sampler=None):
         raise ValueError("t_max must be positive")
     if rng is None:
         rng = spawn_rng(seed)
-    sampler = sampler or BoundarySampler(body)
+    sampler = BoundarySampler(body)
     rate = sampler.surface_area / sampler.volume
     n = rng.poisson(rate * t_max)
-    ts = t_max * (1.0 - rng.random(n))
-    marks = tuple(NormalBundleMark(float(t), np.asarray(eta), np.asarray(u))
-                  for t, (eta, u) in zip(ts, sampler.draw(rng, n)))
-    return PoissonSample(marks, float(t_max), body, seed)
+    t = t_max * (1.0 - rng.random(n))
+    eta, u = sampler.draw(rng, n)
+    return PoissonSample(t, eta, u, float(t_max), body, seed)

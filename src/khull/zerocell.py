@@ -24,7 +24,7 @@ __all__ = [
     "TangentPoint",
     "build_zero_cell",
     "cone_preset",
-    "halfspace_from_mark",
+    "halfspaces_from_marks",
     "is_bounded",
     "membership",
     "polar_of_zero_cell",
@@ -63,10 +63,17 @@ def flatten_pair(x, c):
                            np.asarray(c, float).reshape(-1)])
 
 
-def halfspace_from_mark(mark):
-    """Constraint (normal, offset) in R^(d+d^2) from one mark."""
-    n = flatten_pair(mark.u, np.outer(mark.u, mark.eta))
-    return n, float(mark.t)
+def halfspaces_from_marks(t, eta, u):
+    """Constraint normals (u, u outer eta) in R^(d+d^2) and offsets t.
+
+    Broadcasts over leading axes: one mark (1-D eta, u) gives one normal,
+    (n, d) arrays give (n, d+d^2) rows.
+    """
+    eta, u = np.asarray(eta, dtype=float), np.asarray(u, dtype=float)
+    d = u.shape[-1]
+    outer = (u[..., :, None] * eta[..., None, :]).reshape(*u.shape[:-1],
+                                                          d * d)
+    return np.concatenate([u, outer], axis=-1), np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,7 @@ def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
     if t_max is None:
         t_max = window_radius * (1.0 + _max_boundary_norm(body))
     sample = sample_PK(body, t_max, seed=seed, rng=rng)
-    if len(sample) == 0:
-        normals = np.zeros((0, d + d * d))
-        offsets = np.zeros(0)
-    else:
-        rows = [halfspace_from_mark(m) for m in sample.marks]
-        normals = np.array([r[0] for r in rows])
-        offsets = np.array([r[1] for r in rows])
+    normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
     return HalfSpaceSystem(normals, offsets, d + d * d, d,
                            sample=sample, window_radius=float(window_radius))
 
@@ -544,13 +545,9 @@ def transform_translation_of_K(system, v):
     """
     v = np.asarray(v, dtype=float)
     d = system.body_dim
-    new_rows = []
-    for n in system.normals:
-        u = n[:d]
-        mat = n[d:].reshape(d, d) + np.outer(u, v)
-        new_rows.append(flatten_pair(u, mat))
-    normals = (np.array(new_rows) if new_rows
-               else np.zeros((0, system.dim)))
+    u = system.normals[:, :d]
+    normals = system.normals.copy()
+    normals[:, d:] += (u[:, :, None] * v).reshape(len(u), d * d)
     return HalfSpaceSystem(normals, system.offsets.copy(), system.dim, d,
                            sample=system.sample,
                            window_radius=system.window_radius)
@@ -571,13 +568,9 @@ def transform_rotation_of_K(system, a):
     """
     a = np.asarray(a, dtype=float)
     d = system.body_dim
-    new_rows = []
-    for n in system.normals:
-        u = n[:d]
-        mat = n[d:].reshape(d, d)
-        new_rows.append(flatten_pair(a @ u, a @ mat @ a.T))
-    normals = (np.array(new_rows) if new_rows
-               else np.zeros((0, system.dim)))
+    mats = system.normals[:, d:].reshape(-1, d, d)
+    normals = np.concatenate([system.normals[:, :d] @ a.T,
+                              (a @ mats @ a.T).reshape(-1, d * d)], axis=1)
     return HalfSpaceSystem(normals, system.offsets.copy(), system.dim, d,
                            sample=system.sample,
                            window_radius=system.window_radius)

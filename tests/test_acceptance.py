@@ -18,9 +18,8 @@ from khull.empirical import (dual_cone_intensity_experiment,
 from khull.hulls import (hull_full_affine, hull_linear_ball,
                          k_hull_translations, positive_hull,
                          spherical_hull_halfball)
-from khull.poisson import NormalBundleMark
 from khull.zerocell import (TangentPoint, build_zero_cell, cone_preset,
-                            halfspace_from_mark, is_bounded, membership,
+                            halfspaces_from_marks, is_bounded, membership,
                             recession_cone_TK, reflected_recession_in_cone,
                             restrict_to_cone)
 
@@ -75,7 +74,7 @@ def test_criterion_4_scalings_identity():
     total = 0
     for rep in range(20):
         system = build_zero_cell(SQUARE, 4.0, seed=1000 + rep)
-        t, eta, u = system.sample.arrays()
+        t, u = system.sample.t, system.sample.u
         restricted = restrict_to_cone(system, cone_preset("scalings", 2))
         rng = np.random.default_rng(rep)
         for _ in range(100):
@@ -201,7 +200,7 @@ def test_criterion_7_geometry_identities():
         u /= np.linalg.norm(u)
         x = rng.standard_normal(d)
         c = rng.standard_normal((d, d))
-        n, _ = halfspace_from_mark(NormalBundleMark(1.0, eta, u))
+        n, _ = halfspaces_from_marks(1.0, eta, u)
         lhs = float(TangentPoint(x, c).flatten() @ n)
         rhs = float((c @ eta + x) @ u)
         if abs(lhs - rhs) > 1e-12:

@@ -3,6 +3,7 @@ import pytest
 
 from khull.bodies import (
     Ball,
+    BallIntersection,
     EMPTY,
     GEO_TOL,
     EmptySet,
@@ -16,6 +17,7 @@ from khull.bodies import (
     convex_hull,
     cross_polytope,
     cube,
+    min_enclosing_ball,
     minkowski_difference,
     normal_cone,
     polar,
@@ -141,6 +143,72 @@ def test_minkowski_difference_singleton():
 def test_minkowski_difference_empty():
     d = minkowski_difference(SQUARE, np.array([[-3.0, 0.0], [3.0, 0.0]]))
     assert isinstance(d, EmptySet)
+
+
+# Three centres at the origin and one at (2, 0): their centroid (0.5, 0)
+# is 1.5 from (2, 0), yet (1, 0) is within 1.2 of every centre.
+SKEWED_CENTERS = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+
+
+def test_ball_intersection_nonempty_with_infeasible_centroid():
+    x = BallIntersection(SKEWED_CENTERS, 1.2)
+    assert not x.contains([SKEWED_CENTERS.mean(axis=0)])[0]
+    assert x.contains([[1.0, 0.0]])[0]
+    assert not x.is_empty()
+    # The lens between the balls at 0 and (2, 0) spans x1 in [0.8, 1.2].
+    assert support_function(x, np.array([1.0, 0.0])) == pytest.approx(
+        1.2, abs=1e-6)
+    assert support_function(x, np.array([-1.0, 0.0])) == pytest.approx(
+        -0.8, abs=1e-6)
+    d = minkowski_difference(Ball(1.2, 2), -SKEWED_CENTERS)
+    assert isinstance(d, BallIntersection)
+    assert d.contains([[1.0, 0.0]])[0]
+
+
+def test_ball_intersection_empty_pair():
+    assert BallIntersection(np.array([[0.0, 0.0], [3.0, 0.0]]),
+                            1.2).is_empty()
+    assert isinstance(minkowski_difference(
+        Ball(1.2, 2), np.array([[0.0, 0.0], [-3.0, 0.0]])), EmptySet)
+
+
+def test_ball_intersection_emptiness_matches_grid():
+    # A tight cluster plus one far centre pulls the centroid off-centre.
+    # Brute force: g = min over a grid of spacing h of the distance to the
+    # farthest centre is within h / sqrt(2) of the smallest feasible
+    # radius, so radius g + 2h is feasible (at a grid point) and g - 2h
+    # is not.
+    rng = np.random.default_rng(11)
+    h = 0.01
+    grid = np.stack(np.meshgrid(np.arange(-3, 3 + h, h),
+                                np.arange(-3, 3 + h, h)), -1).reshape(-1, 2)
+    for _ in range(10):
+        u = rng.standard_normal(2)
+        far = (1.5 + rng.random()) * u / np.linalg.norm(u)
+        centers = np.vstack([0.2 * rng.random((5, 2)) - 0.1, far])
+        g = np.max(np.linalg.norm(grid[:, None] - centers, axis=2),
+                   axis=1).min()
+        for r, empty in ((g + 2 * h, False), (g - 2 * h, True)):
+            x = BallIntersection(centers, r)
+            assert not x.contains([centers.mean(axis=0)])[0]
+            assert x.is_empty() == empty
+
+
+def test_min_enclosing_ball_is_smallest():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 4):
+        for n in (1, 2, 3, 7, 300):
+            pts = rng.standard_normal((n, d))
+            c, r = min_enclosing_ball(pts)
+            dist = np.linalg.norm(pts - c, axis=1)
+            assert np.all(dist <= r + 1e-9)
+            # Optimal iff c lies in the hull of the farthest points: no
+            # direction moves c closer to all of them.
+            far = pts[dist >= r - 1e-9]
+            assert len(far) >= min(n, 2)
+            for _ in range(50):
+                v = rng.standard_normal(d)
+                assert np.max((far - c) @ v) >= -1e-9
 
 
 def test_half_ball_membership_and_support():

@@ -133,8 +133,47 @@ def test_samples_sidecar_deterministic(tmp_path):
     assert files[0] == files[1]
 
 
-def test_unknown_cone_exits_2(square_json, tmp_path):
-    code = main(["simulate", "zerocell", "--body", square_json,
-                 "--cone", "bogus", "--window", "1",
+def test_unknown_cone_exits_2(square_json, two_points_csv, tmp_path):
+    code = main(["experiment", "inclusion", "--body", square_json,
+                 "--cone", "bogus", "--points", two_points_csv,
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+BODIES = {
+    "square": {"kind": "polytope",
+               "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+    "cube3": {"kind": "polytope",
+              "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                           for z in (-1, 1)]},
+    "half-ball3": {"kind": "half_ball", "radius": 1.0, "axis": [0, 0, 1]},
+}
+
+
+def _same_seed_outputs(tmp_path, body, argv, suffix):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(BODIES[body]))
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.{suffix}"
+        assert main(argv[:2] + ["--body", str(path)] + argv[2:]
+                    + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    return outs
+
+
+@pytest.mark.parametrize("body", sorted(BODIES))
+def test_simulate_pk_same_seed_same_bytes(body, tmp_path):
+    a, b = _same_seed_outputs(tmp_path, body, [
+        "simulate", "pk", "--tmax", "30", "--seed", "5"], "csv")
+    assert a == b
+    assert len(a.splitlines()) > 10
+
+
+@pytest.mark.parametrize("body", sorted(BODIES))
+def test_simulate_zerocell_same_seed_same_bytes(body, tmp_path):
+    a, b = _same_seed_outputs(tmp_path, body, [
+        "simulate", "zerocell", "--window", "5", "--seed", "5"], "json")
+    assert a == b
+    doc = json.loads(a)
+    assert len(doc["marks"]) == len(doc["constraints"]) > 0

@@ -84,6 +84,20 @@ def test_k_hull_ball_lens():
     assert oracle.contains(lens_tops).all()
 
 
+def test_k_hull_ball_infeasible_centroid_is_not_whole_space():
+    # The centroid (0.5, 0) of the sample is 1.5 from (2, 0), but the
+    # centre (1, 0) covers it with radius 1.2.
+    a = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    oracle = k_hull_translations(Ball(1.2, 2), a).body
+    assert isinstance(oracle, BallHullOracle)
+    assert oracle.contains(a).all()
+    assert oracle.contains([[1.0, 0.0]])[0]
+    assert not oracle.contains([[1.0, 1.0]])[0]
+    far = np.array([[0.0, 0.0], [3.0, 0.0]])
+    assert isinstance(k_hull_translations(Ball(1.2, 2), far).body,
+                      WholeSpace)
+
+
 def test_k_hull_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -1,28 +1,128 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from khull.bodies import Ball, HalfBall, cube
-from khull.poisson import (boundary_sampler, process_rate, sample_PK,
+from khull.bodies import (Ball, HalfBall, Polytope, cross_polytope, cube,
+                          support_function)
+from khull.poisson import (BoundarySampler, process_rate, sample_PK,
                            spawn_rng)
 
 SQUARE = cube(2)
+HEXAGON = Polytope.from_vertices(np.array(
+    [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3]))
+# Its hexagonal facets have four fan triangles each.
+HEXAGONAL_PRISM = Polytope.from_vertices(np.array(
+    [[x, y, z] for x, y in HEXAGON.vertices for z in (-1.0, 1.0)]))
 
 
 def test_rates():
     assert process_rate(SQUARE) == pytest.approx(2.0)  # perimeter 8 / area 4
     assert process_rate(Ball(1.0, 2)) == pytest.approx(2.0)
     assert process_rate(Ball(1.0, 3)) == pytest.approx(3.0)
-    hb = boundary_sampler(HalfBall(1.0, dim=2))
+    hb = BoundarySampler(HalfBall(1.0, dim=2))
     assert hb.surface_area == pytest.approx(2.0 + np.pi)
     assert hb.volume == pytest.approx(np.pi / 2.0)
 
 
 def test_marks_valid_on_all_bodies():
-    for body in (SQUARE, Ball(1.0, 2), HalfBall(1.0, dim=2), cube(3),
-                 Ball(2.0, 3)):
+    half_balls = (HalfBall(1.0, dim=2),
+                  HalfBall(1.5, axis=np.array([1.0, -2.0, 2.0]), dim=3))
+    for body in (SQUARE, Ball(1.0, 2), cube(3), Ball(2.0, 3)) + half_balls:
         s = sample_PK(body, 4.0, seed=0)
-        assert all(m.is_valid(body, tol=1e-9) for m in s.marks)
-        assert all(0 < m.t <= 4.0 for m in s.marks)
+        d = body.dim
+        assert len(s) > 0
+        assert s.t.shape == (len(s),)
+        assert s.eta.shape == s.u.shape == (len(s), d)
+        assert np.all((0 < s.t) & (s.t <= 4.0))
+        assert np.all(np.abs(np.linalg.norm(s.u, axis=1) - 1.0) <= 1e-9)
+        h = np.array([support_function(body, u) for u in s.u])
+        assert np.all(np.abs(np.sum(s.eta * s.u, axis=1) - h) <= 1e-9)
+    for body in half_balls:
+        s = sample_PK(body, 50.0, seed=1)
+        cap = ~np.all(s.u == -body.axis, axis=1)
+        assert 0 < cap.sum() < len(s)
+        assert np.all(s.u[cap] @ body.axis >= 0)
+
+
+def test_empty_sample_has_shaped_arrays():
+    # rate 2 * t_max 1e-9: no marks at this seed.
+    s = sample_PK(SQUARE, 1e-9, seed=0)
+    assert len(s) == 0
+    assert s.t.shape == (0,) and s.eta.shape == s.u.shape == (0, 2)
+
+
+def _reference_sample(body, t_max, seed):
+    """Per-mark reference sampler: one facet point at a time.
+
+    Polytopes draw every facet index with one `choice`, then per mark one
+    position on a segment (d=2), or a fan triangle by `choice` and two
+    barycentric coordinates (d=3); balls normalize Gaussian rows.
+    """
+    rng = spawn_rng(seed)
+    d = body.dim
+    if isinstance(body, Ball):
+        area = {2: 2 * np.pi * body.radius,
+                3: 4 * np.pi * body.radius ** 2}[d]
+        vol = {2: np.pi * body.radius ** 2,
+               3: 4 / 3 * np.pi * body.radius ** 3}[d]
+        n = rng.poisson(area / vol * t_max)
+        t = t_max * (1.0 - rng.random(n))
+        x = rng.standard_normal((n, d))
+        u = x / np.linalg.norm(x, axis=1, keepdims=True)
+        return t, body.radius * u, u
+    areas, facets = [], []
+    for idx, normal in zip(body.facet_vertex_sets(), body.facet_normals):
+        verts = body.vertices[idx]
+        if d == 3:
+            center = verts.mean(axis=0)
+            ref = (verts[0] - center) / np.linalg.norm(verts[0] - center)
+            perp = np.cross(normal, ref)
+            ang = np.arctan2((verts - center) @ perp, (verts - center) @ ref)
+            verts = verts[np.argsort(ang)]
+            tri = np.array([
+                0.5 * np.linalg.norm(np.cross(verts[i] - verts[0],
+                                              verts[i + 1] - verts[0]))
+                for i in range(1, len(verts) - 1)])
+            area = 0.0
+            for a in tri:
+                area += a
+        else:
+            area, tri = float(np.linalg.norm(verts[1] - verts[0])), None
+        areas.append(area)
+        facets.append((verts, tri))
+    areas = np.array(areas)
+    rate = areas.sum() / ConvexHull(body.vertices).volume
+    n = rng.poisson(rate * t_max)
+    t = t_max * (1.0 - rng.random(n))
+    idx = rng.choice(len(areas), size=n, p=areas / areas.sum())
+    eta = []
+    for f in idx:
+        verts, tri = facets[f]
+        if tri is None:
+            eta.append(verts[0] + rng.random() * (verts[1] - verts[0]))
+            continue
+        i = 1 + rng.choice(len(tri), p=tri / tri.sum())
+        a, b = rng.random(2)
+        if a + b > 1:
+            a, b = 1 - a, 1 - b
+        eta.append(verts[0] + a * (verts[i] - verts[0])
+                   + b * (verts[i + 1] - verts[0]))
+    return t, np.array(eta).reshape(n, d), body.facet_normals[idx]
+
+
+@pytest.mark.parametrize("t_max", [0.5, 200.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("body", [
+    SQUARE, HEXAGON, cube(3), cross_polytope(3), HEXAGONAL_PRISM,
+    Ball(2.0, 2), Ball(1.0, 3)],
+    ids=["square", "hexagon", "cube3", "cross3", "hexprism", "ball2",
+         "ball3"])
+def test_sample_stream_matches_per_mark_reference(body, seed, t_max):
+    s = sample_PK(body, t_max, seed=seed)
+    t, eta, u = _reference_sample(body, t_max, seed)
+    assert np.array_equal(s.t, t)
+    assert np.array_equal(s.eta, eta)
+    assert np.array_equal(s.u, u)
 
 
 def test_count_statistics():
@@ -40,9 +140,8 @@ def test_square_facet_proportions():
     rng = spawn_rng(2)
     s = sample_PK(SQUARE, 50000.0, rng=rng)
     assert len(s) > 90000
-    _, _, u = s.arrays()
     for normal in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        freq = np.mean(np.all(np.isclose(u, normal), axis=1))
+        freq = np.mean(np.all(np.isclose(s.u, normal), axis=1))
         assert abs(freq - 0.25) < 0.01
 
 
@@ -50,25 +149,21 @@ def test_half_ball_part_proportions():
     rng = spawn_rng(3)
     body = HalfBall(1.0, dim=2)
     s = sample_PK(body, 10000.0, rng=rng)
-    _, _, u = s.arrays()
-    flat = np.mean(np.all(np.isclose(u, [-1.0, 0.0]), axis=1))
+    flat = np.mean(np.all(np.isclose(s.u, [-1.0, 0.0]), axis=1))
     assert flat == pytest.approx(2.0 / (2.0 + np.pi), abs=0.01)
 
 
 def test_ball_marks_have_u_equal_eta_over_r():
     s = sample_PK(Ball(2.0, 2), 5.0, seed=4)
-    _, eta, u = s.arrays()
-    assert np.allclose(eta, 2.0 * u, atol=1e-12)
+    assert np.allclose(s.eta, 2.0 * s.u, atol=1e-12)
 
 
 def test_reproducibility():
     a = sample_PK(SQUARE, 5.0, seed=7)
     b = sample_PK(SQUARE, 5.0, seed=7)
-    ta, ea, ua = a.arrays()
-    tb, eb, ub = b.arrays()
-    assert np.array_equal(ta, tb)
-    assert np.array_equal(ea, eb)
-    assert np.array_equal(ua, ub)
+    assert np.array_equal(a.t, b.t)
+    assert np.array_equal(a.eta, b.eta)
+    assert np.array_equal(a.u, b.u)
 
 
 def test_spawned_streams_differ():
@@ -84,6 +179,5 @@ def test_t_max_validation():
 
 def test_times_uniform():
     s = sample_PK(SQUARE, 10.0, seed=9)
-    t, _, _ = s.arrays()
     # crude uniformity check on (0, 10]
-    assert 0 < t.min() and t.max() <= 10.0
+    assert 0 < s.t.min() and s.t.max() <= 10.0

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from khull.bodies import Ball, Polytope, cube
-from khull.poisson import NormalBundleMark, sample_PK, spawn_rng
+from khull.poisson import sample_PK, spawn_rng
 from khull.zerocell import (
     HalfSpaceSystem,
     TangentPoint,
     build_zero_cell,
     cone_preset,
-    halfspace_from_mark,
+    halfspaces_from_marks,
     is_bounded,
     membership,
     polar_of_zero_cell,
@@ -43,17 +43,41 @@ def test_tangent_point_round_trip():
             assert np.array_equal(p.C, q.C)
 
 
-def test_halfspace_from_mark_examples():
-    m = NormalBundleMark(1.0, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    n, t = halfspace_from_mark(m)
+def test_halfspaces_from_marks_examples():
+    n, t = halfspaces_from_marks(1.0, np.array([1.0, 0.0]),
+                                 np.array([1.0, 0.0]))
     assert t == 1.0
     assert np.array_equal(n, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
-    m = NormalBundleMark(2.0, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    n, t = halfspace_from_mark(m)
+    n, t = halfspaces_from_marks(2.0, np.array([0.0, 1.0]),
+                                 np.array([1.0, 0.0]))
     assert t == 2.0
     mat = n[2:].reshape(2, 2)
     assert mat[0, 1] == 1.0 and np.sum(np.abs(mat)) == 1.0
+
+
+def test_halfspaces_from_marks_rows_match_single_marks():
+    # A whole sample gives, row by row, the normals of its single marks.
+    for body in (SQUARE, cube(3), Ball(1.0, 3)):
+        s = sample_PK(body, 20.0, seed=3)
+        normals, offsets = halfspaces_from_marks(s.t, s.eta, s.u)
+        d = body.dim
+        assert normals.shape == (len(s), d + d * d)
+        assert np.array_equal(offsets, s.t)
+        for i in range(len(s)):
+            n, t = halfspaces_from_marks(s.t[i], s.eta[i], s.u[i])
+            assert np.array_equal(normals[i], n)
+            assert np.array_equal(n, np.concatenate(
+                [s.u[i], np.outer(s.u[i], s.eta[i]).ravel()]))
+
+
+def test_empty_zero_cell_has_shaped_normals():
+    cell = build_zero_cell(cube(3), 0.0, seed=0, t_max=1e-9)
+    assert cell.n_constraints == 0
+    assert cell.normals.shape == (0, 12)
+    assert transform_translation_of_K(cell, np.ones(3)).normals.shape == \
+        (0, 12)
+    assert transform_rotation_of_K(cell, np.eye(3)).normals.shape == (0, 12)
 
 
 def test_flattening_identity_1000_random_tuples():
@@ -66,8 +90,7 @@ def test_flattening_identity_1000_random_tuples():
         u /= np.linalg.norm(u)
         x = rng.standard_normal(d)
         c = rng.standard_normal((d, d))
-        m = NormalBundleMark(1.0, eta, u)
-        n, _ = halfspace_from_mark(m)
+        n, _ = halfspaces_from_marks(1.0, eta, u)
         lhs = float(TangentPoint(x, c).flatten() @ n)
         rhs = float((c @ eta + x) @ u)
         assert abs(lhs - rhs) < 1e-12
@@ -154,17 +177,10 @@ def test_scaling_coupling():
     r = 2.5
     for seed in range(10):
         base = sample_PK(SQUARE, 6.0, seed=seed)
-        rows_k, offs_k, rows_rk, offs_rk = [], [], [], []
-        for m in base.marks:
-            n, t = halfspace_from_mark(m)
-            rows_k.append(n)
-            offs_k.append(t)
-            scaled = NormalBundleMark(r * m.t, r * m.eta, m.u)
-            n2, t2 = halfspace_from_mark(scaled)
-            rows_rk.append(n2)
-            offs_rk.append(t2)
-        s_k = HalfSpaceSystem(np.array(rows_k), np.array(offs_k), 6, 2)
-        s_rk = HalfSpaceSystem(np.array(rows_rk), np.array(offs_rk), 6, 2)
+        s_k = HalfSpaceSystem(
+            *halfspaces_from_marks(base.t, base.eta, base.u), 6, 2)
+        s_rk = HalfSpaceSystem(
+            *halfspaces_from_marks(r * base.t, r * base.eta, base.u), 6, 2)
         rng = np.random.default_rng(seed)
         for _ in range(50):
             x = rng.standard_normal(2)
@@ -198,7 +214,7 @@ def test_skew_restriction_is_signed_area():
     s = random_system(7)
     cone = cone_preset("skew", 2)
     r = restrict_to_cone(s, cone)
-    t, eta, u = s.sample.arrays()
+    eta, u = s.sample.eta, s.sample.u
     signed_area = u[:, 0] * eta[:, 1] - u[:, 1] * eta[:, 0]
     keep = np.abs(signed_area) > 1e-12
     assert np.allclose(np.sort(r.normals[:, 0]),
@@ -209,9 +225,8 @@ def test_translations_restriction():
     s = random_system(8)
     cone = cone_preset("translations", 2)
     r = restrict_to_cone(s, cone)
-    t, eta, u = s.sample.arrays()
-    assert np.allclose(r.normals, u)
-    assert np.allclose(r.offsets, t)
+    assert np.allclose(r.normals, s.sample.u)
+    assert np.allclose(r.offsets, s.sample.t)
 
 
 def test_scalings_restriction_equivalence():
@@ -219,7 +234,7 @@ def test_scalings_restriction_equivalence():
     # translation-only cell from the same marks.  Exact per realization.
     for rep in range(20):
         s = build_zero_cell(SQUARE, 4.0, seed=200 + rep)
-        t, eta, u = s.sample.arrays()
+        t, u = s.sample.t, s.sample.u
         cone = cone_preset("scalings", 2)
         restricted = restrict_to_cone(s, cone)
         rng = np.random.default_rng(rep)
