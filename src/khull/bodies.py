@@ -349,7 +349,7 @@ class BallIntersection:
         """Exact: empty iff the centres' enclosing ball is wider than r."""
         return min_enclosing_ball(self.centers)[1] > self.radius + GEO_TOL
 
-    def support(self, u, n_grid=0):
+    def support(self, u):
         """h(X, u) by maximizing <x, u> over the ball intersection."""
         from scipy.optimize import minimize
 

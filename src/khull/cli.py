@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration or input validation error,
 3 statistical check failure under --check.  Outputs are written
-atomically (temporary file plus rename); floats are serialized with 17
-significant digits so reruns with the same seed are byte-identical.
+atomically (temporary file plus rename).  JSON floats are written by
+`repr` (the shortest string that round-trips) and CSV floats with 17
+significant digits, so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ EXIT_CHECK = 3
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x):
-    return float(f"{float(x):.17g}")
 
 
 def _atomic_write(path, writer):
@@ -99,7 +96,7 @@ def _hull_to_json(result):
     body = result.body
     doc = {"exact": bool(result.exact)}
     if result.epsilon is not None:
-        doc["epsilon"] = _fmt(result.epsilon)
+        doc["epsilon"] = float(result.epsilon)
     try:
         doc.update(body_to_json(body))
     except TypeError:
@@ -153,15 +150,16 @@ def cmd_simulate_zerocell(args):
         "body": body_to_json(body),
         # The constraints live in the full tangent space R^d x M_d.
         "cone": "full",
-        "window_radius": _fmt(args.window),
+        "window_radius": args.window,
         "seed": args.seed,
         "constraints": [
-            {"normal": [_fmt(v) for v in n], "offset": _fmt(t)}
-            for n, t in zip(system.normals, system.offsets)],
+            {"normal": n, "offset": t}
+            for n, t in zip(system.normals.tolist(),
+                            system.offsets.tolist())],
         "marks": [
-            {"t": _fmt(t), "eta": [_fmt(v) for v in eta],
-             "u": [_fmt(v) for v in u]}
-            for t, eta, u in zip(s.t, s.eta, s.u)],
+            {"t": t, "eta": eta, "u": u}
+            for t, eta, u in zip(s.t.tolist(), s.eta.tolist(),
+                                 s.u.tolist())],
     }
     _write_json(args.out, doc)
     return EXIT_OK
@@ -238,11 +236,10 @@ def cmd_experiment_recession(args):
     doc = {"body": body_to_json(body), "cone": args.cone,
            "bounded": bool(bounded)}
     if witness is not None:
-        doc["unbounded_direction"] = [_fmt(v) for v in witness]
+        doc["unbounded_direction"] = witness.tolist()
     try:
         rows = reflected_recession_in_cone(body, cone)
-        doc["reflected_recession_facets"] = [[_fmt(v) for v in r]
-                                             for r in rows]
+        doc["reflected_recession_facets"] = rows.tolist()
     except (TypeError, ValueError):
         pass
     if args.out:

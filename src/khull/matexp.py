@@ -1,39 +1,14 @@
-"""Matrix exponential by scaling and squaring, with a 2x2 skew fast path."""
+"""Matrix exponential (scipy's Pade scaling and squaring) and skew
+matrices."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.linalg import expm
 
 __all__ = ["matrix_exponential", "skew_matrix", "skew_dim"]
 
-_TAYLOR_TERMS = 24
-
-
-def matrix_exponential(c):
-    """exp(c) for a square matrix, accurate to ~1e-12 relative error.
-
-    Uses scaling and squaring around a fixed-order Taylor kernel; 2x2
-    skew-symmetric matrices take the closed rotation form.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape == (2, 2) and abs(c[0, 0]) == 0.0 and abs(c[1, 1]) == 0.0 \
-            and c[0, 1] == -c[1, 0]:
-        a = c[0, 1]
-        return np.array([[math.cos(a), math.sin(a)],
-                         [-math.sin(a), math.cos(a)]])
-    norm = np.linalg.norm(c, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    a = c / (2.0 ** squarings)
-    out = np.eye(c.shape[0])
-    term = np.eye(c.shape[0])
-    for k in range(1, _TAYLOR_TERMS + 1):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+matrix_exponential = expm
 
 
 def skew_dim(d):

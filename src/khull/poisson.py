@@ -132,8 +132,10 @@ class BoundarySampler:
             self.volume = _ball_volume(body.radius, body.dim)
         elif isinstance(body, HalfBall):
             d, r = body.dim, body.radius
+            if d < 2:
+                raise ValueError("half-ball sampling needs dimension >= 2")
             self.cap_area = _ball_surface_area(r, d) / 2.0
-            self.flat_area = _ball_volume(r, d - 1) if d > 1 else 1.0
+            self.flat_area = _ball_volume(r, d - 1)
             self.surface_area = self.cap_area + self.flat_area
             self.volume = _ball_volume(r, d) / 2.0
             # Orthonormal frame with the axis last, for flat-part sampling.

@@ -9,7 +9,7 @@ with normal (u, N), N[i,j] = u[i]*eta[j], and offset t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -80,15 +80,20 @@ def halfspaces_from_marks(t, eta, u):
 class HalfSpaceSystem:
     """Finite half-space intersection {p : <p, normal_i> <= offset_i}.
 
-    Offsets are positive, so the origin is always strictly feasible.
+    Offsets are positive, so the origin is always strictly feasible.  The
+    same type holds the cell in R^(d+d^2) and, after `restrict_to_cone`,
+    in the coordinates of a cone subspace.
     """
 
     normals: np.ndarray  # (m, dim) rows
     offsets: np.ndarray  # (m,) positive
-    dim: int
     body_dim: int
     sample: object = None
     window_radius: float | None = None
+
+    @property
+    def dim(self):
+        return self.normals.shape[1]
 
     @property
     def n_constraints(self):
@@ -96,9 +101,19 @@ class HalfSpaceSystem:
 
     def contains(self, points, tol=GEO_TOL):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.n_constraints == 0:
-            return np.ones(len(points), dtype=bool)
         return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
+
+    def extent(self, direction, tol=GEO_TOL):
+        """sup{s >= 0 : s * direction in system}; inf when the ray recedes."""
+        dots = self.normals @ np.asarray(direction, dtype=float)
+        cutting = dots > tol
+        if not np.any(cutting):
+            return math.inf
+        return float(np.min(self.offsets[cutting] / dots[cutting]))
+
+
+# `perfbench/tracing.py` hooks `contains` and `extent` under this name.
+RestrictedSystem = HalfSpaceSystem
 
 
 def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
@@ -114,8 +129,8 @@ def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
         t_max = window_radius * (1.0 + _max_boundary_norm(body))
     sample = sample_PK(body, t_max, seed=seed, rng=rng)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
-    return HalfSpaceSystem(normals, offsets, d + d * d, d,
-                           sample=sample, window_radius=float(window_radius))
+    return HalfSpaceSystem(normals, offsets, d, sample=sample,
+                           window_radius=float(window_radius))
 
 
 def _max_boundary_norm(body):
@@ -132,31 +147,19 @@ def membership(system, point, tol=GEO_TOL):
 
 def support_extent(system, direction, tol=GEO_TOL):
     """sup{s >= 0 : s * direction in system}; inf when the ray recedes."""
-    direction = np.asarray(direction, dtype=float)
-    if system.n_constraints == 0:
-        return math.inf
-    dots = system.normals @ direction
-    cutting = dots > tol
-    if not np.any(cutting):
-        return math.inf
-    return float(np.min(system.offsets[cutting] / dots[cutting]))
+    return system.extent(direction, tol=tol)
 
 
 # -- cone specifications -------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Linear subspace of R^d x M_d plus optional sign constraints.
-
-    basis rows are orthonormal flattened (x, C) vectors; sign_normals
-    (in subspace coordinates) cut the subspace to a proper cone via
-    <c, sign_normal> <= 0.
-    """
+    """Linear subspace of R^d x M_d; basis rows are orthonormal flattened
+    (x, C) vectors."""
 
     name: str
     basis: np.ndarray
     dim: int  # ambient body dimension d
-    sign_normals: np.ndarray | None = None
 
     @property
     def n_params(self):
@@ -165,15 +168,6 @@ class ConeSpec:
     def embed(self, coords):
         """Subspace coordinates -> flattened ambient vector."""
         return np.asarray(coords, dtype=float) @ self.basis
-
-    def project(self, v):
-        """Ambient flattened vector -> subspace coordinates."""
-        return self.basis @ np.asarray(v, dtype=float)
-
-    def contains_coords(self, coords, tol=GEO_TOL):
-        if self.sign_normals is None:
-            return True
-        return bool(np.all(self.sign_normals @ np.asarray(coords) <= tol))
 
 
 def _orthonormalize(rows):
@@ -252,56 +246,15 @@ CONE_PRESETS = ("translations", "skew", "traceless", "symmetric-traceless",
                 "diagonal", "scalings", "full")
 
 
-@dataclass(frozen=True)
-class RestrictedSystem:
-    """Half-space system expressed in cone-subspace coordinates."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
-    cone: ConeSpec
-    sign_normals: np.ndarray | None = None
-
-    @property
-    def n_constraints(self):
-        return len(self.offsets)
-
-    def contains(self, coords, tol=GEO_TOL):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        ok = np.ones(len(coords), dtype=bool)
-        if self.n_constraints:
-            ok &= np.all(coords @ self.normals.T <= self.offsets + tol,
-                         axis=1)
-        if self.sign_normals is not None:
-            ok &= np.all(coords @ self.sign_normals.T <= tol, axis=1)
-        return ok
-
-    def extent(self, direction, tol=GEO_TOL):
-        direction = np.asarray(direction, dtype=float)
-        best = math.inf
-        if self.n_constraints:
-            dots = self.normals @ direction
-            cutting = dots > tol
-            if np.any(cutting):
-                best = float(np.min(self.offsets[cutting] / dots[cutting]))
-        if self.sign_normals is not None:
-            if np.any(self.sign_normals @ direction > tol):
-                return 0.0
-        return best
-
-
 def restrict_to_cone(system, cone):
-    """Project the constraints onto the cone's subspace coordinates.
+    """The system in the cone's subspace coordinates (a change of basis).
 
     Constraints with vanishing projection never bind inside the subspace
     and are dropped.
     """
-    if system.n_constraints == 0:
-        return RestrictedSystem(np.zeros((0, cone.n_params)), np.zeros(0),
-                                cone, cone.sign_normals)
     proj = system.normals @ cone.basis.T
     keep = np.linalg.norm(proj, axis=1) > 1e-12
-    return RestrictedSystem(proj[keep], system.offsets[keep], cone,
-                            cone.sign_normals)
+    return replace(system, normals=proj[keep], offsets=system.offsets[keep])
 
 
 # -- recession cone and boundedness --------------------------------------------
@@ -318,7 +271,7 @@ class RecessionCone:
     body: object
     pairs: np.ndarray | None = None  # (m, d+d^2) rows: constraint <=  form
 
-    def contains(self, point, tol=GEO_TOL, check=False):
+    def contains(self, point, tol=GEO_TOL):
         if isinstance(point, TangentPoint):
             x, c = point.x, point.C
         else:
@@ -419,14 +372,10 @@ def is_bounded(body, cone, n_grid=1024, seed=1):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     dirs.extend(raw @ cone.basis)
     for v in dirs:
-        if not cone.contains_coords(cone.project(v)):
-            continue
         if rec.contains_reflected(v):
             return False, v
     if isinstance(body, Polytope):
         a_ub = -rec.pairs @ cone.basis.T  # reflected: flip the point sign
-        if cone.sign_normals is not None:
-            a_ub = np.vstack([a_ub, cone.sign_normals])
         witness = _lp_nonzero_ray(a_ub, k)
         if witness is not None:
             return False, witness @ cone.basis
@@ -447,8 +396,7 @@ def _ball_boundedness(body, cone, rec):
     for row in u[:, rank:].T:  # coordinate null space of the sym map
         v = row @ cone.basis
         for w in (v, -v):
-            if cone.contains_coords(cone.project(w)) \
-                    and rec.contains_reflected(w):
+            if rec.contains_reflected(w):
                 return False, w
 
     def survival(coords):
@@ -472,7 +420,7 @@ def _ball_boundedness(body, cone, rec):
                                     "maxiter": 2000})
             coords = np.insert(res.x, i, sign)
             v = cone.embed(coords)
-            if cone.contains_coords(coords) and rec.contains_reflected(v):
+            if rec.contains_reflected(v):
                 return False, v
     return True, None
 
@@ -531,9 +479,7 @@ def _lp_nonzero_ray(a_ub, k):
 
 def reflect(system):
     """System of the reflected cell: p inside iff -p inside the original."""
-    return HalfSpaceSystem(-system.normals, system.offsets, system.dim,
-                           system.body_dim, sample=system.sample,
-                           window_radius=system.window_radius)
+    return replace(system, normals=-system.normals)
 
 
 def transform_translation_of_K(system, v):
@@ -548,9 +494,7 @@ def transform_translation_of_K(system, v):
     u = system.normals[:, :d]
     normals = system.normals.copy()
     normals[:, d:] += (u[:, :, None] * v).reshape(len(u), d * d)
-    return HalfSpaceSystem(normals, system.offsets.copy(), system.dim, d,
-                           sample=system.sample,
-                           window_radius=system.window_radius)
+    return replace(system, normals=normals)
 
 
 def translation_point_map(point, v, d):
@@ -571,9 +515,7 @@ def transform_rotation_of_K(system, a):
     mats = system.normals[:, d:].reshape(-1, d, d)
     normals = np.concatenate([system.normals[:, :d] @ a.T,
                               (a @ mats @ a.T).reshape(-1, d * d)], axis=1)
-    return HalfSpaceSystem(normals, system.offsets.copy(), system.dim, d,
-                           sample=system.sample,
-                           window_radius=system.window_radius)
+    return replace(system, normals=normals)
 
 
 def rotation_point_map(point, a, d):
@@ -603,8 +545,6 @@ class ZeroCellPolar:
 
 
 def polar_of_zero_cell(system):
-    d = system.body_dim
-    if system.n_constraints == 0:
-        return ZeroCellPolar(np.zeros((1, d + d * d)), d)
     pts = system.normals / system.offsets[:, None]
-    return ZeroCellPolar(np.vstack([np.zeros(system.dim), pts]), d)
+    return ZeroCellPolar(np.vstack([np.zeros(system.dim), pts]),
+                         system.body_dim)

@@ -67,6 +67,17 @@ def test_simulate_pk_bad_tmax_exits_2(square_json, tmp_path):
     assert code == 2
 
 
+def test_simulate_pk_one_dimensional_half_ball_exits_2(tmp_path, capsys):
+    body = tmp_path / "half_ball1.json"
+    body.write_text(json.dumps({"kind": "half_ball", "radius": 1,
+                                "axis": [1.0]}))
+    code = main(["simulate", "pk", "--body", str(body), "--tmax", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_zerocell(square_json, tmp_path):
     out = tmp_path / "cell.json"
     code = main(["simulate", "zerocell", "--body", square_json,

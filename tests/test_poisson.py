@@ -153,6 +153,11 @@ def test_half_ball_part_proportions():
     assert flat == pytest.approx(2.0 / (2.0 + np.pi), abs=0.01)
 
 
+def test_one_dimensional_half_ball_is_rejected():
+    with pytest.raises(ValueError):
+        sample_PK(HalfBall(1.0, axis=np.array([1.0]), dim=1), 1.0, seed=0)
+
+
 def test_ball_marks_have_u_equal_eta_over_r():
     s = sample_PK(Ball(2.0, 2), 5.0, seed=4)
     assert np.allclose(s.eta, 2.0 * s.u, atol=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from khull.bodies import Ball, Polytope, cube
 from khull.poisson import sample_PK, spawn_rng
 from khull.zerocell import (
+    CONE_PRESETS,
     HalfSpaceSystem,
     TangentPoint,
     build_zero_cell,
@@ -134,7 +135,7 @@ def test_convexity_of_membership():
 def test_support_extent_single_constraint():
     n = np.zeros(6)
     n[0] = 1.0
-    s = HalfSpaceSystem(n[None], np.array([1.5]), 6, 2)
+    s = HalfSpaceSystem(n[None], np.array([1.5]), 2)
     assert support_extent(s, n) == pytest.approx(1.5)
     assert support_extent(s, -n) == np.inf
 
@@ -147,7 +148,7 @@ def test_support_extent_recession_direction():
 
 
 def test_empty_system_extent():
-    s = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 6, 2)
+    s = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 2)
     assert support_extent(s, np.ones(6)) == np.inf
 
 
@@ -162,7 +163,7 @@ def test_window_exactness():
         # Truncating the same realization at the computed bound must not
         # change any membership answer inside the window.
         keep = s2.offsets <= t_bound
-        s1 = HalfSpaceSystem(s2.normals[keep], s2.offsets[keep], 6, 2)
+        s1 = HalfSpaceSystem(s2.normals[keep], s2.offsets[keep], 2)
         rng = np.random.default_rng(rep)
         for _ in range(100):
             p = rng.standard_normal(6)
@@ -178,9 +179,9 @@ def test_scaling_coupling():
     for seed in range(10):
         base = sample_PK(SQUARE, 6.0, seed=seed)
         s_k = HalfSpaceSystem(
-            *halfspaces_from_marks(base.t, base.eta, base.u), 6, 2)
+            *halfspaces_from_marks(base.t, base.eta, base.u), 2)
         s_rk = HalfSpaceSystem(
-            *halfspaces_from_marks(r * base.t, r * base.eta, base.u), 6, 2)
+            *halfspaces_from_marks(r * base.t, r * base.eta, base.u), 2)
         rng = np.random.default_rng(seed)
         for _ in range(50):
             x = rng.standard_normal(2)
@@ -249,6 +250,39 @@ def test_scalings_restriction_equivalence():
             hk = np.abs(u).sum(axis=1)  # support of the unit square
             direct = bool(np.all(r * hk + u @ x <= t + 1e-9))
             assert feas == direct
+
+
+def test_restriction_agrees_with_lifting():
+    # A restricted system is the cell in cone coordinates: membership of
+    # P equals membership of its lift P @ basis, and so do the extents;
+    # the empty system restricts to one that contains everything.
+    for d in (2, 3):
+        cell = build_zero_cell(cube(d), 3.0, seed=40 + d)
+        rng = np.random.default_rng(d)
+        for name in CONE_PRESETS:
+            cone = cone_preset(name, d)
+            r = restrict_to_cone(cell, cone)
+            k = cone.n_params
+            dirs = rng.standard_normal((300, k))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            pts = dirs * 10.0 ** rng.uniform(-2, 1, (300, 1))
+            inside = r.contains(pts)
+            assert np.array_equal(inside, cell.contains(pts @ cone.basis))
+            assert 0 < inside.sum() < len(pts)
+            for v in dirs:
+                got = r.extent(v)
+                want = support_extent(cell, v @ cone.basis)
+                assert np.isinf(got) == np.isinf(want)
+                if np.isfinite(got):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    empty = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 2)
+    for name in CONE_PRESETS:
+        cone = cone_preset(name, 2)
+        r = restrict_to_cone(empty, cone)
+        assert r.normals.shape == (0, cone.n_params)
+        pts = np.random.default_rng(0).standard_normal((20, cone.n_params))
+        assert np.all(r.contains(1e6 * pts))
+        assert r.extent(pts[0]) == np.inf
 
 
 # -- recession cones and boundedness --------------------------------------------------
@@ -382,7 +416,7 @@ def test_rotation_identity():
 def test_polar_single_constraint_is_segment():
     n = np.zeros(6)
     n[1] = 1.0
-    s = HalfSpaceSystem(n[None], np.array([2.0]), 6, 2)
+    s = HalfSpaceSystem(n[None], np.array([2.0]), 2)
     polar = polar_of_zero_cell(s)
     assert polar.points.shape == (2, 6)
     assert np.allclose(polar.points[1], n / 2.0)
@@ -399,7 +433,7 @@ def test_polar_membership_duality():
 
 
 def test_polar_empty_system():
-    s = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 6, 2)
+    s = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 2)
     polar = polar_of_zero_cell(s)
     assert np.array_equal(polar.points, np.zeros((1, 6)))
 
