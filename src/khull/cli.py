@@ -22,7 +22,7 @@ from .bodies import body_from_json, body_to_json
 from .empirical import (dual_cone_intensity_experiment,
                         inclusion_functional_estimate,
                         so2_square_experiment, translation_box_experiment)
-from .hulls import (FAMILY_PRESETS, hull_full_affine, hull_linear_ball,
+from .hulls import (BallHullOracle, hull_full_affine, hull_linear_ball,
                     hull_translations_scalings, k_hull_translations,
                     positive_hull, spherical_hull_halfball)
 from .poisson import sample_PK
@@ -97,6 +97,11 @@ def _hull_to_json(result):
     doc = {"exact": bool(result.exact)}
     if result.epsilon is not None:
         doc["epsilon"] = float(result.epsilon)
+    if isinstance(body, BallHullOracle):
+        # The hull is fixed by the radius and the sample's extreme points.
+        doc.update(kind="ball_hull", radius=body.radius,
+                   centers=body.centers.tolist())
+        return doc
     try:
         doc.update(body_to_json(body))
     except TypeError:

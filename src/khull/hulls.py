@@ -24,6 +24,7 @@ from .bodies import (
     HalfBall,
     Polytope,
     PolyhedralCone,
+    _extreme_points,
     convex_hull,
 )
 from .matexp import matrix_exponential, skew_dim, skew_matrix
@@ -89,13 +90,11 @@ class HullFamily:
 
 
 FAMILY_PRESETS = {
-    "identity": HullFamily("identity", "zero", "identity"),
     "k-hull": HullFamily("k-hull", "full", "identity"),
     "translations-scalings": HullFamily("translations-scalings", "full",
                                         "scalings"),
     "full-affine": HullFamily("full-affine", "full", "scalings_rotations"),
     "linear-ball": HullFamily("linear-ball", "zero", "general_linear"),
-    "so-only": HullFamily("so-only", "zero", "special_orthogonal"),
 }
 
 
@@ -114,9 +113,13 @@ class HullResult:
 class BallHullOracle:
     """Intersection of all radius-r balls whose centers cover the sample.
 
-    Membership is decided through the farthest point of the feasible
-    center set, located exactly in the plane by candidate enumeration
-    (per-ball far points and pairwise circle intersections).
+    The feasible centres F = ∩_{a∈A} B(a, r) equal ∩_{v∈ext conv A} B(v, r),
+    since a ball that holds the extreme points holds conv A; so the oracle
+    keeps only the h extreme points as `centers`.  A point y is in the hull
+    iff max_{x∈F} |x - y| <= r.  In the plane that maximum is attained at a
+    corner of F (a feasible pairwise circle intersection, found once in
+    O(h²)) or at the far point of one circle from y (feasibility tested for
+    all queries at once), so q queries cost O(q·h²) and the answer is exact.
     """
 
     def __init__(self, sample, radius):
@@ -124,48 +127,58 @@ class BallHullOracle:
         self.radius = float(radius)
         if self.sample.shape[1] != 2:
             raise ValueError("ball-hull membership implemented for d=2")
-        self.center_set = BallIntersection(self.sample, self.radius)
+        self.centers = _extreme_points(self.sample)
+        self.center_set = BallIntersection(self.centers, self.radius)
+        corners = _circle_intersections(self.centers, self.radius)
+        self.corners = corners[self.center_set.contains(corners)]
 
-    def _candidates(self, y):
-        a, r = self.sample, self.radius
-        cands = []
-        for c in a:
-            v = c - y
-            nv = np.linalg.norm(v)
-            direction = v / nv if nv > 1e-14 else np.array([1.0, 0.0])
-            cands.append(c + r * direction)
-        for i in range(len(a)):
-            for j in range(i + 1, len(a)):
-                cands.extend(_circle_intersections(a[i], a[j], r))
-        cands = np.array(cands)
-        mask = self.center_set.contains(cands)
-        return cands[mask]
+    def _max_center_distances(self, points):
+        """max over feasible centers x of |x - y|, one value per row y."""
+        c, r = self.centers, self.radius
+        v = c[None] - points[:, None]
+        nv = np.linalg.norm(v, axis=2, keepdims=True)
+        on_center = nv <= 1e-14
+        direction = np.where(on_center, [1.0, 0.0],
+                             v / np.where(on_center, 1.0, nv))
+        far = c + r * direction
+        feasible = self.center_set.contains(far.reshape(-1, 2))
+        dist = np.where(feasible.reshape(far.shape[:2]),
+                        np.linalg.norm(far - points[:, None], axis=2),
+                        -np.inf)
+        to_corners = np.linalg.norm(self.corners[None] - points[:, None],
+                                    axis=2)
+        best = np.maximum(np.max(dist, axis=1),
+                          np.max(to_corners, axis=1, initial=-np.inf))
+        if np.any(best == -np.inf):
+            raise ValueError("empty feasible center set")
+        return best
 
     def max_center_distance(self, y):
         """max over feasible centers x of |x - y| (exact in the plane)."""
         y = np.asarray(y, dtype=float)
-        cands = self._candidates(y)
-        if len(cands) == 0:
-            raise ValueError("empty feasible center set")
-        return float(np.max(np.linalg.norm(cands - y, axis=1)))
+        return float(self._max_center_distances(y.reshape(1, 2))[0])
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.max_center_distance(p)
-                         <= self.radius + GEO_TOL for p in points])
+        return self._max_center_distances(points) <= self.radius + GEO_TOL
 
 
-def _circle_intersections(c1, c2, r):
-    d = np.linalg.norm(c2 - c1)
-    if d < 1e-14 or d > 2 * r + 1e-14:
-        return []
-    mid = 0.5 * (c1 + c2)
-    h2 = r * r - 0.25 * d * d
-    if h2 < 0:
-        return []
-    h = math.sqrt(max(h2, 0.0))
-    perp = np.array([-(c2 - c1)[1], (c2 - c1)[0]]) / d
-    return [mid + h * perp, mid - h * perp]
+def _circle_intersections(centers, r):
+    """Pairwise intersections of the radius-r circles around the centers.
+
+    Pairs up to 2r + 2·GEO_TOL apart are kept, the tolerance at which
+    `BallIntersection.is_empty` calls two balls overlapping; for those just
+    over 2r apart the midpoint is the single corner.
+    """
+    i, j = np.triu_indices(len(centers), 1)
+    delta = centers[j] - centers[i]
+    d = np.linalg.norm(delta, axis=1)
+    keep = (d >= 1e-14) & (d <= 2 * r + 2 * GEO_TOL)
+    delta, d = delta[keep], d[keep, None]
+    mid = 0.5 * (centers[i[keep]] + centers[j[keep]])
+    h = np.sqrt(np.maximum(r * r - 0.25 * d * d, 0.0))
+    perp = np.column_stack([-delta[:, 1], delta[:, 0]]) / d
+    return np.concatenate([mid + h * perp, mid - h * perp])
 
 
 # -- translation hulls --------------------------------------------------------

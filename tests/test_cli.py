@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from khull.cli import main
+from khull.hulls import BallHullOracle
 
 
 @pytest.fixture
@@ -32,6 +34,31 @@ def test_hull_k_hull_segment(square_json, two_points_csv, tmp_path):
     assert doc["exact"] is True
     verts = sorted(map(tuple, doc["vertices"]))
     assert np.allclose(verts, [(-1.0, 0.0), (1.0, 0.0)], atol=1e-9)
+
+
+def test_hull_k_hull_ball_writes_centers(tmp_path):
+    rng = np.random.default_rng(5)
+    sample = 0.7 * (2 * rng.random((40, 2)) - 1)
+    body = tmp_path / "disk.json"
+    body.write_text(json.dumps({"kind": "ball", "radius": 1.5, "dim": 2}))
+    points = tmp_path / "pts.csv"
+    np.savetxt(points, sample, delimiter=",", fmt="%.17g")
+    out = tmp_path / "hull.json"
+    code = main(["hull", "--body", str(body), "--family", "k-hull",
+                 "--points", str(points), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["exact"] is True
+    assert doc["kind"] == "ball_hull"
+    assert doc["radius"] == 1.5
+    centers = np.array(doc["centers"])
+    extreme = sample[ConvexHull(sample).vertices]
+    assert sorted(map(tuple, centers)) == sorted(map(tuple, extreme))
+    # The centres and the radius fix the hull.
+    queries = 3 * rng.random((100, 2)) - 1.5
+    np.testing.assert_array_equal(
+        BallHullOracle(centers, 1.5).contains(queries),
+        BallHullOracle(sample, 1.5).contains(queries))
 
 
 def test_hull_unknown_family_exits_2(square_json, two_points_csv, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from khull.bodies import (Ball, HalfBall, Polytope, WholeSpace, cube,
+from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, WholeSpace, cube,
                           support_function)
 from khull.hulls import (
     BallHullOracle,
@@ -96,6 +96,137 @@ def test_k_hull_ball_infeasible_centroid_is_not_whole_space():
     far = np.array([[0.0, 0.0], [3.0, 0.0]])
     assert isinstance(k_hull_translations(Ball(1.2, 2), far).body,
                       WholeSpace)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-9])
+def test_k_hull_ball_two_points_just_over_diameter(eps):
+    # Within 2·GEO_TOL of 2r the two balls count as touching: the feasible
+    # centres are the midpoint, and the hull is the ball around it.
+    a = np.array([[0.0, 0.0], [2.0 + eps, 0.0]])
+    oracle = k_hull_translations(Ball(1.0, 2), a).body
+    assert isinstance(oracle, BallHullOracle)
+    assert oracle.contains([[1.0, 0.0], [1.0, 0.5], [0.0, 0.0]]).all()
+    assert not oracle.contains([[1.0, 1.01], [-0.01, 0.0]]).any()
+    assert oracle.max_center_distance([1.0, 0.0]) == pytest.approx(
+        eps / 2, abs=1e-15)
+
+
+def _reference_circle_intersections(c1, c2, r):
+    d = np.linalg.norm(c2 - c1)
+    if d < 1e-14 or d > 2 * r + 1e-14:
+        return []
+    mid = 0.5 * (c1 + c2)
+    h2 = r * r - 0.25 * d * d
+    if h2 < 0:
+        return []
+    h = np.sqrt(h2)
+    perp = np.array([-(c2 - c1)[1], (c2 - c1)[0]]) / d
+    return [mid + h * perp, mid - h * perp]
+
+
+def _reference_max_center_distances(sample, r, queries):
+    """All-pairs, all-balls enumeration over the full sample.
+
+    The candidates are every pairwise circle intersection and, per query,
+    the far point of every circle; a candidate counts when it lies in all
+    n balls.  No extreme-point reduction.
+    """
+    def feasible(cands):
+        for a in sample:
+            cands = cands[np.linalg.norm(cands - a, axis=1) <= r + GEO_TOL]
+        return cands
+
+    corners = [p for i in range(len(sample)) for j in range(i + 1, len(sample))
+               for p in _reference_circle_intersections(sample[i], sample[j],
+                                                        r)]
+    corners = feasible(np.array(corners).reshape(-1, 2))
+    out = []
+    for y in queries:
+        far = []
+        for c in sample:
+            v = c - y
+            nv = np.linalg.norm(v)
+            far.append(c + r * (v / nv if nv > 1e-14 else np.array([1.0, 0])))
+        cands = np.vstack([feasible(np.array(far)), corners])
+        if len(cands) == 0:
+            raise ValueError("empty feasible center set")
+        out.append(np.max(np.linalg.norm(cands - y, axis=1)))
+    return np.array(out)
+
+
+def _disk_sample(rng, n, radius=0.8):
+    """n points uniform in a disk, so the ball hull exists for r > radius."""
+    phi = 2 * np.pi * rng.random(n)
+    rho = radius * np.sqrt(rng.random(n))
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
+
+
+def _assert_matches_reference(sample, r, queries):
+    oracle = BallHullOracle(sample, r)
+    want = _reference_max_center_distances(sample, r, queries)
+    got = np.array([oracle.max_center_distance(y) for y in queries])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(oracle.contains(queries),
+                                  want <= r + GEO_TOL)
+
+
+@pytest.mark.parametrize("r", [0.9, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
+@pytest.mark.parametrize("seed", range(5))
+def test_ball_hull_oracle_matches_reference(seed, n, r):
+    rng = np.random.default_rng(seed)
+    sample = _disk_sample(rng, n)
+    queries = np.vstack([3.2 * rng.random((30, 2)) - 1.6, sample[:5]])
+    _assert_matches_reference(sample, r, queries)
+
+
+def test_ball_hull_oracle_matches_reference_degenerate_samples():
+    rng = np.random.default_rng(7)
+    queries = 3.2 * rng.random((40, 2)) - 1.6
+    base = _disk_sample(rng, 12)
+    duplicated = np.vstack([base, base[::-1], base[:4]])
+    _assert_matches_reference(duplicated, 0.9, np.vstack([queries, base]))
+    t = np.linspace(-1.0, 1.0, 15)[:, None]
+    collinear = np.array([0.1, -0.2]) + t * np.array([0.6, 0.3])
+    _assert_matches_reference(collinear, 0.9, np.vstack([queries,
+                                                         collinear]))
+    oracle = BallHullOracle(collinear, 0.9)
+    assert len(oracle.centers) == 2
+
+
+def test_ball_hull_oracle_permutation_invariant():
+    rng = np.random.default_rng(3)
+    sample = _disk_sample(rng, 80)
+    queries = 3.2 * rng.random((200, 2)) - 1.6
+    oracle = BallHullOracle(sample, 1.2)
+    verdicts = oracle.contains(queries)
+    assert 0 < verdicts.sum() < len(queries)
+    for _ in range(3):
+        shuffled = BallHullOracle(sample[rng.permutation(len(sample))], 1.2)
+        np.testing.assert_array_equal(shuffled.contains(queries), verdicts)
+
+
+@pytest.mark.parametrize("sample,r", [
+    (np.array([[-0.5, 0.0], [0.5, 0.0]]), 1.0),
+    (_disk_sample(np.random.default_rng(11), 20, radius=0.5), 0.9),
+], ids=["lens", "random"])
+def test_ball_hull_max_center_distance_matches_grid(sample, r):
+    # The feasible centres on a grid of spacing h: every point of the
+    # disk intersection is within h·√2/2 of a grid point inside it, so the
+    # grid maximum falls short of the exact one by at most h·√2.
+    h = 0.004
+    axis = np.arange(-r, r + h, h)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    grid = grid + sample[0]
+    for a in sample:
+        grid = grid[np.linalg.norm(grid - a, axis=1) <= r]
+    oracle = BallHullOracle(sample, r)
+    rng = np.random.default_rng(0)
+    for y in np.vstack([[0.0, 0.0], 2.0 * rng.random((5, 2)) - 1.0]):
+        exact = oracle.max_center_distance(y)
+        brute = np.max(np.linalg.norm(grid - y, axis=1))
+        assert brute <= exact + 1e-12
+        assert exact - brute <= h * np.sqrt(2)
 
 
 def test_k_hull_idempotent():
