@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -202,6 +203,56 @@ class Polytope:
         return [np.nonzero(np.abs(slack[:, i]) <= 1e-7)[0]
                 for i in range(len(self.facet_normals))]
 
+    @cached_property
+    def volume(self):
+        """Volume of a full-dimensional polytope, computed once per object."""
+        return float(ConvexHull(self.vertices).volume)
+
+    @cached_property
+    def facet_geometry(self):
+        """Facet areas, vertices and fan cdfs, computed once per object.
+
+        Returns the (F,) areas, the (F, V, d) facet vertices (zero-padded
+        to the largest facet) and, in d=3, the (F, V-2) cdfs over each
+        facet's fan triangles (padded with inf); d=2 gives None.  In d=3
+        each facet's vertices are sorted by angle around its centre and
+        fanned from the first one; the cdf is the one `Generator.choice`
+        builds from the area probabilities.  The cache lives on this
+        object, not on its value: equal polytopes with their facets in
+        another order have other arrays, and draw other boundary streams.
+        """
+        d = self.dim
+        if d not in (2, 3):
+            raise ValueError("polytope sampling supported for d in {2, 3}")
+        sets = self.facet_vertex_sets()
+        width = max(len(idx) for idx in sets)
+        areas = np.zeros(len(sets))
+        verts = np.zeros((len(sets), width, d))
+        cdfs = np.full((len(sets), width - 2), np.inf)
+        for f, (idx, normal) in enumerate(zip(sets, self.facet_normals)):
+            v = self.vertices[idx]
+            if d == 2:
+                # Facet is a segment; order is irrelevant for two points.
+                areas[f] = float(np.linalg.norm(v[1] - v[0]))
+            else:
+                center = v.mean(axis=0)
+                ref = v[0] - center
+                ref = ref / np.linalg.norm(ref)
+                perp = np.cross(normal, ref)
+                ang = np.arctan2((v - center) @ perp, (v - center) @ ref)
+                v = v[np.argsort(ang)]
+                tri = np.array([
+                    0.5 * np.linalg.norm(np.cross(v[i] - v[0],
+                                                  v[i + 1] - v[0]))
+                    for i in range(1, len(v) - 1)])
+                # Left to right: the rate, hence the mark count, sees the
+                # last bit of the area.
+                areas[f] = sum(tri.tolist())
+                cdf = (tri / tri.sum()).cumsum()
+                cdfs[f, :len(tri)] = cdf / cdf[-1]
+            verts[f, :len(v)] = v
+        return areas, verts, (cdfs if d == 3 else None)
+
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
@@ -212,7 +263,9 @@ class Polytope:
         return bool(np.allclose(a, b, atol=1e-8))
 
     def __hash__(self):
-        return hash(self.vertices.tobytes())
+        # Equality ignores vertex order and allows 1e-8 slack, so only the
+        # shape is certain to agree between equal polytopes.
+        return hash(self.vertices.shape)
 
 
 def _dedupe_facets(normals, offsets):
@@ -264,6 +317,15 @@ class HalfBall:
             axis = np.zeros(self.dim)
             axis[0] = 1.0
         object.__setattr__(self, "axis", unit_direction(axis))
+
+    def __eq__(self, other):
+        if not isinstance(other, HalfBall):
+            return NotImplemented
+        return (self.radius == other.radius and self.dim == other.dim
+                and np.array_equal(self.axis, other.axis))
+
+    def __hash__(self):
+        return hash((self.radius, self.dim))
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -94,21 +94,29 @@ def uniform_sample(body, n, seed=None, rng=None):
 
 # -- scaled feasible-set membership ----------------------------------------------
 
+def _xn_map(point, n, d):
+    """The map xi -> exp(-C/n) xi - x/n of (x, C), as (exp(-C/n), x/n)."""
+    if isinstance(point, TangentPoint):
+        x, c = point.x, point.C
+    else:
+        v = np.asarray(point, dtype=float)
+        x, c = v[:d], v[d:].reshape(d, d)
+    n = float(n)
+    return matrix_exponential(-np.asarray(c) / n), np.asarray(x) / n
+
+
+def _maps_cover(maps, batch, body):
+    """Does every map (g, s) send every batch point into the body?"""
+    return all(bool(np.all(body.contains(batch @ g.T - s)))
+               for g, s in maps)
+
+
 def xn_membership(point, batch, n, body):
     """Is (x, C) in n times the feasible set of the batch?
 
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """
-    if isinstance(point, TangentPoint):
-        x, c = point.x, point.C
-    else:
-        d = body.dim
-        v = np.asarray(point, dtype=float)
-        x, c = v[:d], v[d:].reshape(d, d)
-    n = float(n)
-    g = matrix_exponential(-np.asarray(c) / n)
-    moved = batch @ g.T - np.asarray(x) / n
-    return bool(np.all(body.contains(moved)))
+    return _maps_cover([_xn_map(point, n, body.dim)], batch, body)
 
 
 def directional_extent_empirical(batch, n, body, cone, direction,
@@ -401,14 +409,14 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
         if bool(np.all(restricted.contains(test_points))):
             limit_hits += 1
 
+    # n X_n converges to the reflected cell: test the negated points.  Their
+    # maps do not depend on the sample, so they are computed once.
+    maps = [_xn_map(-cone.embed(c), n, body.dim) for c in test_points]
     finite_hits = 0
     for i in range(replicates):
         rng = spawn_rng(seed, 1, i)
         pts = uniform_sample(body, n, rng=rng)
-        # n X_n converges to the reflected cell: test the negated points.
-        ok = all(xn_membership(-cone.embed(c), pts, n, body)
-                 for c in test_points)
-        finite_hits += bool(ok)
+        finite_hits += _maps_cover(maps, pts, body)
 
     report = ExperimentReport(
         name="inclusion",

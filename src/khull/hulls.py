@@ -26,6 +26,7 @@ from .bodies import (
     PolyhedralCone,
     _extreme_points,
     convex_hull,
+    min_enclosing_ball,
 )
 from .matexp import matrix_exponential, skew_dim, skew_matrix
 
@@ -120,6 +121,10 @@ class BallHullOracle:
     corner of F (a feasible pairwise circle intersection, found once in
     O(h²)) or at the far point of one circle from y (feasibility tested for
     all queries at once), so q queries cost O(q·h²) and the answer is exact.
+
+    `BallIntersection.is_empty` calls F non-empty up to an enclosing radius
+    of r + GEO_TOL.  When F is that thin, no radius-r corner may pass the
+    same tolerance; the centre of the enclosing ball is then the one corner.
     """
 
     def __init__(self, sample, radius):
@@ -131,6 +136,8 @@ class BallHullOracle:
         self.center_set = BallIntersection(self.centers, self.radius)
         corners = _circle_intersections(self.centers, self.radius)
         self.corners = corners[self.center_set.contains(corners)]
+        if not len(self.corners) and not self.center_set.is_empty():
+            self.corners = min_enclosing_ball(self.centers)[0][None]
 
     def _max_center_distances(self, points):
         """max over feasible centers x of |x - y|, one value per row y."""

@@ -44,53 +44,6 @@ def spawn_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _polytope_facet_geometry(body):
-    """Facet areas, vertices and fan cdfs of a full-dimensional polytope.
-
-    Returns the (F,) areas, the (F, V, d) facet vertices (zero-padded to
-    the largest facet) and, in d=3, the (F, V-2) cdfs over each facet's
-    fan triangles (padded with inf).  In d=3 each facet's vertices are
-    sorted by angle around its centre and fanned from the first one; the
-    cdf is the one `Generator.choice` builds from the area probabilities.
-    """
-    d = body.dim
-    if d not in (2, 3):
-        raise ValueError("polytope sampling supported for d in {2, 3}")
-    sets = body.facet_vertex_sets()
-    width = max(len(idx) for idx in sets)
-    areas = np.zeros(len(sets))
-    verts = np.zeros((len(sets), width, d))
-    cdfs = np.full((len(sets), width - 2), np.inf)
-    for f, (idx, normal) in enumerate(zip(sets, body.facet_normals)):
-        v = body.vertices[idx]
-        if d == 2:
-            # Facet is a segment; order is irrelevant for two points.
-            areas[f] = float(np.linalg.norm(v[1] - v[0]))
-        else:
-            center = v.mean(axis=0)
-            ref = v[0] - center
-            ref = ref / np.linalg.norm(ref)
-            perp = np.cross(normal, ref)
-            ang = np.arctan2((v - center) @ perp, (v - center) @ ref)
-            v = v[np.argsort(ang)]
-            tri = np.array([
-                0.5 * np.linalg.norm(np.cross(v[i] - v[0], v[i + 1] - v[0]))
-                for i in range(1, len(v) - 1)])
-            # Left to right: the rate, hence the mark count, sees the
-            # last bit of the area.
-            areas[f] = sum(tri.tolist())
-            cdf = (tri / tri.sum()).cumsum()
-            cdfs[f, :len(tri)] = cdf / cdf[-1]
-        verts[f, :len(v)] = v
-    return areas, verts, (cdfs if d == 3 else None)
-
-
-def _polytope_volume(body):
-    from scipy.spatial import ConvexHull
-
-    return float(ConvexHull(body.vertices).volume)
-
-
 def _ball_surface_area(r, d):
     if d == 2:
         return 2 * math.pi * r
@@ -115,18 +68,22 @@ def _uniform_disk(rng, d, r, n):
 
 
 class BoundarySampler:
-    """Draws (eta, u) from normalized surface measure with attached normals."""
+    """Draws (eta, u) from normalized surface measure with attached normals.
+
+    A polytope's facet geometry and volume are `Polytope` cached
+    properties, computed once per body object: building a sampler for the
+    same object again, as every `sample_PK` call does, reuses them.
+    """
 
     def __init__(self, body):
         self.body = body
         if isinstance(body, Polytope):
             if not body.is_full_dimensional:
                 raise ValueError("body must be full-dimensional")
-            areas, self.facet_verts, self.fan_cdfs = \
-                _polytope_facet_geometry(body)
+            areas, self.facet_verts, self.fan_cdfs = body.facet_geometry
             self.facet_probs = areas / areas.sum()
             self.surface_area = float(areas.sum())
-            self.volume = _polytope_volume(body)
+            self.volume = body.volume
         elif isinstance(body, Ball):
             self.surface_area = _ball_surface_area(body.radius, body.dim)
             self.volume = _ball_volume(body.radius, body.dim)

@@ -289,3 +289,30 @@ def test_polytope_contains_matches_row_formula(body):
     assert not body.contains(pushed_out).any()
     assert body.contains(np.zeros((0, 3))).shape == (0,)
     assert body.contains(random[0]).shape == (1,)
+
+
+def test_polytope_hash_agrees_with_equality():
+    square = cube(2)
+    reordered = Polytope(square.vertices[::-1].copy(), square.facet_normals,
+                         square.facet_offsets)
+    rng = np.random.default_rng(4)
+    body = Polytope.from_vertices(rng.standard_normal((30, 3)))
+    perm = rng.permutation(len(body.vertices))
+    shuffled = Polytope(body.vertices[perm] + 1e-10, body.facet_normals,
+                        body.facet_offsets)
+    for a, b in ((square, reordered), (body, shuffled)):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_half_ball_equality_and_hash():
+    a = HalfBall(1.0, dim=3)
+    assert a == HalfBall(1.0, dim=3)
+    assert hash(a) == hash(HalfBall(1.0, dim=3))
+    assert a == HalfBall(1.0, axis=np.array([2.0, 0.0, 0.0]), dim=3)
+    assert a != HalfBall(2.0, dim=3)
+    assert a != HalfBall(1.0, axis=np.array([0.0, 1.0, 0.0]), dim=3)
+    assert HalfBall(1.0, dim=2) != HalfBall(1.0, dim=3)
+    assert a != Ball(1.0, 3)
+    assert len({a, HalfBall(1.0, dim=3), HalfBall(2.0, dim=3)}) == 2

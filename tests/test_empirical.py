@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from khull.bodies import Ball, HalfBall, Polytope, cross_polytope, cube
 from khull.empirical import (
@@ -14,7 +15,8 @@ from khull.empirical import (
     xn_membership,
 )
 from khull.poisson import spawn_rng
-from khull.zerocell import TangentPoint, cone_preset
+from khull.zerocell import (TangentPoint, build_zero_cell, cone_preset,
+                            restrict_to_cone)
 
 SQUARE = cube(2)
 
@@ -236,6 +238,56 @@ def test_inclusion_functional():
     # Limit frequency is P(zeta+ >= 1) = exp(-1/2).
     assert s["limit_frequency"] == pytest.approx(np.exp(-0.5), abs=0.05)
     assert s["difference"] < 0.06
+
+
+def _reference_inclusion_statistics(body, cone, test_points, n, replicates,
+                                    seed):
+    """Per-replicate loop: one `xn_membership` per replicate and point."""
+    window = max(np.linalg.norm(cone.embed(c)) for c in test_points) + 1.0
+    limit_hits = finite_hits = 0
+    for i in range(replicates):
+        cell = build_zero_cell(body, window, rng=spawn_rng(seed, 0, i))
+        limit_hits += bool(restrict_to_cone(cell, cone)
+                           .contains(test_points).all())
+    for i in range(replicates):
+        pts = uniform_sample(body, n, rng=spawn_rng(seed, 1, i))
+        finite_hits += all(xn_membership(-cone.embed(c), pts, n, body)
+                           for c in test_points)
+    return {"limit_frequency": limit_hits / replicates,
+            "finite_frequency": finite_hits / replicates,
+            "difference": abs(limit_hits - finite_hits) / replicates}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("body,cone,points", [
+    (SQUARE, "skew", [[0.5], [-1.0]]),
+    (cube(3), "skew", [[0.5, -0.3, 0.4], [-0.6, 0.2, 0.1]]),
+    (Ball(2.0, 2), "scalings", [[0.3, -0.2, 0.4], [-0.5, 0.1, 0.2]]),
+], ids=["square-skew", "cube3-skew", "ball2-scalings"])
+def test_inclusion_functional_matches_per_replicate_reference(body, cone,
+                                                              points, seed):
+    cone = cone_preset(cone, body.dim)
+    points = np.array(points)
+    rep = inclusion_functional_estimate(body, cone, points, n=20,
+                                        replicates=40, seed=seed)
+    want = _reference_inclusion_statistics(body, cone, points, 20, 40, seed)
+    assert rep.statistics == want
+    assert 0 < want["finite_frequency"] < 1
+
+
+def test_xn_membership_matches_matrix_exponential_formula():
+    rng = np.random.default_rng(8)
+    pts = uniform_sample(SQUARE, 300, seed=8)
+    verdicts = []
+    for _ in range(200):
+        x, c = 2.0 * rng.standard_normal(2), 2.0 * rng.standard_normal((2, 2))
+        moved = pts @ expm(-c / 300.0).T - x / 300.0
+        want = bool(SQUARE.contains(moved).all())
+        assert xn_membership(np.concatenate([x, c.ravel()]), pts, 300,
+                             SQUARE) is want
+        assert xn_membership(TangentPoint(x, c), pts, 300, SQUARE) is want
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_dual_cone_slopes():

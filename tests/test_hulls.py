@@ -111,6 +111,20 @@ def test_k_hull_ball_two_points_just_over_diameter(eps):
         eps / 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("eps", [1e-10, 5e-10, 9e-10])
+def test_k_hull_ball_three_points_just_over_enclosing_radius(eps):
+    # The enclosing circle is wider than r by eps < GEO_TOL, so the
+    # feasible centres count as non-empty; every radius-r corner may miss
+    # the tolerance, and the enclosing centre stands in for them.
+    theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+    a = (1.0 + eps) * np.column_stack([np.cos(theta), np.sin(theta)])
+    oracle = k_hull_translations(Ball(1.0, 2), a).body
+    assert isinstance(oracle, BallHullOracle)
+    assert oracle.contains(np.vstack([a, [[0.0, 0.0], [0.5, 0.5]]])).all()
+    assert not oracle.contains([[1.01, 0.0], [0.0, -1.01]]).any()
+    assert oracle.max_center_distance([0.0, 0.0]) < 1e-9
+
+
 def _reference_circle_intersections(c1, c2, r):
     d = np.linalg.norm(c2 - c1)
     if d < 1e-14 or d > 2 * r + 1e-14:

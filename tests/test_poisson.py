@@ -125,6 +125,37 @@ def test_sample_stream_matches_per_mark_reference(body, seed, t_max):
     assert np.array_equal(s.u, u)
 
 
+def test_repeated_sampler_reuses_body_geometry():
+    body = cube(3)
+    first, second = BoundarySampler(body), BoundarySampler(body)
+    assert second.facet_verts is first.facet_verts
+    assert second.fan_cdfs is first.fan_cdfs
+    assert second.volume == first.volume == 8.0
+    assert second.surface_area == first.surface_area == 24.0
+
+
+@pytest.mark.parametrize("body", [SQUARE, cube(3), HEXAGONAL_PRISM],
+                         ids=["square", "cube3", "hexprism"])
+def test_facet_permuted_polytope_draws_its_own_stream(body):
+    # Equal and equal-hashing, yet the facet order fixes the stream: the
+    # geometry is cached per object, never shared by value.
+    def permuted():
+        return Polytope(body.vertices, body.facet_normals[::-1],
+                        body.facet_offsets[::-1])
+
+    warm = permuted()
+    assert warm == body and hash(warm) == hash(body)
+    sample_PK(body, 5.0, seed=0)
+    s = sample_PK(warm, 5.0, seed=0)
+    fresh = sample_PK(permuted(), 5.0, seed=0)
+    t, eta, u = _reference_sample(permuted(), 5.0, 0)
+    for got in (s, fresh):
+        assert np.array_equal(got.t, t)
+        assert np.array_equal(got.eta, eta)
+        assert np.array_equal(got.u, u)
+    assert not np.array_equal(sample_PK(body, 5.0, seed=0).u, u)
+
+
 def test_count_statistics():
     # Empirical mean count over many draws within 3 sigma of the rate.
     rng = spawn_rng(1)
