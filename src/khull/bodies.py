@@ -91,23 +91,24 @@ def _affine_basis(vertices):
 
 
 def _extreme_points(vertices):
-    """Extreme points of conv(rows), handling affinely degenerate sets."""
-    # Dedupe on a rounded key but keep the original coordinates.
+    """Indices of the extreme rows of conv(rows), degenerate sets too.
+
+    Of rows equal after rounding to GEO_TOL only the first is a candidate.
+    """
     _, idx = np.unique(np.round(vertices / GEO_TOL) * GEO_TOL, axis=0,
                        return_index=True)
-    vertices = vertices[np.sort(idx)]
-    if len(vertices) <= 1:
-        return vertices
-    center, basis = _affine_basis(vertices)
+    idx = np.sort(idx)
+    if len(idx) <= 1:
+        return idx
+    center, basis = _affine_basis(vertices[idx])
     k = len(basis)
     if k == 0:
-        return vertices[:1]
-    proj = (vertices - center) @ basis.T
+        return idx[:1]
+    proj = (vertices[idx] - center) @ basis.T
     if k == 1:
         lo, hi = np.argmin(proj[:, 0]), np.argmax(proj[:, 0])
-        return vertices[[lo, hi]] if lo != hi else vertices[[lo]]
-    hull = ConvexHull(proj)
-    return vertices[hull.vertices]
+        return idx[[lo, hi]] if lo != hi else idx[[lo]]
+    return idx[ConvexHull(proj).vertices]
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class Polytope:
     @staticmethod
     def from_vertices(vertices):
         vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        verts = _extreme_points(vertices)
+        verts = vertices[_extreme_points(vertices)]
         d = verts.shape[1]
         if len(verts) <= d:
             return Polytope(verts, None, None)
@@ -143,13 +144,12 @@ class Polytope:
         except QhullError:
             return Polytope(verts, None, None)
         eqs = hull.equations  # rows (a, b) with a.x + b <= 0
-        normals = eqs[:, :-1]
-        offsets = -eqs[:, -1]
-        scale = np.linalg.norm(normals, axis=1)
-        normals, offsets = normals / scale[:, None], offsets / scale
-        normals, offsets = _dedupe_facets(normals, offsets)
+        eqs = eqs / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
+        # The pieces of one facet share bit-identical rows.  Keep Qhull's
+        # order: the facet order fixes the boundary-sampling stream.
+        eqs = eqs[np.sort(np.unique(eqs, axis=0, return_index=True)[1])]
         return Polytope(verts[hull.vertices] if d > 1 else verts,
-                        normals, offsets)
+                        eqs[:, :-1], -eqs[:, -1])
 
     @staticmethod
     def from_halfspaces(normals, offsets):
@@ -183,7 +183,8 @@ class Polytope:
             if res.success:
                 return Polytope(np.atleast_2d(res.x), None, None)
             return EMPTY
-        verts = _extreme_points(np.array(points))
+        points = np.array(points)
+        verts = points[_extreme_points(points)]
         if len(verts) > d:
             return Polytope.from_vertices(verts)
         return Polytope(verts, None, None)
@@ -258,24 +259,16 @@ class Polytope:
             return NotImplemented
         if self.vertices.shape != other.vertices.shape:
             return False
-        a = self.vertices[np.lexsort(self.vertices.T)]
-        b = other.vertices[np.lexsort(other.vertices.T)]
-        return bool(np.allclose(a, b, atol=1e-8))
+        # Nearest vertices, not a sort that a 1-ulp tie could reorder.
+        gap = np.linalg.norm(self.vertices[:, None] - other.vertices[None],
+                             axis=2)
+        return bool(np.all(gap.min(axis=1) <= 1e-8)
+                    and np.all(gap.min(axis=0) <= 1e-8))
 
     def __hash__(self):
         # Equality ignores vertex order and allows 1e-8 slack, so only the
         # shape is certain to agree between equal polytopes.
         return hash(self.vertices.shape)
-
-
-def _dedupe_facets(normals, offsets):
-    keep = []
-    for i in range(len(normals)):
-        dup = any(np.allclose(normals[i], normals[j], atol=1e-9)
-                  and abs(offsets[i] - offsets[j]) < 1e-9 for j in keep)
-        if not dup:
-            keep.append(i)
-    return normals[keep], offsets[keep]
 
 
 def _in_convex_hull(p, vertices, tol=GEO_TOL):

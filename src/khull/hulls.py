@@ -132,7 +132,7 @@ class BallHullOracle:
         self.radius = float(radius)
         if self.sample.shape[1] != 2:
             raise ValueError("ball-hull membership implemented for d=2")
-        self.centers = _extreme_points(self.sample)
+        self.centers = self.sample[_extreme_points(self.sample)]
         self.center_set = BallIntersection(self.centers, self.radius)
         corners = _circle_intersections(self.centers, self.radius)
         self.corners = corners[self.center_set.contains(corners)]
@@ -222,46 +222,26 @@ def k_hull_translations(body, sample):
 def hull_translations_scalings(body, sample):
     """Hull under all translations and positive scalings of the body.
 
-    Equals the intersection of all translated supporting cones of the
-    body containing the sample; for a polytope the cone catalogue is
-    finite (one cone per face).
+    A ball gives conv(A).  A polytope K with facets <u_i, x> <= h_i gives
+    the smallest polytope with K's facet normals that contains A,
+    P = {x : <u_i, x> <= m_i for all i} with m_i = max_{a in A} <u_i, a>.
+
+    Proof: a member y + λK containing A has offsets λh_i + <u_i, y> >= m_i,
+    so it contains P.  Fix i, let a in A attain m_i and p lie in the
+    relative interior of facet i.  Near p, K is its facet half-space, so
+    (a - λp) + λK = a + λ(K - p) contains A for large λ, and its i-th
+    half-space is {<u_i, x> <= m_i}: the hull lies in each, so in P.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Ball):
-        # Smooth body: supporting cones are half-spaces, hull is conv(A).
         return HullResult(convex_hull(sample))
     if not isinstance(body, Polytope):
         raise TypeError(f"unsupported body {type(body).__name__}")
     if not np.all(body.contains(sample)):
         raise ValueError("sample must lie inside the body")
-    normals, offsets = [], []
-    for face in _face_normal_sets(body):
-        u_rows = body.facet_normals[sorted(face)]
-        m = np.max(sample @ u_rows.T, axis=0)
-        for i, u in enumerate(u_rows):
-            # Tightest translate of this face cone still covering the sample.
-            res = linprog(u, A_ub=-u_rows, b_ub=-m,
-                          bounds=[(None, None)] * body.dim, method="highs")
-            if res.success:
-                normals.append(u)
-                offsets.append(float(res.fun))
-    hull = Polytope.from_halfspaces(np.array(normals), np.array(offsets))
-    return HullResult(hull)
-
-
-def _face_normal_sets(body):
-    """Active facet-index sets over the face lattice (d <= 3)."""
-    slack = body.vertices @ body.facet_normals.T - body.facet_offsets
-    vertex_active = [frozenset(np.nonzero(np.abs(row) <= 1e-7)[0])
-                     for row in slack]
-    faces = set(vertex_active)
-    faces.update(frozenset([i]) for i in range(len(body.facet_normals)))
-    for i in range(len(vertex_active)):
-        for j in range(i + 1, len(vertex_active)):
-            edge = vertex_active[i] & vertex_active[j]
-            if edge:
-                faces.add(edge)
-    return faces
+    normals = body.facet_normals
+    return HullResult(Polytope.from_halfspaces(
+        normals, np.max(sample @ normals.T, axis=0)))
 
 
 def hull_full_affine(sample):
@@ -314,6 +294,12 @@ def _positive_hull_2d(dirs):
 
 
 def _positive_hull_nd(dirs):
+    """pos(dirs) for unit rows dirs, d >= 3.
+
+    If one LP finds c with dirs @ c >= 1, the extreme rays are the rows
+    whose points d / <d, c> are extreme in the plane <x, c> = 1 (Qhull);
+    they are returned in input order, the first of repeated directions.
+    """
     n, d = dirs.shape
     res = linprog(np.zeros(d), A_ub=-dirs, b_ub=-np.ones(n),
                   bounds=[(None, None)] * d, method="highs")
@@ -325,16 +311,8 @@ def _positive_hull_nd(dirs):
         if interior.success:
             return PolyhedralCone(dim=d)
         return PolyhedralCone(generators=dirs, dim=d)
-    keep = []
-    for i in range(n):
-        others = np.delete(dirs, i, axis=0)
-        feas = linprog(np.zeros(n - 1), A_eq=others.T, b_eq=dirs[i],
-                       bounds=[(0, None)] * (n - 1), method="highs")
-        if not feas.success:
-            keep.append(i)
-    if not keep:
-        keep = [0]
-    return PolyhedralCone(generators=dirs[keep], dim=d)
+    rays = np.sort(_extreme_points(dirs / (dirs @ res.x)[:, None]))
+    return PolyhedralCone(generators=dirs[rays], dim=d)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from khull.bodies import (
     Ball,
@@ -24,9 +27,35 @@ from khull.bodies import (
     polar_cone,
     support_function,
     supporting_cone,
+    _extreme_points,
 )
 
 SQUARE = cube(2)
+
+
+def _rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+_CORNERS = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+_GRID = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=3)))
+_PHI = np.pi / 3 * np.arange(6)
+_HEX_PRISM = np.array([[np.cos(p), np.sin(p), z]
+                       for z in (-1.0, 1.0) for p in _PHI])
+
+# Qhull splits the square, grid and prism facets into several triangles.
+FACET_INPUTS = {
+    "cube3": _CORNERS,
+    "cross3": np.vstack([np.eye(3), -np.eye(3)]),
+    "grid5": _GRID,
+    "rotated-cube": _CORNERS @ _rotation(1).T,
+    "rotated-shifted-grid": _GRID @ _rotation(2).T + [0.3, -1.7, 2.1],
+    "hex-prism": _HEX_PRISM,
+    "rotated-hex-prism": _HEX_PRISM @ _rotation(3).T,
+    "box-1e4": 2.0 * np.random.default_rng(4).random((10_000, 3)) - 1.0,
+    "gauss-1e4": np.random.default_rng(5).standard_normal((10_000, 3)),
+}
 
 
 def test_support_unit_ball():
@@ -263,8 +292,38 @@ def test_convex_hull_collinear():
     assert not seg.is_full_dimensional
 
 
-@pytest.mark.parametrize("body", [cube(3), cross_polytope(3)],
-                         ids=["cube3", "cross3"])
+def _reference_dedupe_facets(normals, offsets):
+    """Pairwise dedupe: keep the first of rows within 1e-9 of each other."""
+    keep = []
+    for i in range(len(normals)):
+        dup = any(np.allclose(normals[i], normals[j], atol=1e-9)
+                  and abs(offsets[i] - offsets[j]) < 1e-9 for j in keep)
+        if not dup:
+            keep.append(i)
+    return normals[keep], offsets[keep]
+
+
+@pytest.mark.parametrize("name", list(FACET_INPUTS))
+def test_from_vertices_facets_match_pairwise_dedupe(name):
+    pts = FACET_INPUTS[name]
+    eqs = ConvexHull(pts[_extreme_points(pts)]).equations
+    scale = np.linalg.norm(eqs[:, :-1], axis=1)
+    normals, offsets = _reference_dedupe_facets(eqs[:, :-1] / scale[:, None],
+                                                -eqs[:, -1] / scale)
+    body = Polytope.from_vertices(pts)
+    np.testing.assert_array_equal(body.facet_normals, normals)
+    np.testing.assert_array_equal(body.facet_offsets, offsets)
+    facets = {"cube3": 6, "cross3": 8, "grid5": 6, "rotated-cube": 6,
+              "rotated-shifted-grid": 6, "hex-prism": 8,
+              "rotated-hex-prism": 8}
+    if name in facets:
+        assert len(normals) == facets[name]
+
+
+@pytest.mark.parametrize("body", [
+    cube(3), cross_polytope(3), Polytope.from_vertices(_HEX_PRISM),
+    Polytope.from_vertices(_CORNERS @ _rotation(1).T)],
+    ids=["cube3", "cross3", "hex-prism", "rotated-cube"])
 def test_polytope_contains_matches_row_formula(body):
     n, h = body.facet_normals, body.facet_offsets
 
@@ -304,6 +363,27 @@ def test_polytope_hash_agrees_with_equality():
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def test_polytope_equality_is_vertex_matching():
+    square = cube(2)
+    v = square.vertices.copy()
+    v[np.flatnonzero((v == [1.0, -1.0]).all(axis=1)), 1] = -1.0 - 2.3e-16
+    nudged = Polytope(v, square.facet_normals, square.facet_offsets)
+    permuted = Polytope(square.vertices[[2, 0, 3, 1]], square.facet_normals,
+                        square.facet_offsets)
+    kite = Polytope.from_vertices([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                   [-1.0, 1.5]])
+    shifted = Polytope(square.vertices + 1e-7, square.facet_normals,
+                       square.facet_offsets + 1e-7)
+    for other in (nudged, permuted):
+        assert square == other and other == square
+        assert hash(square) == hash(other)
+    # Same shape, every vertex near one of the square's, one corner missing.
+    repeated = Polytope(square.vertices[[0, 0, 1, 2]])
+    for other in (kite, shifted, repeated):
+        assert square != other and other != square
+    assert square != cube(3)
 
 
 def test_half_ball_equality_and_hash():

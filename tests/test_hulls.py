@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, WholeSpace, cube,
-                          support_function)
+                          cross_polytope, support_function)
 from khull.hulls import (
     BallHullOracle,
     FAMILY_PRESETS,
@@ -300,6 +301,79 @@ def test_translations_scalings_singleton():
     assert np.allclose(res.body.vertices, [[0.0, 0.0]], atol=1e-9)
 
 
+def _reference_face_lattice_hull(body, sample):
+    """Hull under translations and scalings from the face lattice (d <= 3).
+
+    One supporting cone per face of the body (vertices, edges, facets),
+    each moved by LP to the tightest translate that still covers the
+    sample, one LP per (face, facet) pair; the hull is the intersection.
+    Half-spaces with one normal are merged into the tightest, which keeps
+    the set and spares the vertex enumeration the redundant rows.
+    """
+    slack = body.vertices @ body.facet_normals.T - body.facet_offsets
+    vertex_active = [frozenset(np.nonzero(np.abs(row) <= 1e-7)[0])
+                     for row in slack]
+    faces = set(vertex_active)
+    faces.update(frozenset([i]) for i in range(len(body.facet_normals)))
+    for i in range(len(vertex_active)):
+        for j in range(i + 1, len(vertex_active)):
+            edge = vertex_active[i] & vertex_active[j]
+            if edge:
+                faces.add(edge)
+    offsets = np.full(len(body.facet_normals), np.inf)
+    for face in faces:
+        idx = sorted(face)
+        u_rows = body.facet_normals[idx]
+        m = np.max(sample @ u_rows.T, axis=0)
+        for i, u in zip(idx, u_rows):
+            res = linprog(u, A_ub=-u_rows, b_ub=-m,
+                          bounds=[(None, None)] * body.dim, method="highs")
+            if res.success:
+                offsets[i] = min(offsets[i], res.fun)
+    bounded = np.isfinite(offsets)
+    return Polytope.from_halfspaces(body.facet_normals[bounded],
+                                    offsets[bounded])
+
+
+def _vertex_hausdorff(p, q):
+    gap = np.linalg.norm(p.vertices[:, None] - q.vertices[None], axis=2)
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
+
+
+def _hexagon():
+    phi = np.pi / 3 * np.arange(6)
+    return np.column_stack([np.cos(phi), np.sin(phi)])
+
+
+HEXAGONAL_PRISM = Polytope.from_vertices(
+    np.vstack([np.column_stack([_hexagon(), np.full(6, z)])
+               for z in (-1.0, 1.0)]))
+
+TS_BODIES = {
+    "square": SQUARE,
+    "hexagon": Polytope.from_vertices(_hexagon()),
+    "cube3": cube(3),
+    "cross3": cross_polytope(3),
+    "hex-prism": HEXAGONAL_PRISM,
+    "random25": Polytope.from_vertices(
+        np.random.default_rng(11).standard_normal((25, 3))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("name", list(TS_BODIES))
+def test_translations_scalings_matches_face_lattice_reference(name, n):
+    body = TS_BODIES[name]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        sample = rng.dirichlet(np.ones(len(body.vertices)), n) @ body.vertices
+        got = hull_translations_scalings(body, sample).body
+        want = _reference_face_lattice_hull(body, sample)
+        assert got == want
+        assert _vertex_hausdorff(got, want) <= 1e-9
+        assert got.contains(sample).all()
+
+
 def test_translations_scalings_smooth_body_gives_conv():
     rng = np.random.default_rng(2)
     a = 0.5 * rng.standard_normal((8, 2))
@@ -382,6 +456,40 @@ def test_positive_hull_3d():
     assert not bool(cone.contains(np.array([[-1.0, 1.0, 1.0]]))[0])
     full = positive_hull(np.vstack([np.eye(3), -np.eye(3)])).body
     assert full.is_whole_space()
+
+
+def _reference_extreme_rays(dirs):
+    """Rows of dirs outside the positive hull of the other rows (LPs)."""
+    n = len(dirs)
+    keep = [i for i in range(n) if not linprog(
+        np.zeros(n - 1), A_eq=np.delete(dirs, i, axis=0).T, b_eq=dirs[i],
+        bounds=[(0, None)] * (n - 1), method="highs").success]
+    return dirs[keep]
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (3, 10), (3, 40), (4, 12)])
+@pytest.mark.parametrize("seed", range(5))
+def test_positive_hull_matches_per_ray_lp_reference(seed, d, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d))
+    a[:, 0] = np.abs(a[:, 0]) + 0.2  # keep the set pointed
+    dirs = a / np.linalg.norm(a, axis=1, keepdims=True)
+    cone = positive_hull(a).body
+    np.testing.assert_array_equal(cone.generators,
+                                  _reference_extreme_rays(dirs))
+    assert cone.contains(a).all()
+
+
+@pytest.mark.parametrize("copy", [[1.0, 0, 0], [2.0, 0, 0]])
+def test_positive_hull_keeps_one_of_repeated_directions(copy):
+    a = np.array([[1.0, 0, 0], copy, [0, 1.0, 0], [0, 0, 1.0]])
+    cone = positive_hull(a).body
+    assert cone.contains(np.vstack([np.eye(3), a])).all()
+    dirs = a / np.linalg.norm(a, axis=1, keepdims=True)
+    gens = cone.generators
+    assert len(np.unique(gens, axis=0)) == len(gens) == 3
+    assert all(any(np.array_equal(g, r) for r in dirs) for g in gens)
+    assert not cone.contains(np.array([[-1.0, 1.0, 1.0]])).any()
 
 
 def test_spherical_hull_examples():
