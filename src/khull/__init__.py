@@ -26,7 +26,6 @@ from .bodies import (
 )
 from .empirical import (
     ExperimentReport,
-    directional_extent_empirical,
     dual_cone_intensity_experiment,
     inclusion_functional_estimate,
     ks_statistic,
@@ -40,7 +39,6 @@ from .hulls import (
     FAMILY_PRESETS,
     HullFamily,
     HullResult,
-    feasible_set,
     generic_hull_membership,
     hull_full_affine,
     hull_linear_ball,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 GEO_TOL = 1e-9
 
@@ -153,41 +153,44 @@ class Polytope:
 
     @staticmethod
     def from_halfspaces(normals, offsets):
-        """Vertex enumeration by d-subset hyperplane intersection (d <= 3).
+        """Vertices of the bounded set {x : normals @ x <= offsets}, any d.
 
-        Returns EMPTY when the system is infeasible.  The input is assumed
-        to describe a bounded set.
+        One HiGHS LP finds a Chebyshev centre c and radius r <= 1 (a ball
+        inside the set); EMPTY when the system is infeasible.  For r >
+        GEO_TOL, Qhull intersects the half-spaces around c.  Otherwise the
+        rows with negative duals are tight on the whole set, which lies in
+        the affine plane through c parallel to their hyperplanes; the other
+        rows are solved in that plane's coordinates.  A line (d = 1) is
+        two ratio tests, since Qhull needs d >= 2.
         """
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        offsets = np.asarray(offsets, dtype=float)
-        scale = np.linalg.norm(normals, axis=1)
-        normals, offsets = normals / scale[:, None], offsets / scale
-        d = normals.shape[1]
-        if d > 3:
-            raise ValueError("vertex enumeration supported for d <= 3 only")
-        points = []
-        for idx in itertools.combinations(range(len(normals)), d):
-            a = normals[list(idx)]
-            if abs(np.linalg.det(a)) < 1e-10:
-                continue
-            x = np.linalg.solve(a, offsets[list(idx)])
-            if np.all(normals @ x <= offsets + 1e-7):
-                points.append(x)
-        if not points:
-            # Either empty or a single point defined by > d tight planes;
-            # settle with an LP feasibility check.
-            res = linprog(np.zeros(d), A_ub=normals, b_ub=offsets,
-                          bounds=[(None, None)] * d, method="highs")
-            if res.status == 2:
-                return EMPTY
-            if res.success:
-                return Polytope(np.atleast_2d(res.x), None, None)
+        a = np.atleast_2d(np.asarray(normals, dtype=float))
+        b = np.asarray(offsets, dtype=float)
+        scale = np.linalg.norm(a, axis=1)
+        a, b = a / scale[:, None], b / scale
+        m, d = a.shape
+        res = linprog(np.append(np.zeros(d), -1.0),
+                      A_ub=np.column_stack([a, np.ones(m)]), b_ub=b,
+                      bounds=[(None, None)] * d + [(0, 1)], method="highs")
+        if not res.success:
             return EMPTY
-        points = np.array(points)
-        verts = points[_extreme_points(points)]
-        if len(verts) > d:
-            return Polytope.from_vertices(verts)
-        return Polytope(verts, None, None)
+        centre = res.x[:d]
+        if d == 1:
+            ends = np.array([[np.max(-b[a[:, 0] < 0])],
+                             [np.min(b[a[:, 0] > 0])]])
+            return Polytope(ends[_extreme_points(ends)], None, None)
+        if res.x[d] > GEO_TOL:
+            return Polytope.from_vertices(HalfspaceIntersection(
+                np.column_stack([a, -b]), centre).intersections)
+        tight = res.ineqlin.marginals < 0
+        _, s, vt = np.linalg.svd(a[tight])
+        basis = vt[int(np.sum(s > 1e-9 * s[0])):]  # tight rows' null space
+        if not len(basis):
+            return Polytope(centre[None], None, None)
+        sub_normals = a[~tight] @ basis.T
+        keep = np.linalg.norm(sub_normals, axis=1) > 1e-12
+        sub = Polytope.from_halfspaces(sub_normals[keep],
+                                       (b[~tight] - a[~tight] @ centre)[keep])
+        return Polytope.from_vertices(centre + sub.vertices @ basis)
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

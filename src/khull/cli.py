@@ -10,7 +10,6 @@ significant digits, so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -57,14 +56,10 @@ def _write_json(path, doc):
                                              sort_keys=True))
 
 
-def _write_csv(path, header, rows):
-    def writer(fh):
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                        for v in row])
-    _atomic_write(path, writer)
+def _write_csv(path, header, array):
+    _atomic_write(path, lambda fh: np.savetxt(
+        fh, array, fmt="%.17g", delimiter=",", header=",".join(header),
+        comments="", newline="\r\n"))
 
 
 def _load_body(path):
@@ -140,8 +135,8 @@ def cmd_simulate_pk(args):
     d = body.dim
     header = (["t"] + [f"eta_{i + 1}" for i in range(d)]
               + [f"u_{i + 1}" for i in range(d)])
-    rows = np.column_stack([sample.t, sample.eta, sample.u]).tolist()
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header,
+               np.column_stack([sample.t, sample.eta, sample.u]))
     return EXIT_OK
 
 
@@ -174,18 +169,16 @@ def _write_report(args, report, sidecar_columns=None):
     if args.out:
         _write_json(args.out, report.to_json())
     if getattr(args, "samples_out", None) and sidecar_columns:
-        header, rows = sidecar_columns
-        _write_csv(args.samples_out, header, rows)
+        _write_csv(args.samples_out, *sidecar_columns)
 
 
 def cmd_experiment_so2(args):
     report = so2_square_experiment(n=args.n, replicates=args.reps,
                                    limit_replicates=args.limit_reps,
                                    seed=args.seed)
-    zp = report.samples["limit_plus"]
-    zm = report.samples["limit_minus"]
-    rows = [[float(a), float(b)] for a, b in zip(zp, zm)]
-    _write_report(args, report, (["zeta_plus", "zeta_minus"], rows))
+    pairs = np.column_stack([report.samples["limit_plus"],
+                             report.samples["limit_minus"]])
+    _write_report(args, report, (["zeta_plus", "zeta_minus"], pairs))
     if args.check:
         s = report.statistics
         ok = (s["ks_two_sample_plus"] < 0.05
@@ -200,10 +193,8 @@ def cmd_experiment_so2(args):
 def cmd_experiment_box(args):
     report = translation_box_experiment(n=args.n, replicates=args.reps,
                                         seed=args.seed)
-    ext = report.samples["limit_extents"]
-    rows = [[float(v) for v in row] for row in ext]
-    _write_report(args, report,
-                  (["plus_x", "minus_x", "plus_y", "minus_y"], rows))
+    _write_report(args, report, (["plus_x", "minus_x", "plus_y", "minus_y"],
+                                 report.samples["limit_extents"]))
     if args.check:
         s = report.statistics
         ok = (max(s["ks_limit_vs_exp_half"]) < 0.02

@@ -26,7 +26,6 @@ from .zerocell import (build_zero_cell, cone_preset, restrict_to_cone,
 
 __all__ = [
     "ExperimentReport",
-    "directional_extent_empirical",
     "dual_cone_intensity_experiment",
     "inclusion_functional_estimate",
     "ks_statistic",
@@ -117,42 +116,6 @@ def xn_membership(point, batch, n, body):
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """
     return _maps_cover([_xn_map(point, n, body.dim)], batch, body)
-
-
-def directional_extent_empirical(batch, n, body, cone, direction,
-                                 s_max=DEFAULT_S_MAX, tol=1e-6):
-    """sup{s <= s_max : s * direction feasible}, by scan plus bisection.
-
-    direction is given in cone-subspace coordinates.  Returns (value,
-    censored): censored means feasibility still held at s_max.  A coarse
-    scan at resolution s_max/1024 brackets the boundary first; for the
-    one-parameter families used in the experiments the feasible set along
-    the ray is an interval, so the bracket is valid.
-    """
-    direction = np.asarray(direction, dtype=float)
-    v = cone.embed(direction)
-
-    def feasible(s):
-        return xn_membership(s * v, batch, n, body)
-
-    if not feasible(0.0):
-        raise ValueError("the zero transform must be feasible")
-    if feasible(s_max):
-        return s_max, True
-    grid = np.linspace(0.0, s_max, 1025)
-    lo = 0.0
-    hi = s_max
-    for a, b in zip(grid[:-1], grid[1:]):
-        if not feasible(b):
-            lo, hi = a, b
-            break
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
 
 
 # -- statistics -----------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "HullFamily",
     "HullResult",
     "FAMILY_PRESETS",
-    "feasible_set",
     "generic_hull_membership",
     "hull_full_affine",
     "hull_linear_ball",
@@ -194,6 +193,9 @@ def feasible_translations(body, sample):
     """{x : sample is contained in body + x}."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Polytope):
+        if not body.is_full_dimensional:
+            raise ValueError("feasible translations need a "
+                             "full-dimensional polytope")
         shift = np.max(sample @ body.facet_normals.T, axis=0)
         return Polytope.from_halfspaces(-body.facet_normals,
                                         body.facet_offsets - shift)
@@ -237,6 +239,9 @@ def hull_translations_scalings(body, sample):
         return HullResult(convex_hull(sample))
     if not isinstance(body, Polytope):
         raise TypeError(f"unsupported body {type(body).__name__}")
+    if not body.is_full_dimensional:
+        raise ValueError("the translations-scalings hull needs a "
+                         "full-dimensional polytope")
     if not np.all(body.contains(sample)):
         raise ValueError("sample must lie inside the body")
     normals = body.facet_normals
@@ -407,24 +412,3 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
                 and _containment_violation(body, zback[None]) > GEO_TOL):
             return "outside", res.x.copy()
     return "inside", None
-
-
-def feasible_set(body, family, sample, n_samples=2000, seed=0, scale=0.7):
-    """Feasible transform parameters covering the sample.
-
-    Translations-only families return the exact feasible body; other
-    families return a verified cloud of parameter vectors.
-    """
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    d = sample.shape[1]
-    if family.linear == "identity" and family.translations == "full":
-        return feasible_translations(body, sample)
-    rng = np.random.default_rng(seed)
-    accepted = []
-    for _ in range(n_samples):
-        params = scale * rng.standard_normal(family.param_count(d))
-        x, g = family.transform(params, d)
-        back = sample @ np.linalg.inv(g).T - x
-        if _containment_violation(body, back) <= GEO_TOL:
-            accepted.append(params)
-    return np.array(accepted)

@@ -278,11 +278,130 @@ def test_json_round_trip():
 
 def test_from_halfspaces_matches_from_vertices():
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        pts = rng.standard_normal((10, 2))
-        p = Polytope.from_vertices(pts)
-        q = Polytope.from_halfspaces(p.facet_normals, p.facet_offsets)
-        assert p == q
+    for d, count in ((2, 10), (3, 20), (4, 30)):
+        for _ in range(20):
+            pts = rng.standard_normal((count, d))
+            p = Polytope.from_vertices(pts)
+            q = Polytope.from_halfspaces(p.facet_normals, p.facet_offsets)
+            assert p == q
+
+
+def _reference_from_halfspaces(normals, offsets):
+    """Vertices by d-subset enumeration in any d, or None when empty.
+
+    Each nonsingular d-subset of rows meets in one point; those that
+    satisfy every row (with 1e-7 slack) are the vertices, repeated.
+    """
+    scale = np.linalg.norm(normals, axis=1)
+    normals, offsets = normals / scale[:, None], offsets / scale
+    d = normals.shape[1]
+    points = []
+    for idx in itertools.combinations(range(len(normals)), d):
+        a = normals[list(idx)]
+        if abs(np.linalg.det(a)) < 1e-10:
+            continue
+        x = np.linalg.solve(a, offsets[list(idx)])
+        if np.all(normals @ x <= offsets + 1e-7):
+            points.append(x)
+    return np.array(points) if points else None
+
+
+def _hausdorff(p, q):
+    gap = np.linalg.norm(p[:, None] - q[None], axis=2)
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
+
+
+def _random_system(rng, d):
+    """A bounded system with redundant, duplicate and rescaled rows."""
+    normals = np.vstack([rng.standard_normal((3 * d, d)), np.eye(d),
+                         -np.eye(d)])
+    offsets = np.concatenate([rng.uniform(0.2, 1.5, 3 * d),
+                              np.full(2 * d, 1.2)])
+    normals = np.vstack([normals, normals[:2], 2.5 * normals[2:4],
+                         normals[4:6]])
+    offsets = np.concatenate([offsets, offsets[:2], 2.5 * offsets[2:4],
+                              offsets[4:6] + 10.0])
+    return normals, offsets
+
+
+def _box_rows(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+_P = np.array([0.3, -0.2, 0.5])
+# Lower-dimensional systems: name -> (normals, offsets, dimension).
+DEGENERATE_SYSTEMS = {
+    # {p}: a cross of rows and two more through p.
+    "point": (np.vstack([_box_rows(3), [[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0]]]),
+              np.concatenate([_P, -_P, [_P.sum(), -_P[0] + 2 * _P[1]]]), 0),
+    # [0, e1], with redundant rows at both ends.
+    "segment-R4": (np.vstack([_box_rows(4), [[1.0, 0, 0, 0], [-1.0, 0, 0, 0],
+                                             [1.0, 1.0, 0, 0]]]),
+                   np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 2.0, 1.0, 3.0]), 1),
+    # A redundant row parallel to the square's plane.
+    "square-R3": (np.vstack([_box_rows(3), [[0.0, 0.0, 1.0]]]),
+                  np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 5.0]), 2),
+    "rotated-square-R3": (_box_rows(3) @ _rotation(3).T,
+                          np.array([1.0, 1.0, 0.5, 1.0, 1.0, -0.5]), 2),
+    "triangle-R4": (np.vstack([_box_rows(4), [[1.0, 1.0, 0.0, 0.0]]]),
+                    np.array([1.0, 1.0, 0.0, 0.0, 0, 0, 0, 0, 1.0]), 2),
+    # A rotated [-1, 1]^2 x [0, w] box with w < 2 GEO_TOL: the vertices
+    # come from the plane through the Chebyshev centre.
+    **{f"thin-box-{w:g}": (_box_rows(3) @ _rotation(5).T,
+                           np.array([1.0, 1.0, w, 1.0, 1.0, 0.0]), 2)
+       for w in (0.4 * GEO_TOL, 1.9 * GEO_TOL)},
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_from_halfspaces_matches_subset_enumeration(d):
+    rng = np.random.default_rng(10 + d)
+    systems = [_random_system(rng, d) for _ in range(10)]
+    # A rotated box 4 GEO_TOL thin is still full-dimensional.
+    thin = np.ones(2 * d)
+    thin[d - 1], thin[-1] = 4 * GEO_TOL, 0.0
+    rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    for normals, offsets in systems + [(_box_rows(d) @ rot.T, thin)]:
+        got = Polytope.from_halfspaces(normals, offsets)
+        want = _reference_from_halfspaces(normals, offsets)
+        assert got.is_full_dimensional
+        assert _hausdorff(got.vertices, want) <= 1e-9
+        assert len(got.vertices) == len(Polytope.from_vertices(want).vertices)
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_SYSTEMS))
+def test_from_halfspaces_lower_dimensional(name):
+    normals, offsets, dim = DEGENERATE_SYSTEMS[name]
+    got = Polytope.from_halfspaces(normals, offsets)
+    want = _reference_from_halfspaces(normals, offsets)
+    assert not got.is_full_dimensional
+    assert _hausdorff(got.vertices, want) <= GEO_TOL
+    assert len(got.vertices) == len(Polytope.from_vertices(want).vertices)
+    assert np.linalg.matrix_rank(got.vertices - got.vertices[0],
+                                 tol=GEO_TOL) == dim
+    assert np.all(normals @ got.vertices.T <= offsets[:, None] + 1e-12)
+
+
+def test_from_halfspaces_infeasible_is_empty():
+    for d in (2, 3, 4):
+        offsets = np.full(2 * d, 1.0)
+        offsets[-1] = -1.5  # x_d <= 1 and x_d >= 1.5
+        normals = _box_rows(d)
+        assert Polytope.from_halfspaces(normals, offsets) is EMPTY
+        assert _reference_from_halfspaces(normals, offsets) is None
+
+
+def test_from_halfspaces_many_rows_in_3d():
+    # 200 tangent planes of the unit sphere: C(200, 3) subsets would take
+    # minutes to enumerate.
+    rng = np.random.default_rng(8)
+    normals = rng.standard_normal((200, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    body = Polytope.from_halfspaces(normals, np.ones(200))
+    assert body.is_full_dimensional
+    assert np.all(normals @ body.vertices.T <= 1.0 + 1e-9)
+    assert np.all(np.linalg.norm(body.vertices, axis=1) >= 1.0 - 1e-9)
+    assert len(body.facet_normals) == 200
 
 
 def test_convex_hull_collinear():

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from khull.cli import main
+from khull.bodies import body_from_json
+from khull.cli import _write_csv, main
 from khull.hulls import BallHullOracle
+from khull.poisson import sample_PK
 
 
 @pytest.fixture
@@ -68,6 +72,21 @@ def test_hull_unknown_family_exits_2(square_json, two_points_csv, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["k-hull", "translations-scalings"])
+def test_hull_lower_dimensional_body_exits_2(family, two_points_csv,
+                                             tmp_path, capsys):
+    body = tmp_path / "seg.json"
+    body.write_text(json.dumps({"kind": "polytope",
+                                "vertices": [[0, 0], [1, 1]]}))
+    code = main(["hull", "--body", str(body), "--family", family,
+                 "--points", two_points_csv,
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "full-dimensional polytope" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_pk_csv_and_determinism(square_json, tmp_path):
     out1 = tmp_path / "m1.csv"
     out2 = tmp_path / "m2.csv"
@@ -78,6 +97,40 @@ def test_simulate_pk_csv_and_determinism(square_json, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "t,eta_1,eta_2,u_1,u_2"
+
+
+def _csv_writer_bytes(header, rows):
+    """The bytes of a csv.writer with every float written as %.17g."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+def test_simulate_pk_bytes_match_csv_writer(square_json, tmp_path):
+    out = tmp_path / "marks.csv"
+    assert main(["simulate", "pk", "--body", square_json, "--tmax", "20",
+                 "--seed", "3", "--out", str(out)]) == 0
+    s = sample_PK(body_from_json(square_json), 20.0, seed=3)
+    rows = np.column_stack([s.t, s.eta, s.u]).tolist()
+    assert len(rows) > 10
+    assert out.read_bytes() == _csv_writer_bytes(
+        ["t", "eta_1", "eta_2", "u_1", "u_2"], rows)
+
+
+def test_write_csv_edge_values_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(0)
+    array = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                               (50, 3))
+    array[0] = [np.inf, -np.inf, -0.0]
+    array[1] = [1e-300, 5e-324, 0.1]
+    for rows in (array, array[:0]):
+        out = tmp_path / "x.csv"
+        _write_csv(str(out), ["a", "b", "c"], rows)
+        assert out.read_bytes() == _csv_writer_bytes(["a", "b", "c"],
+                                                     rows.tolist())
 
 
 def test_simulate_pk_malformed_body_exits_2(tmp_path):

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 
 from khull.bodies import Ball, HalfBall, Polytope, cross_polytope, cube
 from khull.empirical import (
-    directional_extent_empirical,
     dual_cone_intensity_experiment,
     inclusion_functional_estimate,
     ks_statistic,
@@ -111,44 +110,6 @@ def test_xn_monotone_in_n():
                               SQUARE)
         if big:
             assert small
-
-
-def test_extent_singleton_translation():
-    cone = cone_preset("translations", 2)
-    batch = np.zeros((1, 2))
-    n = 7
-    val, censored = directional_extent_empirical(
-        batch, n, SQUARE, cone, np.array([1.0, 0.0]), s_max=20.0)
-    assert not censored
-    assert val == pytest.approx(n * 1.0, abs=1e-5)
-
-
-def test_extent_censoring():
-    cone = cone_preset("skew", 2)
-    batch = np.zeros((1, 2))  # one interior point allows any rotation
-    val, censored = directional_extent_empirical(
-        batch, 1, SQUARE, cone, np.array([1.0]), s_max=5.0)
-    assert censored and val == 5.0
-
-
-def test_extent_matches_closed_form_rotation():
-    from khull.empirical import _finite_rotation_extent
-
-    cone = cone_preset("skew", 2)
-    rng = spawn_rng(8)
-    n = 50
-    pts = uniform_sample(SQUARE, n, rng=rng)
-    plus, minus = _finite_rotation_extent(pts, n)
-    # The skew basis element is J/sqrt(2); rotation angle c corresponds to
-    # coordinate c*sqrt(2).
-    got_plus, cp = directional_extent_empirical(
-        pts, n, SQUARE, cone, np.array([1.0]), s_max=60.0)
-    got_minus, cm = directional_extent_empirical(
-        pts, n, SQUARE, cone, np.array([-1.0]), s_max=60.0)
-    if not cp:
-        assert got_plus == pytest.approx(plus * np.sqrt(2), abs=1e-4)
-    if not cm:
-        assert got_minus == pytest.approx(minus * np.sqrt(2), abs=1e-4)
 
 
 @pytest.mark.parametrize("n", [50, 2000])

@@ -8,7 +8,6 @@ from khull.hulls import (
     BallHullOracle,
     FAMILY_PRESETS,
     SphericalHull,
-    feasible_set,
     feasible_translations,
     generic_hull_membership,
     hull_full_affine,
@@ -536,6 +535,26 @@ def test_sandwich_conv_subset_hull_subset_K():
                 assert SQUARE.contains(body.vertices).all()
 
 
+@pytest.mark.parametrize("hull,body,scale", [
+    (hull_translations_scalings, cube(4), 1.0),
+    (k_hull_translations, cross_polytope(4), 0.24)],
+    ids=["translations-scalings-cube4", "k-hull-cross4"])
+def test_sandwich_in_four_dimensions(hull, body, scale):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 6, 20):
+        a = scale * rng.uniform(-1.0, 1.0, (n, 4))
+        res = hull(body, a).body
+        assert isinstance(res, Polytope)
+        assert res.contains(a).all()
+        assert body.contains(res.vertices).all()
+        if n == 20:
+            assert res.is_full_dimensional
+        if res.is_full_dimensional:
+            gap = np.linalg.norm(res.facet_normals[:, None]
+                                 - body.facet_normals[None], axis=2)
+            assert np.all(gap.min(axis=1) <= 1e-9)
+
+
 def test_monotonicity_in_family():
     # identity-only -> translations -> translations+scalings -> full affine
     # yields a decreasing chain of hulls.
@@ -604,23 +623,12 @@ def _polytope_margin(poly, q):
 
 def test_feasible_set_translations_exact():
     a = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    x = feasible_set(SQUARE, FAMILY_PRESETS["k-hull"], a)
+    x = feasible_translations(SQUARE, a)
     # X = {0} x [-1, 1]
     assert sorted(map(tuple, np.round(x.vertices, 9).tolist())) == [
         (0.0, -1.0), (0.0, 1.0)]
 
 
 def test_feasible_set_contains_zero_when_A_in_K():
-    x = feasible_set(SQUARE, FAMILY_PRESETS["k-hull"], SQUARE.vertices)
+    x = feasible_translations(SQUARE, SQUARE.vertices)
     assert bool(x.contains(np.zeros((1, 2)))[0])
-
-
-def test_feasible_set_cloud_verified():
-    fam = FAMILY_PRESETS["full-affine"]
-    a = 0.4 * np.random.default_rng(9).standard_normal((4, 2))
-    cloud = feasible_set(SQUARE, fam, a, n_samples=200, seed=2)
-    assert len(cloud) > 0
-    for params in cloud[:20]:
-        x, g = fam.transform(params, 2)
-        back = a @ np.linalg.inv(g).T - x
-        assert SQUARE.contains(back).all()
