@@ -22,7 +22,7 @@ from khull import (
 def describe(label, result):
     body = result.body
     kind = type(body).__name__
-    tag = "exact" if result.exact else f"verified to {result.epsilon:g}"
+    tag = "exact" if result.exact else "inexact"
     vertices = getattr(body, "vertices", None)
     extra = f", {len(vertices)} vertices" if vertices is not None else ""
     print(f"{label:28s} {kind}{extra}  ({tag})")

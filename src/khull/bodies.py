@@ -139,6 +139,9 @@ class Polytope:
         d = verts.shape[1]
         if len(verts) <= d:
             return Polytope(verts, None, None)
+        if d == 1:  # a segment [lo, hi]: facets -x <= -lo and x <= hi
+            return Polytope(verts, np.array([[-1.0], [1.0]]),
+                            np.array([-verts.min(), verts.max()]))
         try:
             hull = ConvexHull(verts)
         except QhullError:
@@ -148,8 +151,7 @@ class Polytope:
         # The pieces of one facet share bit-identical rows.  Keep Qhull's
         # order: the facet order fixes the boundary-sampling stream.
         eqs = eqs[np.sort(np.unique(eqs, axis=0, return_index=True)[1])]
-        return Polytope(verts[hull.vertices] if d > 1 else verts,
-                        eqs[:, :-1], -eqs[:, -1])
+        return Polytope(verts[hull.vertices], eqs[:, :-1], -eqs[:, -1])
 
     @staticmethod
     def from_halfspaces(normals, offsets):
@@ -177,7 +179,7 @@ class Polytope:
         if d == 1:
             ends = np.array([[np.max(-b[a[:, 0] < 0])],
                              [np.min(b[a[:, 0] > 0])]])
-            return Polytope(ends[_extreme_points(ends)], None, None)
+            return Polytope.from_vertices(ends)
         if res.x[d] > GEO_TOL:
             return Polytope.from_vertices(HalfspaceIntersection(
                 np.column_stack([a, -b]), centre).intersections)

@@ -90,8 +90,6 @@ def _load_points(path):
 def _hull_to_json(result):
     body = result.body
     doc = {"exact": bool(result.exact)}
-    if result.epsilon is not None:
-        doc["epsilon"] = float(result.epsilon)
     if isinstance(body, BallHullOracle):
         # The hull is fixed by the radius and the sample's extreme points.
         doc.update(kind="ball_hull", radius=body.radius,

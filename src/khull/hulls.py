@@ -104,7 +104,6 @@ class HullResult:
 
     body: object
     exact: bool = True
-    epsilon: float | None = None
 
     def contains(self, points):
         return self.body.contains(points)
@@ -331,9 +330,6 @@ class SphericalHull:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         inside = np.linalg.norm(points, axis=1) <= self.radius + GEO_TOL
         return inside & self.cone.contains(points)
-
-    def spherical_contains(self, units):
-        return self.cone.contains(units)
 
     def arc(self):
         """Angular interval of the spherical part (plane only)."""

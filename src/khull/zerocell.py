@@ -263,45 +263,49 @@ def restrict_to_cone(system, cone):
 class RecessionCone:
     """T_K = {(x,C) : <C y + x, u> >= 0 for all (y,u) in Nor(K)}.
 
-    For polytopes a finite list of (vertex, facet normal) pairs is
-    sufficient and exact; for balls, membership uses the exact minimum of
-    <C y + x, y> over the unit sphere (trust-region subproblem).
+    Both membership tests go through the survival functional
+    s(p) = max over (y,u) in Nor(K) of <(u, u outer y), p>, which is
+    sublinear with -T_K = {s <= 0}.  For polytopes the finite list of
+    (vertex, facet normal) rows is exact; for balls the maximum over the
+    unit sphere is the exact trust-region subproblem.
     """
 
     body: object
-    pairs: np.ndarray | None = None  # (m, d+d^2) rows: constraint <=  form
+    rows: np.ndarray | None = None  # (m, d+d^2) generators (u, u outer y)
+
+    def survival(self, point):
+        """s(point) and a generator g of Nor(K) with <g, point> = s(point).
+
+        Every such g gives the cut s >= <g, .>, valid everywhere.
+        """
+        if isinstance(point, TangentPoint):
+            point = point.flatten()
+        p = np.asarray(point, dtype=float)
+        if self.rows is not None:
+            vals = self.rows @ p
+            j = int(np.argmax(vals))
+            return float(vals[j]), self.rows[j]
+        # Ball of radius r, y = r u: max over unit u of r u'sym(C)u + <x, u>.
+        d, r = self.body.dim, self.body.radius
+        x, c = p[:d], p[d:].reshape(d, d)
+        val, u = _min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
+        return -val, flatten_pair(u, r * np.outer(u, u))
 
     def contains(self, point, tol=GEO_TOL):
         if isinstance(point, TangentPoint):
-            x, c = point.x, point.C
-        else:
-            d = self.body.dim
-            v = np.asarray(point, dtype=float)
-            x, c = v[:d], v[d:].reshape(d, d)
-        if isinstance(self.body, Polytope):
-            v = flatten_pair(x, c)
-            return bool(np.all(self.pairs @ v <= tol))
-        # Ball of radius r: <C(ru) + x, u> >= 0 for all unit u reduces to
-        # min over the unit sphere of u^T (r sym C) u + <x, u> >= 0.
-        r = self.body.radius
-        val = _min_sphere_quadratic(0.5 * (c + c.T) * r, x)
-        return val >= -tol
+            point = point.flatten()
+        return self.survival(-np.asarray(point, dtype=float))[0] <= tol
 
     def contains_reflected(self, point, tol=GEO_TOL):
         """Membership of the reflected cone -T_K."""
-        if isinstance(point, TangentPoint):
-            point = point.flatten()
-        return self.contains(-np.asarray(point, dtype=float), tol=tol)
+        return self.survival(point)[0] <= tol
 
 
 def recession_cone_TK(body):
     if isinstance(body, Polytope):
-        rows = []
-        for idx, (u, _) in zip(body.facet_vertex_sets(),
-                               zip(body.facet_normals, body.facet_offsets)):
-            for v in body.vertices[idx]:
-                # <C v + x, u> >= 0  as  <p, -(u, u outer v)> <= 0.
-                rows.append(-flatten_pair(u, np.outer(u, v)))
+        rows = [flatten_pair(u, np.outer(u, v))
+                for idx, u in zip(body.facet_vertex_sets(), body.facet_normals)
+                for v in body.vertices[idx]]
         return RecessionCone(body, np.array(rows))
     if isinstance(body, Ball):
         return RecessionCone(body)
@@ -309,7 +313,8 @@ def recession_cone_TK(body):
 
 
 def _min_sphere_quadratic(a, b):
-    """min of y^T A y + <b, y> over the unit sphere (A symmetric).
+    """min of y^T A y + <b, y> over the unit sphere (A symmetric), and a
+    unit minimiser y.
 
     Trust-region subproblem on the boundary: solved through the secular
     equation in the eigenbasis of A, with the hard case handled.
@@ -327,7 +332,7 @@ def _min_sphere_quadratic(a, b):
         # Hard case: b has no component along the bottom eigenspace.
         active = ~degenerate
         if not np.any(active):
-            return float(lam_min)
+            return float(lam_min), q[:, 0]
         n2 = float(np.sum((beta[active] / (2 * (w[active] - lam_min))) ** 2))
         if n2 <= 1.0:
             y = np.zeros_like(beta)
@@ -335,7 +340,7 @@ def _min_sphere_quadratic(a, b):
             extra = math.sqrt(1.0 - n2)
             y[int(np.argmin(w))] = extra
             yy = q @ y
-            return float(yy @ a @ yy + b @ yy)
+            return float(yy @ a @ yy + b @ yy), yy
     lo = lam_min - 0.5 * (np.linalg.norm(b) + 1.0)
     while ynorm2(lo) > 1.0:
         lo = lam_min - 2 * (lam_min - lo)
@@ -351,84 +356,65 @@ def _min_sphere_quadratic(a, b):
     lam = 0.5 * (lo + hi)
     y = q @ (-beta / (2 * (w - lam)))
     y = y / np.linalg.norm(y)
-    return float(y @ a @ y + b @ y)
+    return float(y @ a @ y + b @ y), y
 
 
-def is_bounded(body, cone, n_grid=1024, seed=1):
+# Cutting-plane rounds before `is_bounded` gives up.  The presets need at
+# most one, random cones of up to eight dimensions (boundary-touching ones
+# included) at most eight.
+MAX_CUT_ROUNDS = 100
+
+
+def is_bounded(body, cone):
     """Decide whether the zero cell restricted to the cone is a.s. bounded.
 
-    Bounded iff the reflected recession cone -T_K meets the cone only at
-    the origin.  Unboundedness witnesses are always verified by the exact
-    per-direction membership test before being returned.  Polytopes get
-    an exact LP decision; balls combine an exact skew-null-space
-    certificate with a convex search over the faces of the coordinate box
-    (the survival functional is sublinear in the direction).
+    Bounded iff the reflected recession cone -T_K = {s <= 0} meets the cone
+    only at the origin, that is iff s > 0 on every face c_i = +-1 of the
+    coordinate box.  Kelley's cutting-plane method decides each face: an
+    LP over one shared pool of cuts s >= <g, .> bounds s from below on
+    every open face, and a face whose bound exceeds GEO_TOL is certified.
+    The face with the lowest bound is evaluated at its LP minimiser; a
+    value <= GEO_TOL is a witness, otherwise its generator is a new cut.
+    Returns (True, None) or (False, v) with `contains_reflected(v)`.
     """
     rec = recession_cone_TK(body)
-    k = cone.n_params
-    rng = np.random.default_rng(seed)
-    dirs = [cone.basis[i] * s for i in range(k) for s in (1.0, -1.0)]
-    raw = rng.standard_normal((n_grid, k))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    dirs.extend(raw @ cone.basis)
-    for v in dirs:
-        if rec.contains_reflected(v):
+    basis, k = cone.basis, cone.n_params
+    faces = [(i, sign) for i in range(k) for sign in (1.0, -1.0)]
+    # A polytope's rows make its first LPs exact.
+    cuts = [] if rec.rows is None else list(rec.rows)
+    for i, sign in faces:
+        v = sign * basis[i]
+        value, g = rec.survival(v)
+        if value <= GEO_TOL:
             return False, v
-    if isinstance(body, Polytope):
-        a_ub = -rec.pairs @ cone.basis.T  # reflected: flip the point sign
-        witness = _lp_nonzero_ray(a_ub, k)
-        if witness is not None:
-            return False, witness @ cone.basis
-        return True, None
-    return _ball_boundedness(body, cone, rec)
-
-
-def _ball_boundedness(body, cone, rec):
-    from scipy.optimize import minimize
-
-    d, r = body.dim, body.radius
-    # -T_K = {(x,C): r u' sym(C) u + <x,u> <= 0 for all unit u}.  Any
-    # nonzero subspace element with x = 0 and sym(C) = 0 is an exact
-    # unboundedness certificate (the constraint value is identically 0).
-    sym_map = np.array([_sym_translation_part(v, d) for v in cone.basis])
-    u, s, _ = np.linalg.svd(sym_map, full_matrices=True)
-    rank = int(np.sum(s > 1e-10))
-    for row in u[:, rank:].T:  # coordinate null space of the sym map
-        v = row @ cone.basis
-        for w in (v, -v):
-            if rec.contains_reflected(w):
-                return False, w
-
-    def survival(coords):
-        """max over the sphere of the constraint value (<= 0 means ray)."""
-        v = cone.embed(coords)
-        x, c = v[:d], v[d:].reshape(d, d)
-        return -_min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
-
-    k = cone.n_params
-    for i in range(k):
-        for sign in (1.0, -1.0):
-            x0 = np.zeros(k)
-            x0[i] = sign
-
-            def obj(free, i=i, sign=sign):
-                coords = np.insert(free, i, sign)
-                return survival(coords)
-
-            res = minimize(obj, np.delete(x0, i), method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12,
-                                    "maxiter": 2000})
-            coords = np.insert(res.x, i, sign)
-            v = cone.embed(coords)
-            if rec.contains_reflected(v):
-                return False, v
-    return True, None
-
-
-def _sym_translation_part(v, d):
-    """Flattened (x, sym C) of a flattened tangent vector."""
-    x, c = v[:d], v[d:].reshape(d, d)
-    return np.concatenate([x, (0.5 * (c + c.T)).reshape(-1)])
+        cuts.append(g)
+    objective = np.append(np.zeros(k), 1.0)
+    for _ in range(MAX_CUT_ROUNDS):
+        a_ub = np.column_stack([np.array(cuts) @ basis.T,
+                                -np.ones(len(cuts))])
+        lowest, still_open = None, []
+        for i, sign in faces:
+            bounds = [(-1.0, 1.0)] * k + [(None, None)]
+            bounds[i] = (sign, sign)
+            res = linprog(objective, A_ub=a_ub, b_ub=np.zeros(len(cuts)),
+                          bounds=bounds, method="highs")
+            if not res.success:
+                raise RuntimeError(f"boundedness LP failed: {res.message}")
+            if res.fun > GEO_TOL:
+                continue
+            still_open.append((i, sign))
+            if lowest is None or res.fun < lowest.fun:
+                lowest = res
+        if not still_open:
+            return True, None
+        faces = still_open
+        v = lowest.x[:k] @ basis
+        value, g = rec.survival(v)
+        if value <= GEO_TOL:
+            return False, v
+        cuts.append(g)
+    raise RuntimeError(f"is_bounded undecided after {MAX_CUT_ROUNDS} "
+                       "cutting-plane rounds")
 
 
 def reflected_recession_in_cone(body, cone):
@@ -459,20 +445,6 @@ def reflected_recession_in_cone(body, cone):
                      for j in range(d)])
     rows = rows[np.linalg.norm(rows, axis=1) > 1e-12]
     return rows  # constraint rows: rows @ coords <= 0
-
-
-def _lp_nonzero_ray(a_ub, k):
-    """Nonzero c with a_ub @ c <= 0, found by LP over the box |c_i| <= 1."""
-    m = len(a_ub)
-    for i in range(k):
-        for sign in (1.0, -1.0):
-            obj = np.zeros(k)
-            obj[i] = -sign
-            res = linprog(obj, A_ub=a_ub, b_ub=np.zeros(m),
-                          bounds=[(-1, 1)] * k, method="highs")
-            if res.success and -res.fun > 1e-7:
-                return res.x
-    return None
 
 
 # -- reflections and equivariance ----------------------------------------------
@@ -532,19 +504,11 @@ class ZeroCellPolar:
     """Polar of a truncated zero cell: conv({0} and {n_i / t_i})."""
 
     points: np.ndarray  # includes the origin row
-    body_dim: int
 
     def support(self, p):
         return float(np.max(self.points @ np.asarray(p, dtype=float)))
 
-    def translation_slice_vertices(self):
-        """Generating points with vanishing matrix part, first d coords."""
-        d = self.body_dim
-        mask = np.linalg.norm(self.points[:, d:], axis=1) <= GEO_TOL
-        return self.points[mask][:, :d]
-
 
 def polar_of_zero_cell(system):
     pts = system.normals / system.offsets[:, None]
-    return ZeroCellPolar(np.vstack([np.zeros(system.dim), pts]),
-                         system.body_dim)
+    return ZeroCellPolar(np.vstack([np.zeros(system.dim), pts]))

@@ -404,6 +404,27 @@ def test_from_halfspaces_many_rows_in_3d():
     assert len(body.facet_normals) == 200
 
 
+def test_one_dimensional_polytopes():
+    # A segment in R^1 is full-dimensional: two facets with normals -1, +1.
+    for body in (cube(1), cross_polytope(1),
+                 Polytope.from_halfspaces([[1.0], [-1.0], [2.0]],
+                                          [1.0, 1.0, 5.0])):
+        assert body.is_full_dimensional
+        assert np.array_equal(np.sort(body.vertices[:, 0]), [-1.0, 1.0])
+        assert np.array_equal(body.facet_normals, [[-1.0], [1.0]])
+        assert np.array_equal(body.facet_offsets, [1.0, 1.0])
+        assert body.contains([[0.5], [1.0], [-1.0], [1.5]]).tolist() == [
+            True, True, True, False]
+        assert body_from_json(body_to_json(body)) == body
+    seg = Polytope.from_vertices([[3.0], [1.0], [2.0]])
+    assert np.array_equal(seg.facet_offsets, [-1.0, 3.0])
+    assert Polytope.from_halfspaces(seg.facet_normals,
+                                    seg.facet_offsets) == seg
+    point = Polytope.from_halfspaces([[1.0], [-1.0]], [2.0, -2.0])
+    assert np.array_equal(point.vertices, [[2.0]])
+    assert not point.is_full_dimensional
+
+
 def test_convex_hull_collinear():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
     seg = convex_hull(pts)

@@ -87,6 +87,22 @@ def test_hull_lower_dimensional_body_exits_2(family, two_points_csv,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["k-hull", "translations-scalings"])
+def test_hull_one_dimensional_body(family, tmp_path):
+    body = tmp_path / "seg.json"
+    body.write_text(json.dumps({"kind": "polytope", "vertices": [[-1], [1]]}))
+    points = tmp_path / "pts.csv"
+    points.write_text("0.2\n-0.3\n0.5\n")
+    out = tmp_path / "hull.json"
+    code = main(["hull", "--body", str(body), "--family", family,
+                 "--points", str(points), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert np.allclose(sorted(v[0] for v in doc["vertices"]), [-0.3, 0.5],
+                       atol=1e-12)
+    assert [f["normal"] for f in doc["facets"]] == [[-1.0], [1.0]]
+
+
 def test_simulate_pk_csv_and_determinism(square_json, tmp_path):
     out1 = tmp_path / "m1.csv"
     out2 = tmp_path / "m2.csv"

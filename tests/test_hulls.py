@@ -555,6 +555,17 @@ def test_sandwich_in_four_dimensions(hull, body, scale):
             assert np.all(gap.min(axis=1) <= 1e-9)
 
 
+def test_polytope_hulls_in_one_dimension():
+    a = np.array([[0.2], [-0.3], [0.5]])
+    for hull in (k_hull_translations, hull_translations_scalings):
+        res = hull(cube(1), a).body
+        assert res == Polytope.from_vertices([[-0.3], [0.5]])
+        assert np.array_equal(res.facet_normals, [[-1.0], [1.0]])
+    # Wider than the segment: no translate covers the sample.
+    assert isinstance(k_hull_translations(cube(1), [[-1.5], [1.5]]).body,
+                      WholeSpace)
+
+
 def test_monotonicity_in_family():
     # identity-only -> translations -> translations+scalings -> full affine
     # yields a decreasing chain of hulls.

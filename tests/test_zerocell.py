@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from khull.bodies import Ball, Polytope, cube
+from khull.bodies import GEO_TOL, Ball, Polytope, cross_polytope, cube
 from khull.poisson import sample_PK, spawn_rng
 from khull.zerocell import (
     CONE_PRESETS,
+    ConeSpec,
     HalfSpaceSystem,
     TangentPoint,
     build_zero_cell,
@@ -22,6 +24,7 @@ from khull.zerocell import (
     transform_rotation_of_K,
     transform_translation_of_K,
     translation_point_map,
+    _min_sphere_quadratic,
 )
 
 SQUARE = cube(2)
@@ -342,6 +345,194 @@ def test_is_bounded_witness_verifies():
 
 def test_is_bounded_square_translations():
     assert is_bounded(SQUARE, cone_preset("translations", 2))[0] is True
+
+
+def _hexagon():
+    phi = np.pi / 3 * np.arange(6)
+    return Polytope.from_vertices(np.column_stack([np.cos(phi), np.sin(phi)]))
+
+
+BOUNDEDNESS_BODIES = {
+    "ball1-d2": Ball(1.0, 2), "ball2.5-d2": Ball(2.5, 2),
+    "ball1-d3": Ball(1.0, 3), "ball0.4-d3": Ball(0.4, 3),
+    "cube2": cube(2), "cube3": cube(3), "cross3": cross_polytope(3),
+    "hexagon": _hexagon(),
+}
+# s(0, C) <= 0 iff exp(tC) K lies in K for all t >= 0.  A ball has s = |x|
+# on translations and s = r lambda_max(C) > 0 on nonzero symmetric
+# traceless C; every other preset holds a skew C (rotations keep the
+# ball), -E_11 or -I.  For a polytope a traceless C keeps the volume, so
+# exp(tC) K within K means exp(tC) K = K, which its finite symmetry group
+# allows only for C = 0; these bodies are symmetric under x_1 -> -x_1, so
+# -E_11 shrinks them into themselves.
+BALL_BOUNDED = {"translations", "symmetric-traceless"}
+POLYTOPE_BOUNDED = {"translations", "skew", "traceless",
+                    "symmetric-traceless"}
+
+
+def _assert_witness(body, cone, witness):
+    assert np.linalg.norm(witness) >= 1.0 - 1e-12  # c_i = +-1 on a face
+    assert np.allclose(cone.basis.T @ (cone.basis @ witness), witness,
+                       atol=1e-12)
+    assert recession_cone_TK(body).contains_reflected(witness)
+
+
+@pytest.mark.parametrize("name", list(BOUNDEDNESS_BODIES))
+def test_is_bounded_matches_hand_verdicts(name):
+    body = BOUNDEDNESS_BODIES[name]
+    want = BALL_BOUNDED if isinstance(body, Ball) else POLYTOPE_BOUNDED
+    for preset in CONE_PRESETS:
+        cone = cone_preset(preset, body.dim)
+        bounded, witness = is_bounded(body, cone)
+        assert bounded is (preset in want), preset
+        if bounded:
+            assert witness is None
+        else:
+            _assert_witness(body, cone, witness)
+
+
+def test_is_bounded_one_dimensional_cones():
+    assert is_bounded(Ball(1.0, 2), ConeSpec("x1", np.eye(6)[:1], 2)) == \
+        (True, None)
+    # On a line the verdict is fixed by the two face centres +-b.
+    rng = np.random.default_rng(3)
+    for body in BOUNDEDNESS_BODIES.values():
+        d = body.dim
+        rec = recession_cone_TK(body)
+        lines = np.vstack([np.eye(d + d * d),
+                           rng.standard_normal((10, d + d * d))])
+        for b in lines / np.linalg.norm(lines, axis=1)[:, None]:
+            cone = ConeSpec("line", b[None], d)
+            bounded, witness = is_bounded(body, cone)
+            assert bounded is (rec.survival(b)[0] > GEO_TOL
+                               and rec.survival(-b)[0] > GEO_TOL)
+            if not bounded:
+                _assert_witness(body, cone, witness)
+
+
+def _rotated_span(rng, rows):
+    """Orthonormal basis of span(rows), mixed by a random rotation."""
+    q, _ = np.linalg.qr(np.asarray(rows).T)
+    mix, _ = np.linalg.qr(rng.standard_normal((len(rows), len(rows))))
+    return mix @ q.T
+
+
+def test_is_bounded_cones_through_touching_direction():
+    # v0 = (x, -I) with x on the boundary of K has s(v0) =
+    # max <x - y, u> = 0: the cone touches -T_K along v0.
+    rng = np.random.default_rng(4)
+    for body in BOUNDEDNESS_BODIES.values():
+        d = body.dim
+        rec = recession_cone_TK(body)
+        for k in (1, 2, 3, 4):
+            x = rng.standard_normal(d)
+            if isinstance(body, Ball):
+                x *= body.radius / np.linalg.norm(x)
+            else:
+                x /= np.max(body.facet_normals @ x / body.facet_offsets)
+            v0 = np.concatenate([x, -np.eye(d).ravel()])
+            assert abs(rec.survival(v0)[0]) <= 1e-12
+            rows = np.vstack([v0, rng.standard_normal((k - 1, len(v0)))])
+            cone = ConeSpec("touching", _rotated_span(rng, rows), d)
+            bounded, witness = is_bounded(body, cone)
+            assert not bounded
+            _assert_witness(body, cone, witness)
+
+
+def test_is_bounded_agrees_with_exact_ball_cones():
+    # On commuting symmetric directions `reflected_recession_in_cone` is
+    # an exact H-rep rows @ c <= 0, so the cone is bounded iff no face
+    # c_i = +-1 of the box |c| <= 1 holds a feasible c.
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for d in (2, 3):
+        diagonal = cone_preset("diagonal", d).basis
+        for k in range(1, d + 1):
+            for _ in range(8):
+                cone = ConeSpec("sub-diagonal",
+                                _rotated_span(rng, rng.standard_normal(
+                                    (k, d))) @ diagonal, d)
+                rows = reflected_recession_in_cone(Ball(1.0, d), cone)
+                want = True
+                for i in range(k):
+                    for sign in (1.0, -1.0):
+                        bounds = [(-1.0, 1.0)] * k
+                        bounds[i] = (sign, sign)
+                        if linprog(np.zeros(k), A_ub=rows,
+                                   b_ub=np.zeros(len(rows)), bounds=bounds,
+                                   method="highs").success:
+                            want = False
+                bounded, witness = is_bounded(Ball(1.0, d), cone)
+                assert bounded is want
+                if not bounded:
+                    _assert_witness(Ball(1.0, d), cone, witness)
+                verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_recession_membership_matches_direct_formulas():
+    rng = np.random.default_rng(6)
+    for body in BOUNDEDNESS_BODIES.values():
+        d = body.dim
+        rec = recession_cone_TK(body)
+        if isinstance(body, Polytope):
+            # <C y + x, u> >= 0 for every facet normal u and vertex y on it.
+            rows = np.array([
+                np.concatenate([u, np.outer(u, y).ravel()])
+                for idx, u in zip(body.facet_vertex_sets(),
+                                  body.facet_normals)
+                for y in body.vertices[idx]])
+
+            def direct(p):
+                return bool(np.all(-rows @ p <= GEO_TOL))
+        else:
+            def direct(p):
+                # min over unit u of r u^T sym(C) u + <x, u> >= 0.
+                x, c = p[:d], p[d:].reshape(d, d)
+                val = _min_sphere_quadratic(0.5 * (c + c.T) * body.radius,
+                                            x)[0]
+                return val >= -GEO_TOL
+
+        hits = 0
+        for _ in range(60):
+            c = 0.5 * rng.standard_normal((d, d)) + rng.choice([-1, 1]) * \
+                np.eye(d)
+            p = np.concatenate([0.3 * rng.standard_normal(d), c.ravel()])
+            inside = direct(p)
+            hits += inside
+            assert rec.contains(p) is inside
+            assert rec.contains(TangentPoint.unflatten(p, d)) is inside
+            assert rec.contains_reflected(p) is direct(-p)
+        assert 0 < hits < 60
+
+
+def test_min_sphere_quadratic_minimiser():
+    rng = np.random.default_rng(7)
+    cases = []
+    for d in (1, 2, 3, 4):
+        for _ in range(20):
+            m = rng.standard_normal((d, d))
+            cases.append((m + m.T, rng.standard_normal(d)))
+    # Hard cases: b has no component along the bottom eigenspace.
+    for w, beta in (((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
+                    ((1.0, 1.0, 3.0), (0.0, 0.0, 1.0)),
+                    ((1.0, 2.0, 3.0), (0.0, 0.0, 0.0)),
+                    ((2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),
+                    ((1.0, 2.0, 3.0), (0.0, 5.0, 0.0))):
+        for q in (np.eye(3), np.linalg.qr(rng.standard_normal((3, 3)))[0]):
+            cases.append((q @ np.diag(w) @ q.T, q @ np.array(beta)))
+    for a, b in cases:
+        val, y = _min_sphere_quadratic(a, b)
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert abs(y @ a @ y + b @ y - val) <= 1e-12
+        # Global optimality: 2 (A - lam I) y = -b with A - lam I >= 0.
+        lam = y @ a @ y + 0.5 * b @ y
+        assert np.linalg.norm(2 * (a - lam * np.eye(len(b))) @ y + b) <= 1e-7
+        assert lam <= np.linalg.eigvalsh(a)[0] + 1e-9
+        units = rng.standard_normal((500, len(b)))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        assert val <= np.min(np.einsum("ij,jk,ik->i", units, a, units)
+                             + units @ b) + 1e-12
 
 
 # -- reflection and equivariance --------------------------------------------------------
