@@ -210,6 +210,11 @@ class Polytope:
                 for i in range(len(self.facet_normals))]
 
     @cached_property
+    def max_norm(self):
+        """Largest norm of a point of the polytope (at a vertex), once."""
+        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+
+    @cached_property
     def volume(self):
         """Volume of a full-dimensional polytope, computed once per object."""
         return float(ConvexHull(self.vertices).volume)

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .bodies import Ball, HalfBall, Polytope, cube
 from .matexp import matrix_exponential
@@ -125,6 +124,8 @@ def ks_statistic(samples, cdf):
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("need at least one sample")
+    from scipy import stats  # deferred: importing scipy.stats is slow
+
     res = stats.kstest(samples, cdf)
     return float(res.statistic), float(res.pvalue)
 
@@ -242,6 +243,8 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
         fp[i] = min(a, s_max)
         fm[i] = min(b, s_max)
 
+    from scipy import stats
+
     exp_half = stats.expon(scale=2.0).cdf
     ks_plus, p_plus = ks_statistic(zp, exp_half)
     ks_minus, p_minus = ks_statistic(zm, exp_half)
@@ -316,6 +319,8 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
         finite[i] = n * np.array([1 - hi[0], 1 + lo[0], 1 - hi[1],
                                   1 + lo[1]])
     finite = np.minimum(finite, s_max)
+
+    from scipy import stats
 
     exp_half = stats.expon(scale=2.0).cdf
     ks = [ks_statistic(extents[:, j], exp_half)[0] for j in range(4)]

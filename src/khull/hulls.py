@@ -2,8 +2,15 @@
 
 A hull family pairs a set of translations with a set of linear maps; the
 hull of A is the intersection of all images of the reference body under
-family members that contain A.  Closed forms are implemented per family,
-with a randomized membership oracle for cross-validation.
+family members that contain A.  Closed forms are implemented per family.
+
+`generic_hull_membership` decides a single query for any family, as a
+cross-check of the closed forms.  Every member containing A is convex, so
+one LP certifies "inside" for z in conv(A), or in conv(A u -A) when the
+family has no translations and the body is centrally symmetric (exact for
+`full-affine` and `linear-ball`).  Otherwise a Nelder-Mead search stops at
+the first member that separates z from A, verified directly ("outside");
+when it finds none the answer is "unknown".
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .bodies import (
     Polytope,
     PolyhedralCone,
     _extreme_points,
+    _in_convex_hull,
     convex_hull,
     min_enclosing_ball,
 )
@@ -51,14 +59,12 @@ class HullFamily:
 
     name: str
     translations: str  # "full" or "zero"
-    linear: str  # identity | scalings | scalings_rotations | special_orthogonal | general_linear
+    linear: str  # identity | scalings | scalings_rotations | general_linear
 
     def param_count(self, d):
         n = d if self.translations == "full" else 0
         if self.linear == "scalings":
             n += 1
-        elif self.linear == "special_orthogonal":
-            n += skew_dim(d)
         elif self.linear == "scalings_rotations":
             n += 1 + skew_dim(d)
         elif self.linear == "general_linear":
@@ -77,8 +83,6 @@ class HullFamily:
             g = np.eye(d)
         elif self.linear == "scalings":
             g = math.exp(params[k]) * np.eye(d)
-        elif self.linear == "special_orthogonal":
-            g = matrix_exponential(skew_matrix(params[k:], d))
         elif self.linear == "scalings_rotations":
             g = math.exp(params[k]) * matrix_exponential(
                 skew_matrix(params[k + 1:], d))
@@ -366,45 +370,79 @@ def _containment_violation(body, points):
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
-def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
-    """Search for a family member separating the query from the sample.
+class _Witness(Exception):
+    """Raised by the search objective at the first separating parameters."""
 
-    Returns ("outside", witness_params) with an exactly verified witness,
-    ("inside", None) when no witness is found within the budget, or
-    ("unknown", None) when every local search failed to converge.
-    Deterministic for a fixed seed; the lowest start index wins.
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+
+def _centrally_symmetric(body):
+    """K = -K: a ball, or a polytope holding its reflected vertices."""
+    if isinstance(body, Ball):
+        return True
+    return (isinstance(body, Polytope)
+            and bool(np.all(body.contains(-body.vertices))))
+
+
+def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
+    """Decide whether the query lies in the (body, family)-hull of the sample.
+
+    Returns one of three answers:
+      ("inside", None) when one feasibility LP puts the query in conv(A),
+        or in conv(A u -A) for a family without translations and a
+        centrally symmetric body.  Every member containing A is convex
+        (and then symmetric), so it contains that set: the answer is exact.
+      ("outside", params) when a member image separates the query: the
+        whole sample is inside it (within GEO_TOL) and the query more than
+        GEO_TOL outside, checked directly on the decoded map.  Each of the
+        `budget` Nelder-Mead starts stops at the first parameters whose
+        objective is <= 0; the lowest start index wins.
+      ("unknown", None) when neither is found.  Only families whose hull
+        can exceed conv(A) (`k-hull`, `translations-scalings`) can get it.
+    Deterministic for a fixed seed.
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     query = np.asarray(query, dtype=float)
     d = sample.shape[1]
-    if np.any(np.linalg.norm(sample - query, axis=1) <= GEO_TOL):
+    points = sample
+    if family.translations == "zero" and _centrally_symmetric(body):
+        points = np.vstack([sample, -sample])
+    if _in_convex_hull(query, points):
         return "inside", None
     nparams = family.param_count(d)
     rng = np.random.default_rng(seed)
     margin = 1e-6
 
-    def objective(params):
+    def violations(params):
+        """(sample excess, query excess) w.r.t. the member, or None."""
         x, g = family.transform(params, d)
         try:
             ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError:
+            return None
+        return (_containment_violation(body, sample @ ginv.T - x),
+                _containment_violation(body, (ginv @ query - x)[None]))
+
+    def objective(params):
+        v = violations(params)
+        if v is None:
             return 1e9
-        back = sample @ ginv.T - x
-        zback = ginv @ query - x
-        viol_in = _containment_violation(body, back)
-        z_margin = _containment_violation(body, zback[None])
-        return max(viol_in, margin - z_margin)
+        value = max(v[0], margin - v[1])
+        if value <= 0:
+            raise _Witness(params.copy())
+        return value
 
     for start in range(budget):
         x0 = 0.4 * rng.standard_normal(nparams)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 400 * max(nparams, 1),
-                                "xatol": 1e-10, "fatol": 1e-12})
-        x, g = family.transform(res.x, d)
-        ginv = np.linalg.inv(g)
-        back = sample @ ginv.T - x
-        zback = ginv @ query - x
-        if (_containment_violation(body, back) <= GEO_TOL
-                and _containment_violation(body, zback[None]) > GEO_TOL):
-            return "outside", res.x.copy()
-    return "inside", None
+        try:
+            params = minimize(objective, x0, method="Nelder-Mead",
+                              options={"maxiter": 400 * max(nparams, 1),
+                                       "xatol": 1e-10, "fatol": 1e-12}).x
+        except _Witness as found:
+            params = found.params
+        v = violations(params)
+        if v is not None and v[0] <= GEO_TOL and v[1] > GEO_TOL:
+            return "outside", params
+    return "unknown", None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from .bodies import Ball, GEO_TOL, Polytope
 from .poisson import sample_PK
@@ -135,7 +135,7 @@ def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
 
 def _max_boundary_norm(body):
     if isinstance(body, Polytope):
-        return float(np.max(np.linalg.norm(body.vertices, axis=1)))
+        return body.max_norm
     return float(body.radius)
 
 
@@ -322,39 +322,36 @@ def _min_sphere_quadratic(a, b):
     w, q = np.linalg.eigh(a)
     beta = q.T @ b
     lam_min = w[0]
-
-    def ynorm2(lam):
-        return float(np.sum((beta / (2 * (w - lam))) ** 2))
+    gap = w - lam_min
 
     # y(lam) = -(2(A - lam I))^{-1} b must have unit norm with lam <= lam_min.
     degenerate = np.abs(beta) < 1e-14
-    if np.all(degenerate[w - lam_min < 1e-12]):
+    if np.all(degenerate[gap < 1e-12]):
         # Hard case: b has no component along the bottom eigenspace.
         active = ~degenerate
         if not np.any(active):
             return float(lam_min), q[:, 0]
-        n2 = float(np.sum((beta[active] / (2 * (w[active] - lam_min))) ** 2))
+        n2 = float(np.sum((beta[active] / (2 * gap[active])) ** 2))
         if n2 <= 1.0:
             y = np.zeros_like(beta)
-            y[active] = -beta[active] / (2 * (w[active] - lam_min))
+            y[active] = -beta[active] / (2 * gap[active])
             extra = math.sqrt(1.0 - n2)
             y[int(np.argmin(w))] = extra
             yy = q @ y
             return float(yy @ a @ yy + b @ yy), yy
-    lo = lam_min - 0.5 * (np.linalg.norm(b) + 1.0)
-    while ynorm2(lo) > 1.0:
-        lo = lam_min - 2 * (lam_min - lo)
-    hi = lam_min - 1e-18
-    while ynorm2(hi) < 1.0 and lam_min - hi > 1e-300:
-        hi = lam_min - (lam_min - hi) / 8.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ynorm2(mid) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-    y = q @ (-beta / (2 * (w - lam)))
+
+    def excess(mu):
+        """|y(lam_min - mu)|^2 - 1, decreasing in mu > 0."""
+        return float(np.sum((beta / (2 * (gap + mu))) ** 2)) - 1.0
+
+    # |y| <= |b| / (2 mu), so the root lies below hi.  Each step down keeps
+    # every coordinate of y below 8 in size (no overflow), and mu > 0 keeps
+    # every division finite.
+    lo = hi = 0.5 * float(np.linalg.norm(b)) + 1.0
+    while excess(lo) < 0.0 and lo > 1e-300:
+        hi, lo = lo, lo / 8.0
+    mu = lo if excess(lo) < 0.0 else brentq(excess, lo, hi, xtol=1e-300)
+    y = q @ (-beta / (2 * (gap + mu)))
     y = y / np.linalg.norm(y)
     return float(y @ a @ y + b @ y), y
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, WholeSpace, cube,
                           cross_polytope, support_function)
@@ -626,6 +626,78 @@ def test_generic_oracle_agrees_with_linear_ball_closed_form():
             margin = _polytope_margin(closed, q)
             if margin > 1e-3:
                 assert status == "outside", f"missed witness for {q}"
+
+
+def test_generic_certified_queries_never_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the certificate should decide this query")
+
+    monkeypatch.setattr("khull.hulls.minimize", no_search)
+    a = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, 0.6]])
+    status, witness = generic_hull_membership(
+        SQUARE, FAMILY_PRESETS["full-affine"], a, [0.2, 0.3])
+    assert (status, witness) == ("inside", None)
+    # In conv(A u -A), not in the segment conv(A): linear images of the
+    # symmetric ball are symmetric.
+    a = np.array([[0.5, 0.0], [0.0, 0.5]])
+    z = np.array([0.1, -0.1])
+    assert not hull_full_affine(a).contains(z)[0]
+    status, witness = generic_hull_membership(
+        Ball(1.0, 2), FAMILY_PRESETS["linear-ball"], a, z)
+    assert (status, witness) == ("inside", None)
+
+
+def test_generic_symmetric_certificate_needs_zero_translations():
+    # -a is in conv(A u -A), but the hull of one point under translations
+    # and scalings of the square is that point.
+    a = np.array([[0.5, 0.5]])
+    status, witness = generic_hull_membership(
+        SQUARE, FAMILY_PRESETS["translations-scalings"], a, -a[0], budget=8)
+    assert status == "outside" and witness is not None
+
+
+def test_generic_membership_unknown_without_certificate_or_witness():
+    fam = FAMILY_PRESETS["translations-scalings"]
+    a = np.array([[-0.5, -0.5], [0.5, 0.5]])
+    z = np.array([0.4, -0.4])
+    # In the hull (the bounding box of A) but outside conv(A): neither an
+    # inside certificate nor a separating member exists.
+    assert hull_translations_scalings(SQUARE, a).contains(z)[0]
+    assert not hull_full_affine(a).contains(z)[0]
+    assert generic_hull_membership(SQUARE, fam, a, z,
+                                   budget=4) == ("unknown", None)
+
+
+@pytest.mark.parametrize("body, family, a, z", [
+    (Ball(1.0, 2), "linear-ball", [[0.5, 0.0], [0.0, 0.5]], [0.45, 0.45]),
+    (SQUARE, "translations-scalings", [[-0.4, 0.1], [0.3, -0.2], [0.0, 0.4]],
+     [0.6, 0.0]),
+], ids=["linear-ball", "translations-scalings"])
+def test_generic_early_stopped_witness_verifies(monkeypatch, body, family, a,
+                                                z):
+    ended = []
+
+    def recording_minimize(*args, **kwargs):
+        try:
+            res = minimize(*args, **kwargs)
+        except Exception:
+            ended.append("stopped")
+            raise
+        ended.append("converged")
+        return res
+
+    monkeypatch.setattr("khull.hulls.minimize", recording_minimize)
+    fam = FAMILY_PRESETS[family]
+    a, z = np.array(a), np.array(z)
+    status, witness = generic_hull_membership(body, fam, a, z, budget=16,
+                                              seed=1)
+    assert status == "outside"
+    assert ended[-1] == "stopped"
+    # The member g(K + x) holds every sample point, and not the query.
+    x, g = fam.transform(witness, 2)
+    ginv = np.linalg.inv(g)
+    assert np.all(body.contains(a @ ginv.T - x))
+    assert not body.contains((ginv @ z - x)[None])[0]
 
 
 def _polytope_margin(poly, q):
