@@ -210,6 +210,11 @@ class Polytope:
                 for i in range(len(self.facet_normals))]
 
     @cached_property
+    def bounding_box(self):
+        """The vertices' coordinate-wise (min, max), computed once."""
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    @cached_property
     def max_norm(self):
         """Largest norm of a point of the polytope (at a vertex), once."""
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))

@@ -46,7 +46,9 @@ def uniform_sample(body, n, seed=None, rng=None):
     the first n in-body candidates of the ``rng.random`` stream mapped to
     the box.  Batches are sized from the acceptance rate observed so far,
     but which candidates come first does not depend on the batch size, so
-    the sample is fixed by the generator state alone.
+    the sample is fixed by the generator state alone.  The polytope sample
+    is the transpose of a coordinate-major (d, n) array, so each column of
+    the result is contiguous: reductions along axis 0 run on them directly.
     """
     if rng is None:
         rng = spawn_rng(seed)
@@ -71,22 +73,30 @@ def uniform_sample(body, n, seed=None, rng=None):
             filled += take
         return out
     if isinstance(body, Polytope):
-        lo = body.vertices.min(axis=0)[:, None]
-        hi = body.vertices.max(axis=0)[:, None]
-        out = np.zeros((n, d))
+        lo, hi = body.bounding_box
+        lo, span = lo[:, None], (hi - lo)[:, None]
+        out = None
         filled = drawn = 0
         while filled < n:
             rate = max(filled, 1) / max(drawn, 1)
             m = math.ceil((n - filled) / rate) + 8
             # Map to the box in (d, m) layout, where numpy broadcasts along
             # the long axis; the values are those of the (m, d) map.
-            cand = (lo + (hi - lo) * rng.random((m, d)).T.copy()).T
+            cand = rng.random((m, d)).T.copy()
+            cand *= span
+            cand += lo
             drawn += m
-            cand = np.compress(body.contains(cand), cand, axis=0)
-            take = min(len(cand), n - filled)
-            out[filled:filled + take] = cand[:take]
+            inside = body.contains(cand.T)
+            if not inside.all():
+                cand = np.compress(inside, cand, axis=1)
+            take = min(cand.shape[1], n - filled)
+            if take == n:  # the first batch filled the sample
+                return cand[:, :n].T
+            if out is None:
+                out = np.empty((d, n))
+            out[:, filled:filled + take] = cand[:, :take]
             filled += take
-        return out
+        return out.T
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -178,15 +188,17 @@ def _limit_rotation_endpoints(rng, t_horizon=100.0):
     exp(-int_0^1 s*z dz) = exp(-s/2) (each facet carries intensity
     dt*dy/V(K) = dt*dy/4 on (0, inf) x [-1, 1], and the four pool to
     dt*dz).  The two endpoints use disjoint halves of the process, so they
-    are independent.
+    are independent.  The negative endpoint min t/(-z) over z < 0 is read
+    as -max t/z: negation is exact, so the values are the same.  A mark
+    with z == 0 exactly (chance 2**-53) divides by zero; neither side
+    reads its quotient.
     """
     count = rng.poisson(2.0 * t_horizon)
     t = t_horizon * (1.0 - rng.random(count))
     z = 2.0 * rng.random(count) - 1.0
-    pos = z > 0
-    neg = z < 0
-    plus = np.min(t[pos] / z[pos]) if np.any(pos) else math.inf
-    minus = np.min(t[neg] / -z[neg]) if np.any(neg) else math.inf
+    q = t / z
+    plus = q.min(where=z > 0, initial=math.inf)
+    minus = -q.max(where=z < 0, initial=-math.inf)
     return plus, minus
 
 
@@ -304,21 +316,23 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
             restricted = restrict_to_cone(cell, cone_preset("translations",
                                                             2))
             dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
-            extents[i] = [min(restricted.extent(u), s_max) for u in dirs]
+            extents[i] = [restricted.extent(u) for u in dirs]
         else:
             # Minimum of a rate-1/2 stream per facet is Exp(1/2) exactly.
-            extents[i] = np.minimum(rng.exponential(2.0, size=4), s_max)
+            extents[i] = rng.exponential(2.0, size=4)
+    extents = np.minimum(extents, s_max)
 
-    finite = np.zeros((replicates, 4))
+    hi = np.zeros((replicates, 2))
+    lo = np.zeros((replicates, 2))
     for i in range(replicates):
         rng = spawn_rng(seed, 1, i)
+        # The sample's columns are contiguous: axis-0 reductions are fast.
         pts = uniform_sample(body, n, rng=rng)
-        # Per-column reductions: much faster than axis=0 on a tall array.
-        hi = np.array([c.max() for c in pts.T])
-        lo = np.array([c.min() for c in pts.T])
-        finite[i] = n * np.array([1 - hi[0], 1 + lo[0], 1 - hi[1],
-                                  1 + lo[1]])
-    finite = np.minimum(finite, s_max)
+        hi[i] = pts.max(axis=0)
+        lo[i] = pts.min(axis=0)
+    finite = np.minimum(n * np.column_stack([1 - hi[:, 0], 1 + lo[:, 0],
+                                             1 - hi[:, 1], 1 + lo[:, 1]]),
+                        s_max)
 
     from scipy import stats
 

@@ -8,7 +8,9 @@ family members that contain A.  Closed forms are implemented per family.
 cross-check of the closed forms.  Every member containing A is convex, so
 one LP certifies "inside" for z in conv(A), or in conv(A u -A) when the
 family has no translations and the body is centrally symmetric (exact for
-`full-affine` and `linear-ball`).  Otherwise a Nelder-Mead search stops at
+`full-affine` and `linear-ball`).  For translations alone, a sample that no
+translate of the body holds has the whole space as its hull, so every
+query is "inside".  Otherwise a Nelder-Mead search stops at
 the first member that separates z from A, verified directly ("outside");
 when it finds none the answer is "unknown".
 """
@@ -394,6 +396,9 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
         or in conv(A u -A) for a family without translations and a
         centrally symmetric body.  Every member containing A is convex
         (and then symmetric), so it contains that set: the answer is exact.
+        For translations alone (`k-hull`) it is also the answer when no
+        translate of a polytope or ball holds the sample: no member
+        contains A, so the hull is the whole space.
       ("outside", params) when a member image separates the query: the
         whole sample is inside it (within GEO_TOL) and the query more than
         GEO_TOL outside, checked directly on the decoded map.  Each of the
@@ -410,6 +415,10 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
     if family.translations == "zero" and _centrally_symmetric(body):
         points = np.vstack([sample, -sample])
     if _in_convex_hull(query, points):
+        return "inside", None
+    if (family.translations == "full" and family.linear == "identity"
+            and isinstance(body, (Polytope, Ball))
+            and isinstance(feasible_translations(body, sample), EmptySet)):
         return "inside", None
     nparams = family.param_count(d)
     rng = np.random.default_rng(seed)

@@ -44,16 +44,34 @@ def _reference_polytope_sample(body, n, seed):
     return cand[:n]
 
 
+HEXAGON = Polytope.from_vertices(np.column_stack(
+    [np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3)]))
+
+
 @pytest.mark.parametrize("body", [
-    cube(2), cube(3), cross_polytope(3),
+    cube(2), cube(3), cross_polytope(3), HEXAGON,
     Polytope.from_vertices(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-], ids=["square", "cube3", "cross3", "triangle"])
+], ids=["square", "cube3", "cross3", "hexagon", "triangle"])
 @pytest.mark.parametrize("n", [1, 7, 5000])
 def test_uniform_sample_polytope_is_stream_prefix(body, n):
     # The sample must not depend on how the candidate stream is batched.
+    # The first batch has n + 8 candidates, so below full acceptance
+    # (cross3, hexagon, triangle) n = 5000 takes several batches.
     for seed in (0, 1, 12345):
         got = uniform_sample(body, n, seed=seed)
         assert np.array_equal(got, _reference_polytope_sample(body, n, seed))
+        assert got.strides[0] == got.itemsize  # contiguous columns
+
+
+@pytest.mark.parametrize("body", [
+    cube(2), cube(3), cross_polytope(3), HEXAGON,
+    Polytope.from_vertices(np.array([[0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])),
+], ids=["square", "cube3", "cross3", "hexagon", "triangle"])
+def test_polytope_bounding_box_is_vertex_min_and_max(body):
+    lo, hi = body.bounding_box
+    assert np.array_equal(lo, body.vertices.min(axis=0))
+    assert np.array_equal(hi, body.vertices.max(axis=0))
+    assert body.bounding_box is body.bounding_box
 
 
 def test_uniform_sample_ball_radial_cdf():
@@ -171,6 +189,67 @@ def test_so2_experiment_reproducible():
                               seed=12)
     assert a.statistics == b.statistics
     assert a.config_hash == b.config_hash
+
+
+def _reference_limit_rotation_endpoints(rng, t_horizon):
+    """The endpoints with boolean-index copies and the negated divisor."""
+    count = rng.poisson(2.0 * t_horizon)
+    t = t_horizon * (1.0 - rng.random(count))
+    z = 2.0 * rng.random(count) - 1.0
+    pos, neg = z > 0, z < 0
+    plus = np.min(t[pos] / z[pos]) if np.any(pos) else np.inf
+    minus = np.min(t[neg] / -z[neg]) if np.any(neg) else np.inf
+    return plus, minus
+
+
+@pytest.mark.parametrize("t_horizon", [100.0, 0.5])
+def test_limit_rotation_endpoints_match_reference(t_horizon):
+    from khull.empirical import _limit_rotation_endpoints
+
+    got = np.array([_limit_rotation_endpoints(spawn_rng(5, i), t_horizon)
+                    for i in range(300)])
+    want = np.array([_reference_limit_rotation_endpoints(spawn_rng(5, i),
+                                                         t_horizon)
+                     for i in range(300)])
+    assert np.array_equal(got, want)
+    if t_horizon < 1:  # a short horizon leaves some sides without marks
+        assert np.isinf(want).any() and np.isfinite(want).any()
+
+
+def _reference_translation_box_extents(n, replicates, seed, s_max,
+                                       simulate_via_marks):
+    """Per-replicate clipped extents, with per-column extremes."""
+    dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
+    limit = np.zeros((replicates, 4))
+    for i in range(replicates):
+        rng = spawn_rng(seed, 0, i)
+        if simulate_via_marks:
+            cell = build_zero_cell(SQUARE, 0.0, rng=rng, t_max=100.0)
+            cell = restrict_to_cone(cell, cone_preset("translations", 2))
+            limit[i] = [min(cell.extent(u), s_max) for u in dirs]
+        else:
+            limit[i] = np.minimum(rng.exponential(2.0, size=4), s_max)
+    finite = np.zeros((replicates, 4))
+    for i in range(replicates):
+        pts = uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i))
+        hi = np.array([c.max() for c in pts.T])
+        lo = np.array([c.min() for c in pts.T])
+        finite[i] = n * np.array([1 - hi[0], 1 + lo[0], 1 - hi[1],
+                                  1 + lo[1]])
+    return limit, np.minimum(finite, s_max)
+
+
+@pytest.mark.parametrize("simulate_via_marks", [False, True])
+def test_translation_box_extents_match_reference(simulate_via_marks):
+    # s_max = 2 clips about a third of the extents on both sides.
+    rep = translation_box_experiment(n=400, replicates=60, seed=21, s_max=2.0,
+                                     simulate_via_marks=simulate_via_marks)
+    limit, finite = _reference_translation_box_extents(400, 60, 21, 2.0,
+                                                       simulate_via_marks)
+    assert np.array_equal(rep.samples["limit_extents"], limit)
+    assert np.array_equal(rep.samples["finite_extents"], finite)
+    assert (finite == 2.0).any() and (finite < 2.0).any()
+    assert (limit == 2.0).any() and (limit < 2.0).any()
 
 
 def test_translation_box_experiment():

@@ -647,6 +647,32 @@ def test_generic_certified_queries_never_search(monkeypatch):
     assert (status, witness) == ("inside", None)
 
 
+@pytest.mark.parametrize("body", [SQUARE, Ball(1.0, 2)],
+                         ids=["square", "disk"])
+def test_generic_k_hull_of_sample_no_translate_holds_is_whole_space(
+        monkeypatch, body):
+    def no_search(*args, **kwargs):
+        raise AssertionError("an empty feasible set should decide this")
+
+    # Two points 3 apart: no translate of the body holds both, so the
+    # k-hull is the whole space and every query is inside it.
+    a = [[-1.5, 0], [1.5, 0]]
+    assert isinstance(k_hull_translations(body, a).body, WholeSpace)
+    monkeypatch.setattr("khull.hulls.minimize", no_search)
+    assert generic_hull_membership(body, FAMILY_PRESETS["k-hull"], a, [0, 5],
+                                   budget=8) == ("inside", None)
+
+
+def test_generic_k_hull_search_runs_when_a_translate_holds_the_sample():
+    a = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    status, witness = generic_hull_membership(
+        SQUARE, FAMILY_PRESETS["k-hull"], a, [0, 5], budget=8)
+    assert status == "outside"
+    # The translate K + x holds A and not the query.
+    assert np.all(SQUARE.contains(a - witness))
+    assert not SQUARE.contains(np.array([[0, 5]]) - witness)[0]
+
+
 def test_generic_symmetric_certificate_needs_zero_translations():
     # -a is in conv(A u -A), but the hull of one point under translations
     # and scalings of the square is that point.
