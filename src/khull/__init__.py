@@ -52,6 +52,7 @@ from .poisson import (
     BoundarySampler,
     PoissonSample,
     process_rate,
+    replicate_rngs,
     sample_PK,
     spawn_rng,
 )

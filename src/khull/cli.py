@@ -255,6 +255,26 @@ def cmd_experiment_dualcone(args):
     return EXIT_OK
 
 
+def _int_at_least(text, low):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low}, got {value}")
+    return value
+
+
+def _positive_int(text):
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text):
+    return _int_at_least(text, 0)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="khull",
@@ -279,14 +299,14 @@ def build_parser():
     pk = simsub.add_parser("pk", help="sample the normal-bundle process")
     pk.add_argument("--body", required=True)
     pk.add_argument("--tmax", type=float, required=True)
-    pk.add_argument("--seed", type=int, default=0)
+    pk.add_argument("--seed", type=_non_negative_int, default=0)
     pk.add_argument("--out", required=True)
     pk.set_defaults(func=cmd_simulate_pk)
 
     zc = simsub.add_parser("zerocell", help="build a truncated zero cell")
     zc.add_argument("--body", required=True)
     zc.add_argument("--window", type=float, required=True)
-    zc.add_argument("--seed", type=int, default=0)
+    zc.add_argument("--seed", type=_non_negative_int, default=0)
     zc.add_argument("--out", required=True)
     zc.set_defaults(func=cmd_simulate_zerocell)
 
@@ -294,20 +314,20 @@ def build_parser():
     expsub = exp.add_subparsers(dest="experiment_command", required=True)
 
     so2 = expsub.add_parser("so2-square")
-    so2.add_argument("--n", type=int, default=2000)
-    so2.add_argument("--reps", type=int, default=2000)
-    so2.add_argument("--limit-reps", type=int, default=10000,
+    so2.add_argument("--n", type=_positive_int, default=2000)
+    so2.add_argument("--reps", type=_positive_int, default=2000)
+    so2.add_argument("--limit-reps", type=_positive_int, default=10000,
                      dest="limit_reps")
-    so2.add_argument("--seed", type=int, default=0)
+    so2.add_argument("--seed", type=_non_negative_int, default=0)
     so2.add_argument("--check", action="store_true")
     so2.add_argument("--out")
     so2.add_argument("--samples-out", dest="samples_out")
     so2.set_defaults(func=cmd_experiment_so2)
 
     box = expsub.add_parser("translation-box")
-    box.add_argument("--n", type=int, default=5000)
-    box.add_argument("--reps", type=int, default=10000)
-    box.add_argument("--seed", type=int, default=0)
+    box.add_argument("--n", type=_positive_int, default=5000)
+    box.add_argument("--reps", type=_positive_int, default=10000)
+    box.add_argument("--seed", type=_non_negative_int, default=0)
     box.add_argument("--check", action="store_true")
     box.add_argument("--out")
     box.add_argument("--samples-out", dest="samples_out")
@@ -317,9 +337,9 @@ def build_parser():
     inc.add_argument("--body", required=True)
     inc.add_argument("--cone", default="skew")
     inc.add_argument("--points", required=True)
-    inc.add_argument("--n", type=int, default=2000)
-    inc.add_argument("--reps", type=int, default=2000)
-    inc.add_argument("--seed", type=int, default=0)
+    inc.add_argument("--n", type=_positive_int, default=2000)
+    inc.add_argument("--reps", type=_positive_int, default=2000)
+    inc.add_argument("--seed", type=_non_negative_int, default=0)
     inc.add_argument("--check", action="store_true")
     inc.add_argument("--out")
     inc.set_defaults(func=cmd_experiment_inclusion)
@@ -332,8 +352,8 @@ def build_parser():
 
     dual = expsub.add_parser("dual-cone")
     dual.add_argument("--d", type=int, default=2, choices=[2, 3])
-    dual.add_argument("--n", type=int, default=100000)
-    dual.add_argument("--seed", type=int, default=0)
+    dual.add_argument("--n", type=_positive_int, default=100000)
+    dual.add_argument("--seed", type=_non_negative_int, default=0)
     dual.add_argument("--check", action="store_true")
     dual.add_argument("--out")
     dual.set_defaults(func=cmd_experiment_dualcone)

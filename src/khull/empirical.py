@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import Ball, HalfBall, Polytope, cube
 from .matexp import matrix_exponential
-from .poisson import spawn_rng
+from .poisson import replicate_rngs, spawn_rng
 from .zerocell import (build_zero_cell, cone_preset, restrict_to_cone,
                        TangentPoint)
 
@@ -53,6 +53,8 @@ def uniform_sample(body, n, seed=None, rng=None):
     if rng is None:
         rng = spawn_rng(seed)
     n = int(n)
+    if n < 0:
+        raise ValueError(f"sample size must be non-negative, got {n}")
     d = body.dim
     if n == 0:
         return np.zeros((0, d))
@@ -240,16 +242,14 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
     body = cube(2)
     zp = np.zeros(limit_replicates)
     zm = np.zeros(limit_replicates)
-    for i in range(limit_replicates):
-        rng = spawn_rng(seed, 0, i)
+    for i, rng in enumerate(replicate_rngs(seed, 0, limit_replicates)):
         zp[i], zm[i] = _limit_rotation_endpoints(rng)
     zp = np.minimum(zp, s_max)
     zm = np.minimum(zm, s_max)
 
     fp = np.zeros(replicates)
     fm = np.zeros(replicates)
-    for i in range(replicates):
-        rng = spawn_rng(seed, 1, i)
+    for i, rng in enumerate(replicate_rngs(seed, 1, replicates)):
         pts = uniform_sample(body, n, rng=rng)
         a, b = _finite_rotation_extent(pts, n)
         fp[i] = min(a, s_max)
@@ -309,8 +309,7 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
     t0 = time.perf_counter()
     body = cube(2)
     extents = np.zeros((replicates, 4))
-    for i in range(replicates):
-        rng = spawn_rng(seed, 0, i)
+    for i, rng in enumerate(replicate_rngs(seed, 0, replicates)):
         if simulate_via_marks:
             cell = build_zero_cell(body, 0.0, rng=rng, t_max=t_horizon)
             restricted = restrict_to_cone(cell, cone_preset("translations",
@@ -324,8 +323,7 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
 
     hi = np.zeros((replicates, 2))
     lo = np.zeros((replicates, 2))
-    for i in range(replicates):
-        rng = spawn_rng(seed, 1, i)
+    for i, rng in enumerate(replicate_rngs(seed, 1, replicates)):
         # The sample's columns are contiguous: axis-0 reductions are fast.
         pts = uniform_sample(body, n, rng=rng)
         hi[i] = pts.max(axis=0)
@@ -384,8 +382,7 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
             max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
 
     limit_hits = 0
-    for i in range(replicates):
-        rng = spawn_rng(seed, 0, i)
+    for rng in replicate_rngs(seed, 0, replicates):
         cell = build_zero_cell(body, window_radius, rng=rng)
         restricted = restrict_to_cone(cell, cone)
         if bool(np.all(restricted.contains(test_points))):
@@ -395,8 +392,7 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     # maps do not depend on the sample, so they are computed once.
     maps = [_xn_map(-cone.embed(c), n, body.dim) for c in test_points]
     finite_hits = 0
-    for i in range(replicates):
-        rng = spawn_rng(seed, 1, i)
+    for rng in replicate_rngs(seed, 1, replicates):
         pts = uniform_sample(body, n, rng=rng)
         finite_hits += _maps_cover(maps, pts, body)
 

@@ -228,6 +228,38 @@ def test_experiment_dual_cone_check(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["so2-square", "--n", "-5"],
+    ["so2-square", "--reps", "0"],
+    ["so2-square", "--limit-reps", "0"],
+    ["so2-square", "--seed", "-1"],
+    ["translation-box", "--n", "0"],
+    ["translation-box", "--reps", "-3"],
+    ["translation-box", "--seed", "-1"],
+    ["dual-cone", "--n", "0"],
+    ["dual-cone", "--n", "ten"],
+    ["dual-cone", "--seed", "-2"],
+    ["inclusion", "--body", "b.json", "--points", "p.csv", "--n", "0"],
+    ["inclusion", "--body", "b.json", "--points", "p.csv", "--reps", "0"],
+    ["inclusion", "--body", "b.json", "--points", "p.csv", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_experiment_bad_size_or_seed_exits_2(argv, capsys):
+    assert main(["experiment"] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected an integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pk", "zerocell"])
+def test_simulate_negative_seed_exits_2(command, square_json, tmp_path,
+                                        capsys):
+    size = ["--tmax", "1"] if command == "pk" else ["--window", "1"]
+    assert main(["simulate", command, "--body", square_json, *size,
+                 "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+    assert "argument --seed: expected an integer >= 0" in \
+        capsys.readouterr().err
+
+
 def test_samples_sidecar_deterministic(tmp_path):
     files = []
     for name in ("a.csv", "b.csv"):

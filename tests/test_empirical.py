@@ -26,6 +26,13 @@ def test_uniform_sample_empty():
     assert uniform_sample(SQUARE, 0, seed=0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("body", [SQUARE, Ball(1.0, 2), HalfBall(1.0, 2)],
+                         ids=["polytope", "ball", "half-ball"])
+def test_uniform_sample_negative_size_raises(body):
+    with pytest.raises(ValueError, match="non-negative"):
+        uniform_sample(body, -5, seed=0)
+
+
 def test_uniform_sample_square_mean():
     pts = uniform_sample(SQUARE, 100000, seed=1)
     assert SQUARE.contains(pts).all()
@@ -214,6 +221,34 @@ def test_limit_rotation_endpoints_match_reference(t_horizon):
     assert np.array_equal(got, want)
     if t_horizon < 1:  # a short horizon leaves some sides without marks
         assert np.isinf(want).any() and np.isfinite(want).any()
+
+
+def _reference_so2_samples(n, replicates, limit_replicates, seed, s_max):
+    """Per-replicate clipped rotation endpoints, one `spawn_rng` each."""
+    from khull.empirical import (_finite_rotation_extent,
+                                 _limit_rotation_endpoints)
+
+    limit = np.array([_limit_rotation_endpoints(spawn_rng(seed, 0, i))
+                      for i in range(limit_replicates)])
+    finite = np.array([
+        _finite_rotation_extent(
+            uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i)), n)
+        for i in range(replicates)])
+    limit, finite = np.minimum(limit, s_max), np.minimum(finite, s_max)
+    return {"limit_plus": limit[:, 0], "limit_minus": limit[:, 1],
+            "finite_plus": finite[:, 0], "finite_minus": finite[:, 1]}
+
+
+def test_so2_experiment_matches_per_replicate_reference():
+    # s_max = 2 clips a share of the endpoints on both pipelines.
+    rep = so2_square_experiment(n=300, replicates=40, limit_replicates=70,
+                                seed=17, s_max=2.0)
+    want = _reference_so2_samples(300, 40, 70, 17, 2.0)
+    assert rep.samples.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(rep.samples[key], value), key
+    assert (want["limit_plus"] == 2.0).any()
+    assert (want["finite_plus"] < 2.0).any()
 
 
 def _reference_translation_box_extents(n, replicates, seed, s_max,

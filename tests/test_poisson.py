@@ -4,8 +4,8 @@ from scipy.spatial import ConvexHull
 
 from khull.bodies import (Ball, HalfBall, Polytope, cross_polytope, cube,
                           support_function)
-from khull.poisson import (BoundarySampler, process_rate, sample_PK,
-                           spawn_rng)
+from khull.poisson import (BoundarySampler, process_rate, replicate_rngs,
+                           sample_PK, spawn_rng)
 
 SQUARE = cube(2)
 HEXAGON = Polytope.from_vertices(np.array(
@@ -206,6 +206,32 @@ def test_spawned_streams_differ():
     r1 = spawn_rng(0, 0, 1)
     r2 = spawn_rng(0, 0, 2)
     assert r1.random() != r2.random()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
+@pytest.mark.parametrize("stream", [0, 1, 2**33])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_replicate_rngs_match_spawn_rng(seed, stream, count):
+    seen = 0
+    for i, rng in enumerate(replicate_rngs(seed, stream, count)):
+        ref = spawn_rng(seed, stream, i)
+        assert np.array_equal(rng.random(5), ref.random(5))
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        # This keeps the other half of a 64-bit word for the next uint32
+        # draw; reseeding for the next replicate must drop it.
+        assert (rng.integers(0, 2**32, dtype=np.uint32)
+                == ref.integers(0, 2**32, dtype=np.uint32))
+        assert rng.poisson(200.0) == ref.poisson(200.0)
+        seen += 1
+    assert seen == count
+
+
+def test_replicate_rngs_reject_negative_seed_as_spawn_rng_does():
+    with pytest.raises(ValueError) as want:
+        spawn_rng(-1, 0, 0)
+    with pytest.raises(ValueError) as got:
+        replicate_rngs(-1, 0, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_t_max_validation():
