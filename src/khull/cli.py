@@ -5,6 +5,12 @@ Exit codes: 0 success, 2 configuration or input validation error,
 atomically (temporary file plus rename).  JSON floats are written by
 `repr` (the shortest string that round-trips) and CSV floats with 17
 significant digits, so reruns with the same seed are byte-identical.
+CSV rows are formatted from the array with one `%.17g` row format, which
+gives the bytes of `np.savetxt(fmt="%.17g", delimiter=",")` with CRLF
+line ends.  The `constraints` and `marks` arrays of `simulate zerocell`
+are filled from a per-entry template and the rest of the document comes
+from `json.dumps`; the file has the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECK = 3
 
+# Rows formatted per write by the bulk CSV and zero-cell JSON writers.
+_WRITE_BLOCK = 4096
+
 
 class ConfigError(Exception):
     pass
@@ -56,10 +65,31 @@ def _write_json(path, doc):
                                              sort_keys=True))
 
 
+def _write_rows(fh, rows, row_format, separator=""):
+    """Write each row of a 2-D array as `row_format % tuple(row)`.
+
+    Rows are joined by `separator` and formatted a block at a time, so
+    the whole text is never held in memory at once.
+    """
+    for start in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[start:start + _WRITE_BLOCK]
+        if start:
+            fh.write(separator)
+        fh.write(separator.join([row_format] * len(block))
+                 % tuple(block.ravel().tolist()))
+
+
 def _write_csv(path, header, array):
-    _atomic_write(path, lambda fh: np.savetxt(
-        fh, array, fmt="%.17g", delimiter=",", header=",".join(header),
-        comments="", newline="\r\n"))
+    """The bytes of `np.savetxt(fmt="%.17g", delimiter=",", comments="",
+    newline="\r\n")` with a header line."""
+    array = np.asarray(array)
+    row_format = ",".join(["%.17g"] * array.shape[1]) + "\r\n"
+
+    def writer(fh):
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, array, row_format)
+
+    _atomic_write(path, writer)
 
 
 def _load_body(path):
@@ -138,28 +168,57 @@ def cmd_simulate_pk(args):
     return EXIT_OK
 
 
+def _write_json_array(fh, entry, rows):
+    """The array value of a top-level key, one `entry` dict per row, as
+    `json.dump` with `indent=2, sort_keys=True` writes it.
+
+    `entry` holds "%s" where each float goes; the floats of one row come
+    in sorted-key order, as `np.column_stack` lays them out.
+    """
+    if not len(rows):
+        fh.write("[]")
+        return
+    template = json.dumps(entry, indent=2, sort_keys=True).replace(
+        '"%s"', "%s").replace("\n", "\n    ")
+    if not np.isfinite(rows).all():
+        # json spells non-finite floats NaN and Infinity, not nan and inf.
+        rows = np.array([list(map(json.dumps, row)) for row in
+                         rows.tolist()], dtype=object)
+    fh.write("[\n    ")
+    _write_rows(fh, rows, template, ",\n    ")
+    fh.write("\n  ]")
+
+
 def cmd_simulate_zerocell(args):
     body = _load_body(args.body)
     if args.window <= 0:
         raise ConfigError("--window must be positive")
     system = build_zero_cell(body, args.window, seed=args.seed)
     s = system.sample
-    doc = {
+    head = json.dumps({
         "body": body_to_json(body),
         # The constraints live in the full tangent space R^d x M_d.
         "cone": "full",
         "window_radius": args.window,
         "seed": args.seed,
-        "constraints": [
-            {"normal": n, "offset": t}
-            for n, t in zip(system.normals.tolist(),
-                            system.offsets.tolist())],
-        "marks": [
-            {"t": t, "eta": eta, "u": u}
-            for t, eta, u in zip(s.t.tolist(), s.eta.tolist(),
-                                 s.u.tolist())],
-    }
-    _write_json(args.out, doc)
+        "constraints": [],
+        "marks": [],
+    }, indent=2, sort_keys=True)
+    # The two arrays are adjacent under sorted keys; fill them in place.
+    before, after = head.split('[],\n  "marks": []')
+    constraints = np.column_stack([system.normals, system.offsets])
+    marks = np.column_stack([s.eta, s.t, s.u])
+
+    def writer(fh):
+        fh.write(before)
+        _write_json_array(fh, {"normal": ["%s"] * system.dim,
+                               "offset": "%s"}, constraints)
+        fh.write(',\n  "marks": ')
+        _write_json_array(fh, {"eta": ["%s"] * body.dim, "t": "%s",
+                               "u": ["%s"] * body.dim}, marks)
+        fh.write(after)
+
+    _atomic_write(args.out, writer)
     return EXIT_OK
 
 

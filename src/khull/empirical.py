@@ -449,6 +449,10 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0,
     mids = np.sqrt(edges[:-1] * edges[1:])
     shell = _shell_volume(edges, d - 1)
     good = counts > 20
+    if np.count_nonzero(good) < 2:
+        raise ValueError(
+            f"target_points (--n) = {target_points} is too small: fewer "
+            f"than two radial shells hold more than 20 points")
     x = np.log(mids[good])
     yv = np.log(counts[good] / shell[good])
     w = counts[good].astype(float)  # Poisson counts: weight by counts

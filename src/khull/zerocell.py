@@ -76,6 +76,10 @@ def halfspaces_from_marks(t, eta, u):
     return np.concatenate([u, outer], axis=-1), np.asarray(t, dtype=float)
 
 
+# Rows per block of a batch `HalfSpaceSystem.contains`.
+_CONTAINS_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class HalfSpaceSystem:
     """Finite half-space intersection {p : <p, normal_i> <= offset_i}.
@@ -100,16 +104,33 @@ class HalfSpaceSystem:
         return len(self.offsets)
 
     def contains(self, points, tol=GEO_TOL):
+        """Whether each row satisfies every <p, normal_i> <= offset_i + tol.
+
+        A batch of more than `_CONTAINS_BLOCK` rows is tested a block of
+        rows at a time, so the (points x constraints) product never exists
+        whole.  The blocked product may take other BLAS kernels than one
+        whole product, which can move a dot product by an ulp or so
+        (about 2e-15 on the cube's zero cell): a verdict can differ from
+        the single-product one only for a point that close to
+        offset_i + tol, and the same input always gives the same verdict.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
+        bound = self.offsets + tol
+        if len(points) <= _CONTAINS_BLOCK:
+            return np.all(points @ self.normals.T <= bound, axis=1)
+        out = np.empty(len(points), dtype=bool)
+        for start in range(0, len(points), _CONTAINS_BLOCK):
+            rows = slice(start, start + _CONTAINS_BLOCK)
+            np.all(points[rows] @ self.normals.T <= bound, axis=1,
+                   out=out[rows])
+        return out
 
     def extent(self, direction, tol=GEO_TOL):
         """sup{s >= 0 : s * direction in system}; inf when the ray recedes."""
         dots = self.normals @ np.asarray(direction, dtype=float)
-        cutting = dots > tol
-        if not np.any(cutting):
-            return math.inf
-        return float(np.min(self.offsets[cutting] / dots[cutting]))
+        ratios = np.divide(self.offsets, dots, out=np.full(len(dots), np.inf),
+                           where=dots > tol)
+        return float(np.min(ratios, initial=np.inf))
 
 
 # `perfbench/tracing.py` hooks `contains` and `extent` under this name.

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from khull.bodies import body_from_json
-from khull.cli import _write_csv, main
+from khull.bodies import Ball, HalfBall, body_from_json, body_to_json, cube
+from khull.cli import _write_csv, _write_json_array, main
 from khull.hulls import BallHullOracle
 from khull.poisson import sample_PK
+from khull.zerocell import build_zero_cell
 
 
 @pytest.fixture
@@ -149,6 +150,88 @@ def test_write_csv_edge_values_match_csv_writer(tmp_path):
                                                      rows.tolist())
 
 
+def _savetxt_bytes(header, array):
+    """The bytes of the earlier `np.savetxt` writer of `_write_csv`."""
+    buf = io.StringIO(newline="")
+    np.savetxt(buf, array, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="", newline="\r\n")
+    return buf.getvalue().encode()
+
+
+_RNG = np.random.default_rng(12)
+_BIG = _RNG.standard_normal((9000, 4)) * 10.0 ** _RNG.integers(-30, 30,
+                                                              (9000, 4))
+_SPECIAL = np.array([[-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf]])
+CSV_CASES = {"random-9000x4": _BIG, "random-5x1": _RNG.random((5, 1)),
+             "0-rows": _BIG[:0], "1-row": _BIG[:1], "special": _SPECIAL,
+             "special-tiled": np.tile(_SPECIAL, (4100, 1))}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_write_csv_matches_savetxt(case, tmp_path):
+    array = CSV_CASES[case]
+    header = [f"c{i}" for i in range(array.shape[1])]
+    out = tmp_path / "x.csv"
+    _write_csv(str(out), header, array)
+    assert out.read_bytes() == _savetxt_bytes(header, array)
+
+
+def _zerocell_reference_bytes(body_path, window, seed):
+    """The earlier list-of-dicts writer of `simulate zerocell`."""
+    body = body_from_json(body_path)
+    system = build_zero_cell(body, window, seed=seed)
+    s = system.sample
+    doc = {
+        "body": body_to_json(body),
+        "cone": "full",
+        "window_radius": window,
+        "seed": seed,
+        "constraints": [
+            {"normal": n, "offset": t}
+            for n, t in zip(system.normals.tolist(),
+                            system.offsets.tolist())],
+        "marks": [
+            {"t": t, "eta": eta, "u": u}
+            for t, eta, u in zip(s.t.tolist(), s.eta.tolist(),
+                                 s.u.tolist())],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("name, body, window", [
+    ("square", cube(2), 40.0),
+    ("cube3", cube(3), 8.0),
+    ("disk", Ball(1.0, 2), 40.0),
+    ("half-ball3", HalfBall(1.0, np.array([0.0, 0.0, 1.0]), 3), 8.0),
+    ("square-no-marks", cube(2), 1e-9),
+])
+def test_simulate_zerocell_matches_json_dumps(name, body, window, tmp_path):
+    body_path = tmp_path / "body.json"
+    body_path.write_text(json.dumps(body_to_json(body)))
+    out = tmp_path / "cell.json"
+    assert main(["simulate", "zerocell", "--body", str(body_path),
+                 "--window", repr(window), "--seed", "6",
+                 "--out", str(out)]) == 0
+    got = out.read_bytes()
+    assert got == _zerocell_reference_bytes(str(body_path), window, 6)
+    if name == "square-no-marks":
+        assert b'"constraints": [],\n  "marks": [],' in got
+    else:
+        assert len(json.loads(got)["marks"]) > 10
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(13).standard_normal((4100, 3)),
+    np.array([[1.5, np.nan, 0.1], [-0.0, np.inf, -np.inf]]),
+], ids=["finite-over-blocks", "non-finite"])
+def test_json_array_matches_json_dumps(rows):
+    buf = io.StringIO()
+    _write_json_array(buf, {"a": ["%s"] * 2, "b": "%s"}, rows)
+    want = json.dumps({"x": [{"a": r[:2], "b": r[2]}
+                             for r in rows.tolist()]}, indent=2)
+    assert buf.getvalue() == want[want.index("["):-2]
+
+
 def test_simulate_pk_malformed_body_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -226,6 +309,18 @@ def test_experiment_dual_cone_check(tmp_path):
     code = main(["experiment", "dual-cone", "--d", "2", "--n", "30000",
                  "--seed", "2", "--check"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1"],
+    ["--d", "3", "--n", "3"],
+])
+def test_experiment_dual_cone_too_few_points_exits_2(argv, capsys):
+    assert main(["experiment", "dual-cone"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: target_points (--n) = {argv[-1]} is "
+                          "too small")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

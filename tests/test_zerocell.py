@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -24,6 +27,7 @@ from khull.zerocell import (
     transform_rotation_of_K,
     transform_translation_of_K,
     translation_point_map,
+    _CONTAINS_BLOCK,
     _min_sphere_quadratic,
 )
 
@@ -153,6 +157,55 @@ def test_support_extent_recession_direction():
 def test_empty_system_extent():
     s = HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 2)
     assert support_extent(s, np.ones(6)) == np.inf
+
+
+def _extent_reference(system, direction, tol=GEO_TOL):
+    """The earlier boolean-index formula of `HalfSpaceSystem.extent`."""
+    dots = system.normals @ np.asarray(direction, dtype=float)
+    cutting = dots > tol
+    if not np.any(cutting):
+        return math.inf
+    return float(np.min(system.offsets[cutting] / dots[cutting]))
+
+
+def test_extent_matches_boolean_index_formula():
+    rng = np.random.default_rng(21)
+    cases = []
+    for system in (random_system(21), random_system(22, cube(3), 2.0)):
+        cases += [(system, v) for v in rng.standard_normal((300,
+                                                            system.dim))]
+    # m = 0; nothing cuts; a dot product of exactly 0 beside a cut.
+    cases.append((HalfSpaceSystem(np.zeros((0, 6)), np.zeros(0), 2),
+                  np.ones(6)))
+    plane = HalfSpaceSystem(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                            np.array([1.0, 2.0, 3.0]), 1)
+    cases += [(plane, np.array([1.0, 0.0])), (plane, np.array([-1.0, 1.0])),
+              (HalfSpaceSystem(plane.normals[:2], plane.offsets[:2], 1),
+               np.array([-1.0, 0.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [system.extent(v) for system, v in cases]
+    want = [_extent_reference(system, v) for system, v in cases]
+    assert all(type(g) is float for g in got)
+    assert np.array_equal(got, want)
+    assert got[-4:] == [math.inf, 1.0, 2.0, math.inf]
+    assert np.isfinite(got).sum() > 300
+
+
+def test_contains_batch_over_blocks_matches_per_row_verdicts():
+    system = random_system(23, cube(3), 2.0)
+    rng = np.random.default_rng(23)
+    points = 0.4 * rng.standard_normal((4000, system.dim))
+    gap = system.offsets + GEO_TOL - points @ system.normals.T
+    # Far from every bound, so no BLAS kernel can flip a verdict.
+    points = points[np.min(np.abs(gap), axis=1) > 1e-12]
+    n = 7 * _CONTAINS_BLOCK + 13
+    assert len(points) >= n
+    points = points[:n]
+    got = system.contains(points)
+    want = [system.contains(p)[0] for p in points]
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < got.sum() < n
 
 
 def test_window_exactness():
