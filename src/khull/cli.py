@@ -173,17 +173,16 @@ def _write_json_array(fh, entry, rows):
     `json.dump` with `indent=2, sort_keys=True` writes it.
 
     `entry` holds "%s" where each float goes; the floats of one row come
-    in sorted-key order, as `np.column_stack` lays them out.
+    in sorted-key order, as `np.column_stack` lays them out.  Rows must
+    be finite: "%s" spells nan and inf, where json writes NaN and Infinity.
     """
+    if not np.isfinite(rows).all():
+        raise ValueError("zero-cell constraints and marks must be finite")
     if not len(rows):
         fh.write("[]")
         return
     template = json.dumps(entry, indent=2, sort_keys=True).replace(
         '"%s"', "%s").replace("\n", "\n    ")
-    if not np.isfinite(rows).all():
-        # json spells non-finite floats NaN and Infinity, not nan and inf.
-        rows = np.array([list(map(json.dumps, row)) for row in
-                         rows.tolist()], dtype=object)
     fh.write("[\n    ")
     _write_rows(fh, rows, template, ",\n    ")
     fh.write("\n  ]")

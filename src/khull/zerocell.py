@@ -106,18 +106,16 @@ class HalfSpaceSystem:
     def contains(self, points, tol=GEO_TOL):
         """Whether each row satisfies every <p, normal_i> <= offset_i + tol.
 
-        A batch of more than `_CONTAINS_BLOCK` rows is tested a block of
-        rows at a time, so the (points x constraints) product never exists
-        whole.  The blocked product may take other BLAS kernels than one
-        whole product, which can move a dot product by an ulp or so
-        (about 2e-15 on the cube's zero cell): a verdict can differ from
-        the single-product one only for a point that close to
-        offset_i + tol, and the same input always gives the same verdict.
+        Points are tested `_CONTAINS_BLOCK` rows at a time, so the
+        (points x constraints) product never exists whole.  The blocked
+        product may take other BLAS kernels than one whole product, which
+        can move a dot product by an ulp or so (about 2e-15 on the cube's
+        zero cell): a verdict can differ from the single-product one only
+        for a point that close to offset_i + tol, and the same input always
+        gives the same verdict.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         bound = self.offsets + tol
-        if len(points) <= _CONTAINS_BLOCK:
-            return np.all(points @ self.normals.T <= bound, axis=1)
         out = np.empty(len(points), dtype=bool)
         for start in range(0, len(points), _CONTAINS_BLOCK):
             rows = slice(start, start + _CONTAINS_BLOCK)
