@@ -51,7 +51,6 @@ from .matexp import matrix_exponential, skew_dim, skew_matrix
 from .poisson import (
     BoundarySampler,
     PoissonSample,
-    process_rate,
     replicate_rngs,
     sample_PK,
     spawn_rng,
@@ -66,7 +65,6 @@ from .zerocell import (
     halfspaces_from_marks,
     is_bounded,
     membership,
-    polar_of_zero_cell,
     recession_cone_TK,
     reflect,
     reflected_recession_in_cone,

@@ -286,7 +286,7 @@ class Polytope:
         return hash(self.vertices.shape)
 
 
-def _in_convex_hull(p, vertices, tol=GEO_TOL):
+def _in_convex_hull(p, vertices):
     """LP membership test for p in conv(vertices)."""
     n, d = vertices.shape
     a_eq = np.vstack([vertices.T, np.ones(n)])
@@ -296,7 +296,7 @@ def _in_convex_hull(p, vertices, tol=GEO_TOL):
     if res.success:
         return True
     dists = np.linalg.norm(vertices - p, axis=1)
-    return bool(np.min(dists) <= tol)
+    return bool(np.min(dists) <= GEO_TOL)
 
 
 @dataclass(frozen=True)
@@ -387,9 +387,9 @@ class PolyhedralCone:
             self.normals is None or len(self.normals) == 0)
 
 
-def _in_positive_hull(p, generators, tol=1e-9):
+def _in_positive_hull(p, generators):
     gens = np.atleast_2d(generators)
-    if np.linalg.norm(p) <= tol:
+    if np.linalg.norm(p) <= GEO_TOL:
         return True
     if len(gens) == 0:
         return False
@@ -419,22 +419,51 @@ class BallIntersection:
         """Exact: empty iff the centres' enclosing ball is wider than r."""
         return min_enclosing_ball(self.centers)[1] > self.radius + GEO_TOL
 
-    def support(self, u):
-        """h(X, u) by maximizing <x, u> over the ball intersection."""
-        from scipy.optimize import minimize
+    @cached_property
+    def corners(self):
+        """Corners of the planar set: feasible pairwise circle intersections.
 
+        `is_empty` calls the set non-empty up to an enclosing radius of
+        r + GEO_TOL.  When it is that thin, no radius-r corner may pass the
+        same tolerance; the centre of the enclosing ball is then the one
+        corner.  An empty set has none.
+        """
+        corners = _circle_intersections(self.centers, self.radius)
+        corners = corners[self.contains(corners)]
+        if not len(corners) and not self.is_empty():
+            corners = min_enclosing_ball(self.centers)[0][None]
+        return corners
+
+    def support(self, u):
+        """h(X, u), exact in the plane; -inf when X is empty.
+
+        The maximum of <x, u> over X lies at a corner or inside an arc of
+        one circle, where it is that circle's far point c + r u / |u|.
+        """
+        if self.dim != 2:
+            raise ValueError("ball-intersection support implemented for d=2")
         u = np.asarray(u, dtype=float)
-        cons = [{"type": "ineq",
-                 "fun": (lambda x, c=c: self.radius**2
-                         - np.sum((x - c)**2))}
-                for c in self.centers]
-        # The enclosing-ball centre is feasible whenever the set is
-        # non-empty; the centroid of the centres need not be.
-        x0 = min_enclosing_ball(self.centers)[0]
-        res = minimize(lambda x: -(x @ u), x0, constraints=cons,
-                       method="SLSQP",
-                       options={"ftol": 1e-12, "maxiter": 200})
-        return float(res.x @ u)
+        far = self.centers + self.radius * u / (np.linalg.norm(u) or 1.0)
+        points = np.vstack([self.corners, far[self.contains(far)]])
+        return float(np.max(points @ u, initial=-np.inf))
+
+
+def _circle_intersections(centers, r):
+    """Pairwise intersections of the radius-r circles around the centers.
+
+    Pairs up to 2r + 2·GEO_TOL apart are kept, the tolerance at which
+    `BallIntersection.is_empty` calls two balls overlapping; for those just
+    over 2r apart the midpoint is the single corner.
+    """
+    i, j = np.triu_indices(len(centers), 1)
+    delta = centers[j] - centers[i]
+    d = np.linalg.norm(delta, axis=1)
+    keep = (d >= 1e-14) & (d <= 2 * r + 2 * GEO_TOL)
+    delta, d = delta[keep], d[keep, None]
+    mid = 0.5 * (centers[i[keep]] + centers[j[keep]])
+    h = np.sqrt(np.maximum(r * r - 0.25 * d * d, 0.0))
+    perp = np.column_stack([-delta[:, 1], delta[:, 0]]) / d
+    return np.concatenate([mid + h * perp, mid - h * perp])
 
 
 def min_enclosing_ball(points):
@@ -646,8 +675,9 @@ def cube(d, half_width=1.0):
     return Polytope.from_vertices(corners)
 
 
-def cross_polytope(d, scale=1.0):
-    verts = np.vstack([scale * np.eye(d), -scale * np.eye(d)])
+def cross_polytope(d):
+    """The cross-polytope conv(+-e_i) in R^d."""
+    verts = np.vstack([np.eye(d), -np.eye(d)])
     return Polytope.from_vertices(verts)
 
 

@@ -47,12 +47,19 @@ class ConfigError(Exception):
 
 
 def _atomic_write(path, writer):
-    """Write via a sibling temp file and rename."""
+    """Write via a sibling temp file and rename.
+
+    The file gets the mode `open` would give a new file, 0o666 less the
+    umask, in place of the 0o600 of `mkstemp`.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer(fh)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -132,25 +139,25 @@ def _hull_to_json(result):
     return doc
 
 
+# Each `hull --family` with its hull function and whether that takes the
+# body before the points.
+HULL_FAMILIES = {
+    "k-hull": (k_hull_translations, True),
+    "translations-scalings": (hull_translations_scalings, True),
+    "full-affine": (hull_full_affine, False),
+    "linear-ball": (hull_linear_ball, False),
+    "positive": (positive_hull, False),
+    "spherical": (spherical_hull_halfball, False),
+}
+
+
 def cmd_hull(args):
-    family = args.family
+    hull, takes_body = HULL_FAMILIES[args.family]
+    if takes_body and not args.body:
+        raise ConfigError("--body is required for this family")
     points = _load_points(args.points)
-    if family == "k-hull":
-        body = _load_body(args.body)
-        result = k_hull_translations(body, points)
-    elif family == "translations-scalings":
-        body = _load_body(args.body)
-        result = hull_translations_scalings(body, points)
-    elif family == "full-affine":
-        result = hull_full_affine(points)
-    elif family == "linear-ball":
-        result = hull_linear_ball(points)
-    elif family == "positive":
-        result = positive_hull(points)
-    elif family == "spherical":
-        result = spherical_hull_halfball(points)
-    else:
-        raise ConfigError(f"unknown hull family: {family}")
+    result = (hull(_load_body(args.body), points) if takes_body
+              else hull(points))
     _write_json(args.out, _hull_to_json(result))
     return EXIT_OK
 
@@ -263,8 +270,6 @@ def cmd_experiment_box(args):
 
 def cmd_experiment_inclusion(args):
     body = _load_body(args.body)
-    if args.cone not in CONE_PRESETS:
-        raise ConfigError(f"unknown cone preset: {args.cone}")
     cone = cone_preset(args.cone, body.dim)
     pts = _load_points(args.points)
     if pts.shape[1] != cone.n_params:
@@ -281,8 +286,6 @@ def cmd_experiment_inclusion(args):
 
 def cmd_experiment_recession(args):
     body = _load_body(args.body)
-    if args.cone not in CONE_PRESETS:
-        raise ConfigError(f"unknown cone preset: {args.cone}")
     cone = cone_preset(args.cone, body.dim)
     bounded, witness = is_bounded(body, cone)
     doc = {"body": body_to_json(body), "cone": args.cone,
@@ -342,14 +345,10 @@ def build_parser():
 
     hull = sub.add_parser("hull", help="compute a generalized hull")
     hull.add_argument("--body", help="body JSON file")
-    hull.add_argument("--family", required=True,
-                      choices=["k-hull", "translations-scalings",
-                               "full-affine", "linear-ball", "positive",
-                               "spherical"])
+    hull.add_argument("--family", required=True, choices=HULL_FAMILIES)
     hull.add_argument("--points", required=True, help="CSV, one point/row")
     hull.add_argument("--out", required=True)
-    hull.set_defaults(func=cmd_hull, needs_body=("k-hull",
-                                                 "translations-scalings"))
+    hull.set_defaults(func=cmd_hull)
 
     sim = sub.add_parser("simulate", help="run a simulation")
     simsub = sim.add_subparsers(dest="sim_command", required=True)
@@ -393,7 +392,7 @@ def build_parser():
 
     inc = expsub.add_parser("inclusion")
     inc.add_argument("--body", required=True)
-    inc.add_argument("--cone", default="skew")
+    inc.add_argument("--cone", default="skew", choices=CONE_PRESETS)
     inc.add_argument("--points", required=True)
     inc.add_argument("--n", type=_positive_int, default=2000)
     inc.add_argument("--reps", type=_positive_int, default=2000)
@@ -404,7 +403,7 @@ def build_parser():
 
     rec = expsub.add_parser("recession")
     rec.add_argument("--body", required=True)
-    rec.add_argument("--cone", required=True)
+    rec.add_argument("--cone", required=True, choices=CONE_PRESETS)
     rec.add_argument("--out")
     rec.set_defaults(func=cmd_experiment_recession)
 
@@ -426,10 +425,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches our contract.
         return int(exc.code) if exc.code else 0
-    if getattr(args, "needs_body", None) and args.family in args.needs_body \
-            and not args.body:
-        sys.stderr.write("error: --body is required for this family\n")
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

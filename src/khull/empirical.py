@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 DEFAULT_S_MAX = 50.0
+# Weight horizon of the simulated limit extents: an extent found below it
+# is the one of the untruncated process.
+T_HORIZON = 100.0
+# Largest radius of the dual-cone points that enter the regression.
+DUAL_R_MAX = 1.0
 
 
 # -- sampling -------------------------------------------------------------------
@@ -155,12 +160,11 @@ class ExperimentReport:
     statistics: dict
     samples: dict = field(default_factory=dict)
     runtime: float = 0.0
-    config_hash: str = ""
+    config_hash: str = field(init=False)
 
     def __post_init__(self):
-        if not self.config_hash:
-            self.config_hash = _config_hash(
-                {"name": self.name, "seed": self.seed, **self.config})
+        self.config_hash = _config_hash(
+            {"name": self.name, "seed": self.seed, **self.config})
 
     def to_json(self):
         return {
@@ -175,7 +179,7 @@ class ExperimentReport:
 
 # -- rotation (skew direction) experiment for the square --------------------------
 
-def _limit_rotation_endpoints(rng, t_horizon=100.0):
+def _limit_rotation_endpoints(rng, t_horizon=T_HORIZON):
     """One draw of the rotation-extent endpoints of the limit cell.
 
     The skew restriction of a square mark (t, eta, u) is the scalar
@@ -296,8 +300,7 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
 # -- translation experiment for the square ---------------------------------------
 
 def translation_box_experiment(n=5000, replicates=10000, seed=0,
-                               s_max=DEFAULT_S_MAX, t_horizon=100.0,
-                               simulate_via_marks=False):
+                               s_max=DEFAULT_S_MAX, simulate_via_marks=False):
     """Translation-only limit cell of the square: a box of Exp(1/2) extents.
 
     The limit extents along +-e1, +-e2 are the minima of four independent
@@ -311,7 +314,7 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
     extents = np.zeros((replicates, 4))
     for i, rng in enumerate(replicate_rngs(seed, 0, replicates)):
         if simulate_via_marks:
-            cell = build_zero_cell(body, 0.0, rng=rng, t_max=t_horizon)
+            cell = build_zero_cell(body, 0.0, rng=rng, t_max=T_HORIZON)
             restricted = restrict_to_cone(cell, cone_preset("translations",
                                                             2))
             dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
@@ -366,8 +369,7 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
 # -- inclusion functional ---------------------------------------------------------
 
 def inclusion_functional_estimate(body, cone, test_points, n=2000,
-                                  replicates=10000, seed=0,
-                                  window_radius=None):
+                                  replicates=10000, seed=0):
     """Empirical inclusion probabilities Prob{L in X} on both pipelines.
 
     test_points are cone-subspace coordinate vectors.  The finite-n side
@@ -377,9 +379,8 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     """
     t0 = time.perf_counter()
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-    if window_radius is None:
-        window_radius = float(
-            max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
+    window_radius = float(
+        max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
 
     limit_hits = 0
     for rng in replicate_rngs(seed, 0, replicates):
@@ -414,8 +415,7 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
 
 # -- dual-cone intensity experiment ------------------------------------------------
 
-def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0,
-                                   r_min_factor=10.0, r_max=1.0):
+def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
     """Radial-intensity exponent of the scaled dual-cone point process.
 
     Flat-part marks (t, y, -axis) of the unit half-ball are mapped to
@@ -441,10 +441,10 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0,
         y = uniform_sample(Ball(1.0, d - 1), count, rng=rng)
     p = y / t[:, None]
     r = np.linalg.norm(p, axis=1)
-    keep = (r >= a) & (r <= r_max)
+    keep = (r >= a) & (r <= DUAL_R_MAX)
     r = r[keep]
 
-    edges = np.geomspace(a, r_max, 40)
+    edges = np.geomspace(a, DUAL_R_MAX, 40)
     counts, _ = np.histogram(r, bins=edges)
     mids = np.sqrt(edges[:-1] * edges[1:])
     shell = _shell_volume(edges, d - 1)
@@ -460,7 +460,8 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0,
 
     report = ExperimentReport(
         name="dual-cone-intensity",
-        config={"d": d, "target_points": target_points, "r_max": r_max},
+        config={"d": d, "target_points": target_points,
+                "r_max": DUAL_R_MAX},
         seed=seed,
         statistics={
             "slope": float(slope),

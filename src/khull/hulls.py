@@ -36,7 +36,6 @@ from .bodies import (
     _extreme_points,
     _in_convex_hull,
     convex_hull,
-    min_enclosing_ball,
 )
 from .matexp import matrix_exponential, skew_dim, skew_matrix
 
@@ -122,26 +121,18 @@ class BallHullOracle:
     since a ball that holds the extreme points holds conv A; so the oracle
     keeps only the h extreme points as `centers`.  A point y is in the hull
     iff max_{x∈F} |x - y| <= r.  In the plane that maximum is attained at a
-    corner of F (a feasible pairwise circle intersection, found once in
-    O(h²)) or at the far point of one circle from y (feasibility tested for
-    all queries at once), so q queries cost O(q·h²) and the answer is exact.
-
-    `BallIntersection.is_empty` calls F non-empty up to an enclosing radius
-    of r + GEO_TOL.  When F is that thin, no radius-r corner may pass the
-    same tolerance; the centre of the enclosing ball is then the one corner.
+    corner of F (`center_set.corners`, found once in O(h²)) or at the far
+    point of one circle from y (feasibility tested for all queries at
+    once), so q queries cost O(q·h²) and the answer is exact.
     """
 
     def __init__(self, sample, radius):
-        self.sample = np.atleast_2d(np.asarray(sample, dtype=float))
+        sample = np.atleast_2d(np.asarray(sample, dtype=float))
         self.radius = float(radius)
-        if self.sample.shape[1] != 2:
+        if sample.shape[1] != 2:
             raise ValueError("ball-hull membership implemented for d=2")
-        self.centers = self.sample[_extreme_points(self.sample)]
+        self.centers = sample[_extreme_points(sample)]
         self.center_set = BallIntersection(self.centers, self.radius)
-        corners = _circle_intersections(self.centers, self.radius)
-        self.corners = corners[self.center_set.contains(corners)]
-        if not len(self.corners) and not self.center_set.is_empty():
-            self.corners = min_enclosing_ball(self.centers)[0][None]
 
     def _max_center_distances(self, points):
         """max over feasible centers x of |x - y|, one value per row y."""
@@ -156,8 +147,8 @@ class BallHullOracle:
         dist = np.where(feasible.reshape(far.shape[:2]),
                         np.linalg.norm(far - points[:, None], axis=2),
                         -np.inf)
-        to_corners = np.linalg.norm(self.corners[None] - points[:, None],
-                                    axis=2)
+        to_corners = np.linalg.norm(
+            self.center_set.corners[None] - points[:, None], axis=2)
         best = np.maximum(np.max(dist, axis=1),
                           np.max(to_corners, axis=1, initial=-np.inf))
         if np.any(best == -np.inf):
@@ -172,24 +163,6 @@ class BallHullOracle:
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self._max_center_distances(points) <= self.radius + GEO_TOL
-
-
-def _circle_intersections(centers, r):
-    """Pairwise intersections of the radius-r circles around the centers.
-
-    Pairs up to 2r + 2·GEO_TOL apart are kept, the tolerance at which
-    `BallIntersection.is_empty` calls two balls overlapping; for those just
-    over 2r apart the midpoint is the single corner.
-    """
-    i, j = np.triu_indices(len(centers), 1)
-    delta = centers[j] - centers[i]
-    d = np.linalg.norm(delta, axis=1)
-    keep = (d >= 1e-14) & (d <= 2 * r + 2 * GEO_TOL)
-    delta, d = delta[keep], d[keep, None]
-    mid = 0.5 * (centers[i[keep]] + centers[j[keep]])
-    h = np.sqrt(np.maximum(r * r - 0.25 * d * d, 0.0))
-    perp = np.column_stack([-delta[:, 1], delta[:, 0]]) / d
-    return np.concatenate([mid + h * perp, mid - h * perp])
 
 
 # -- translation hulls --------------------------------------------------------
@@ -330,11 +303,10 @@ class SphericalHull:
     """pos(A) clipped to the unit ball, with the induced spherical hull."""
 
     cone: PolyhedralCone
-    radius: float = 1.0
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.linalg.norm(points, axis=1) <= self.radius + GEO_TOL
+        inside = np.linalg.norm(points, axis=1) <= 1.0 + GEO_TOL
         return inside & self.cone.contains(points)
 
     def arc(self):
@@ -346,14 +318,12 @@ class SphericalHull:
         return float(np.min(ang)), float(np.max(ang))
 
 
-def spherical_hull_halfball(sample, half_ball=None):
-    """Hull of points in the upper half-ball under rotations of it."""
+def spherical_hull_halfball(sample):
+    """Hull of points in the unit upper half-ball under rotations of it."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    hb = half_ball or HalfBall(1.0, dim=sample.shape[1])
-    if not np.all(hb.contains(sample)):
+    if not np.all(HalfBall(1.0, dim=sample.shape[1]).contains(sample)):
         raise ValueError("sample must lie in the upper half-ball")
-    cone = positive_hull(sample).body
-    return HullResult(SphericalHull(cone, hb.radius))
+    return HullResult(SphericalHull(positive_hull(sample).body))
 
 
 # -- generic membership oracle ------------------------------------------------

@@ -18,7 +18,6 @@ from .bodies import Ball, HalfBall, Polytope
 
 __all__ = [
     "PoissonSample",
-    "process_rate",
     "replicate_rngs",
     "sample_PK",
     "spawn_rng",
@@ -42,9 +41,6 @@ class PoissonSample:
     t: np.ndarray
     eta: np.ndarray
     u: np.ndarray
-    t_max: float
-    body: object
-    seed: object = None
 
     def __len__(self):
         return len(self.t)
@@ -250,12 +246,6 @@ class BoundarySampler:
         return eta, u
 
 
-def process_rate(body):
-    """Marks per unit of t: surface area over volume."""
-    s = BoundarySampler(body)
-    return s.surface_area / s.volume
-
-
 def sample_PK(body, t_max, seed=None, rng=None):
     """Poisson sample of marks with t <= t_max.
 
@@ -271,4 +261,4 @@ def sample_PK(body, t_max, seed=None, rng=None):
     n = rng.poisson(rate * t_max)
     t = t_max * (1.0 - rng.random(n))
     eta, u = sampler.draw(rng, n)
-    return PoissonSample(t, eta, u, float(t_max), body, seed)
+    return PoissonSample(t, eta, u)

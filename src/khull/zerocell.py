@@ -27,7 +27,6 @@ __all__ = [
     "halfspaces_from_marks",
     "is_bounded",
     "membership",
-    "polar_of_zero_cell",
     "recession_cone_TK",
     "reflect",
     "reflected_recession_in_cone",
@@ -93,7 +92,6 @@ class HalfSpaceSystem:
     offsets: np.ndarray  # (m,) positive
     body_dim: int
     sample: object = None
-    window_radius: float | None = None
 
     @property
     def dim(self):
@@ -103,19 +101,19 @@ class HalfSpaceSystem:
     def n_constraints(self):
         return len(self.offsets)
 
-    def contains(self, points, tol=GEO_TOL):
-        """Whether each row satisfies every <p, normal_i> <= offset_i + tol.
+    def contains(self, points):
+        """Whether each row p has every <p, normal_i> <= offset_i + GEO_TOL.
 
         Points are tested `_CONTAINS_BLOCK` rows at a time, so the
         (points x constraints) product never exists whole.  The blocked
         product may take other BLAS kernels than one whole product, which
         can move a dot product by an ulp or so (about 2e-15 on the cube's
         zero cell): a verdict can differ from the single-product one only
-        for a point that close to offset_i + tol, and the same input always
+        for a point that close to offset_i + GEO_TOL, and the same input always
         gives the same verdict.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        bound = self.offsets + tol
+        bound = self.offsets + GEO_TOL
         out = np.empty(len(points), dtype=bool)
         for start in range(0, len(points), _CONTAINS_BLOCK):
             rows = slice(start, start + _CONTAINS_BLOCK)
@@ -123,11 +121,11 @@ class HalfSpaceSystem:
                    out=out[rows])
         return out
 
-    def extent(self, direction, tol=GEO_TOL):
+    def extent(self, direction):
         """sup{s >= 0 : s * direction in system}; inf when the ray recedes."""
         dots = self.normals @ np.asarray(direction, dtype=float)
         ratios = np.divide(self.offsets, dots, out=np.full(len(dots), np.inf),
-                           where=dots > tol)
+                           where=dots > GEO_TOL)
         return float(np.min(ratios, initial=np.inf))
 
 
@@ -148,8 +146,7 @@ def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
         t_max = window_radius * (1.0 + _max_boundary_norm(body))
     sample = sample_PK(body, t_max, seed=seed, rng=rng)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
-    return HalfSpaceSystem(normals, offsets, d, sample=sample,
-                           window_radius=float(window_radius))
+    return HalfSpaceSystem(normals, offsets, d, sample=sample)
 
 
 def _max_boundary_norm(body):
@@ -158,15 +155,15 @@ def _max_boundary_norm(body):
     return float(body.radius)
 
 
-def membership(system, point, tol=GEO_TOL):
+def membership(system, point):
     if isinstance(point, TangentPoint):
         point = point.flatten()
-    return bool(system.contains(np.asarray(point)[None], tol=tol)[0])
+    return bool(system.contains(np.asarray(point)[None])[0])
 
 
-def support_extent(system, direction, tol=GEO_TOL):
+def support_extent(system, direction):
     """sup{s >= 0 : s * direction in system}; inf when the ray recedes."""
-    return system.extent(direction, tol=tol)
+    return system.extent(direction)
 
 
 # -- cone specifications -------------------------------------------------------
@@ -310,14 +307,14 @@ class RecessionCone:
         val, u = _min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
         return -val, flatten_pair(u, r * np.outer(u, u))
 
-    def contains(self, point, tol=GEO_TOL):
+    def contains(self, point):
         if isinstance(point, TangentPoint):
             point = point.flatten()
-        return self.survival(-np.asarray(point, dtype=float))[0] <= tol
+        return self.survival(-np.asarray(point, dtype=float))[0] <= GEO_TOL
 
-    def contains_reflected(self, point, tol=GEO_TOL):
+    def contains_reflected(self, point):
         """Membership of the reflected cone -T_K."""
-        return self.survival(point)[0] <= tol
+        return self.survival(point)[0] <= GEO_TOL
 
 
 def recession_cone_TK(body):
@@ -512,19 +509,3 @@ def rotation_point_map(point, a, d):
     x, c = p[:d], p[d:].reshape(d, d)
     return flatten_pair(a @ x, a @ c @ a.T)
 
-
-# -- polar set ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZeroCellPolar:
-    """Polar of a truncated zero cell: conv({0} and {n_i / t_i})."""
-
-    points: np.ndarray  # includes the origin row
-
-    def support(self, p):
-        return float(np.max(self.points @ np.asarray(p, dtype=float)))
-
-
-def polar_of_zero_cell(system):
-    pts = system.normals / system.offsets[:, None]
-    return ZeroCellPolar(np.vstack([np.zeros(system.dim), pts]))

@@ -201,6 +201,48 @@ def test_ball_intersection_empty_pair():
         Ball(1.2, 2), np.array([[0.0, 0.0], [-3.0, 0.0]])), EmptySet)
 
 
+def _circle_grid_in_balls(centers, r, angles):
+    """Points of the circles' boundaries that lie in every ball, with no
+    tolerance."""
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    pts = (centers[:, None] + r * ring).reshape(-1, 2)
+    return pts[np.all(np.linalg.norm(pts[:, None] - centers, axis=2) <= r,
+                      axis=1)]
+
+
+def test_ball_intersection_support_matches_boundary_grid():
+    # The set's boundary is arcs of the circles, so the grid maximum over
+    # those arcs falls short of the exact support by at most r·step.
+    rng = np.random.default_rng(21)
+    angles = np.linspace(0.0, 2 * np.pi, 20000, endpoint=False)
+    step = angles[1]
+    for trial in range(40):
+        r = 0.5 + 1.5 * rng.random()
+        n = (1, 2, 3, 5, 8)[trial % 5]
+        # Centres in a disk of radius < r: its centre lies in every ball.
+        phi = 2 * np.pi * rng.random(n)
+        rho = (0.3 + 0.65 * rng.random()) * r * np.sqrt(rng.random(n))
+        centers = rng.standard_normal(2) + np.column_stack(
+            [rho * np.cos(phi), rho * np.sin(phi)])
+        x = BallIntersection(centers, r)
+        grid = _circle_grid_in_balls(centers, r, angles)
+        for theta in 2 * np.pi * rng.random(6):
+            u = np.array([np.cos(theta), np.sin(theta)])
+            exact = support_function(x, u)
+            brute = float(np.max(grid @ u))
+            assert brute <= exact + 1e-9
+            assert exact - brute <= r * step
+            assert support_function(x, 2.5 * u) == pytest.approx(
+                2.5 * exact, rel=1e-12, abs=1e-12)
+
+
+def test_ball_intersection_support_empty_and_d3():
+    empty = BallIntersection(np.array([[0.0, 0.0], [3.0, 0.0]]), 1.2)
+    assert support_function(empty, np.array([1.0, 0.0])) == -np.inf
+    with pytest.raises(ValueError, match="d=2"):
+        BallIntersection(np.eye(3), 1.0).support(np.ones(3))
+
+
 def test_ball_intersection_emptiness_matches_grid():
     # A tight cluster plus one far centre pulls the centroid off-centre.
     # Brute force: g = min over a grid of spacing h of the distance to the

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_hull_unknown_family_exits_2(square_json, two_points_csv, tmp_path):
                  "--points", two_points_csv,
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("family", ["k-hull", "translations-scalings"])
+def test_hull_without_body_exits_2(family, two_points_csv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["hull", "--family", family, "--points", two_points_csv,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: --body is required for this family\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", ["k-hull", "translations-scalings"])
@@ -370,11 +382,57 @@ def test_samples_sidecar_deterministic(tmp_path):
     assert files[0] == files[1]
 
 
-def test_unknown_cone_exits_2(square_json, two_points_csv, tmp_path):
+def test_unknown_cone_exits_2(square_json, two_points_csv, tmp_path,
+                              capsys):
     code = main(["experiment", "inclusion", "--body", square_json,
                  "--cone", "bogus", "--points", two_points_csv,
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
+    code = main(["experiment", "recession", "--body", square_json,
+                 "--cone", "bogus", "--out", str(tmp_path / "y.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("argument --cone: invalid choice: 'bogus'") == 2
+    assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "y.json").exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_mode_follows_umask(umask, mode, square_json, tmp_path):
+    out = tmp_path / "m.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "pk", "--body", square_json, "--tmax", "1",
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("argv,config,config_hash", [
+    (["dual-cone", "--n", "3000", "--seed", "3"],
+     '{"d": 2, "r_max": 1.0, "target_points": 3000}', "72b5c0ab84fd0684"),
+    (["translation-box", "--n", "50", "--reps", "20", "--seed", "3"],
+     '{"n": 50, "replicates": 20, "s_max": 50.0, "simulate_via_marks": '
+     'false}', "c7482d3dc896a5f9"),
+    (["inclusion", "--n", "20", "--reps", "10", "--seed", "3"],
+     '{"cone": "skew", "n": 20, "points": [[0.5], [-1.0]], "replicates": '
+     '10, "window_radius": 2.0}', "4e8db2383be02358"),
+], ids=["dual-cone", "translation-box", "inclusion"])
+def test_report_config_is_pinned(argv, config, config_hash, square_json,
+                                 tmp_path):
+    if argv[0] == "inclusion":
+        points = tmp_path / "pts.csv"
+        points.write_text("0.5\n-1.0\n")
+        argv = argv + ["--body", square_json, "--points", str(points)]
+    out = tmp_path / "rep.json"
+    assert main(["experiment"] + argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["config", "config_hash", "name",
+                           "runtime_seconds", "seed", "statistics"]
+    assert json.dumps(doc["config"], sort_keys=True) == config
+    assert doc["config_hash"] == config_hash
 
 
 BODIES = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
-from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, WholeSpace, cube,
+from khull.bodies import (GEO_TOL, Ball, Polytope, WholeSpace, cube,
                           cross_polytope, support_function)
 from khull.hulls import (
     BallHullOracle,
@@ -513,8 +513,7 @@ def test_spherical_hull_quarter_disk():
 
 def test_spherical_hull_rejects_outside_half_ball():
     with pytest.raises(ValueError):
-        spherical_hull_halfball(np.array([[-0.5, 0.5]]),
-                                HalfBall(1.0, dim=2))
+        spherical_hull_halfball(np.array([[-0.5, 0.5]]))
 
 
 # -- sandwich and monotonicity ------------------------------------------------------
