@@ -22,10 +22,9 @@ from khull import (
 def describe(label, result):
     body = result.body
     kind = type(body).__name__
-    tag = "exact" if result.exact else "inexact"
     vertices = getattr(body, "vertices", None)
     extra = f", {len(vertices)} vertices" if vertices is not None else ""
-    print(f"{label:28s} {kind}{extra}  ({tag})")
+    print(f"{label:28s} {kind}{extra}")
 
 
 def main():

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+import scipy
 
 GEO_TOL = 1e-9
 
@@ -108,7 +107,7 @@ def _extreme_points(vertices):
     if k == 1:
         lo, hi = np.argmin(proj[:, 0]), np.argmax(proj[:, 0])
         return idx[[lo, hi]] if lo != hi else idx[[lo]]
-    return idx[ConvexHull(proj).vertices]
+    return idx[scipy.spatial.ConvexHull(proj).vertices]
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,8 @@ class Polytope:
             return Polytope(verts, np.array([[-1.0], [1.0]]),
                             np.array([-verts.min(), verts.max()]))
         try:
-            hull = ConvexHull(verts)
-        except QhullError:
+            hull = scipy.spatial.ConvexHull(verts)
+        except scipy.spatial.QhullError:
             return Polytope(verts, None, None)
         eqs = hull.equations  # rows (a, b) with a.x + b <= 0
         eqs = eqs / np.linalg.norm(eqs[:, :-1], axis=1)[:, None]
@@ -170,9 +169,9 @@ class Polytope:
         scale = np.linalg.norm(a, axis=1)
         a, b = a / scale[:, None], b / scale
         m, d = a.shape
-        res = linprog(np.append(np.zeros(d), -1.0),
-                      A_ub=np.column_stack([a, np.ones(m)]), b_ub=b,
-                      bounds=[(None, None)] * d + [(0, 1)], method="highs")
+        res = scipy.optimize.linprog(
+            np.append(np.zeros(d), -1.0), A_ub=np.column_stack([a, np.ones(m)]),
+            b_ub=b, bounds=[(None, None)] * d + [(0, 1)], method="highs")
         if not res.success:
             return EMPTY
         centre = res.x[:d]
@@ -181,7 +180,7 @@ class Polytope:
                              [np.min(b[a[:, 0] > 0])]])
             return Polytope.from_vertices(ends)
         if res.x[d] > GEO_TOL:
-            return Polytope.from_vertices(HalfspaceIntersection(
+            return Polytope.from_vertices(scipy.spatial.HalfspaceIntersection(
                 np.column_stack([a, -b]), centre).intersections)
         tight = res.ineqlin.marginals < 0
         _, s, vt = np.linalg.svd(a[tight])
@@ -222,7 +221,7 @@ class Polytope:
     @cached_property
     def volume(self):
         """Volume of a full-dimensional polytope, computed once per object."""
-        return float(ConvexHull(self.vertices).volume)
+        return float(scipy.spatial.ConvexHull(self.vertices).volume)
 
     @cached_property
     def facet_geometry(self):
@@ -291,8 +290,8 @@ def _in_convex_hull(p, vertices):
     n, d = vertices.shape
     a_eq = np.vstack([vertices.T, np.ones(n)])
     b_eq = np.append(p, 1.0)
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n, method="highs")
+    res = scipy.optimize.linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
+                                 bounds=[(0, None)] * n, method="highs")
     if res.success:
         return True
     dists = np.linalg.norm(vertices - p, axis=1)
@@ -394,8 +393,8 @@ def _in_positive_hull(p, generators):
     if len(gens) == 0:
         return False
     n, d = gens.shape
-    res = linprog(np.zeros(n), A_eq=gens.T, b_eq=p,
-                  bounds=[(0, None)] * n, method="highs")
+    res = scipy.optimize.linprog(np.zeros(n), A_eq=gens.T, b_eq=p,
+                                 bounds=[(0, None)] * n, method="highs")
     return bool(res.success)
 
 

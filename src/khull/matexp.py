@@ -4,11 +4,12 @@ matrices."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
+import scipy
 
 __all__ = ["matrix_exponential", "skew_matrix", "skew_dim"]
 
-matrix_exponential = expm
+
+def matrix_exponential(a): return scipy.linalg.expm(a)
 
 
 def skew_dim(d):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+import scipy
 
 from .bodies import Ball, GEO_TOL, Polytope
 from .poisson import sample_PK
@@ -366,7 +366,8 @@ def _min_sphere_quadratic(a, b):
     lo = hi = 0.5 * float(np.linalg.norm(b)) + 1.0
     while excess(lo) < 0.0 and lo > 1e-300:
         hi, lo = lo, lo / 8.0
-    mu = lo if excess(lo) < 0.0 else brentq(excess, lo, hi, xtol=1e-300)
+    mu = (lo if excess(lo) < 0.0
+          else scipy.optimize.brentq(excess, lo, hi, xtol=1e-300))
     y = q @ (-beta / (2 * (gap + mu)))
     y = y / np.linalg.norm(y)
     return float(y @ a @ y + b @ y), y
@@ -409,8 +410,9 @@ def is_bounded(body, cone):
         for i, sign in faces:
             bounds = [(-1.0, 1.0)] * k + [(None, None)]
             bounds[i] = (sign, sign)
-            res = linprog(objective, A_ub=a_ub, b_ub=np.zeros(len(cuts)),
-                          bounds=bounds, method="highs")
+            res = scipy.optimize.linprog(
+                objective, A_ub=a_ub, b_ub=np.zeros(len(cuts)),
+                bounds=bounds, method="highs")
             if not res.success:
                 raise RuntimeError(f"boundedness LP failed: {res.message}")
             if res.fun > GEO_TOL:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
-from khull.bodies import (GEO_TOL, Ball, Polytope, WholeSpace, cube,
-                          cross_polytope, support_function)
+from khull.bodies import (GEO_TOL, Ball, BallIntersection, EmptySet,
+                          Polytope, WholeSpace, cube, cross_polytope,
+                          min_enclosing_ball, support_function)
 from khull.hulls import (
     BallHullOracle,
     FAMILY_PRESETS,
@@ -631,7 +632,7 @@ def test_generic_certified_queries_never_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the certificate should decide this query")
 
-    monkeypatch.setattr("khull.hulls.minimize", no_search)
+    monkeypatch.setattr("scipy.optimize.minimize", no_search)
     a = np.array([[0.0, 0.0], [0.6, 0.0], [0.0, 0.6]])
     status, witness = generic_hull_membership(
         SQUARE, FAMILY_PRESETS["full-affine"], a, [0.2, 0.3])
@@ -657,7 +658,7 @@ def test_generic_k_hull_of_sample_no_translate_holds_is_whole_space(
     # k-hull is the whole space and every query is inside it.
     a = [[-1.5, 0], [1.5, 0]]
     assert isinstance(k_hull_translations(body, a).body, WholeSpace)
-    monkeypatch.setattr("khull.hulls.minimize", no_search)
+    monkeypatch.setattr("scipy.optimize.minimize", no_search)
     assert generic_hull_membership(body, FAMILY_PRESETS["k-hull"], a, [0, 5],
                                    budget=8) == ("inside", None)
 
@@ -711,7 +712,7 @@ def test_generic_early_stopped_witness_verifies(monkeypatch, body, family, a,
         ended.append("converged")
         return res
 
-    monkeypatch.setattr("khull.hulls.minimize", recording_minimize)
+    monkeypatch.setattr("scipy.optimize.minimize", recording_minimize)
     fam = FAMILY_PRESETS[family]
     a, z = np.array(a), np.array(z)
     status, witness = generic_hull_membership(body, fam, a, z, budget=16,
@@ -735,6 +736,59 @@ def test_feasible_set_translations_exact():
     # X = {0} x [-1, 1]
     assert sorted(map(tuple, np.round(x.vertices, 9).tolist())) == [
         (0.0, -1.0), (0.0, 1.0)]
+
+
+def _assert_ball_feasible_set_matches_full_sample(sample, r):
+    full = BallIntersection(sample, r)
+    got = feasible_translations(Ball(r, sample.shape[1]), sample)
+    assert isinstance(got, EmptySet) == full.is_empty()
+    if not isinstance(got, EmptySet):
+        probes = np.random.default_rng(0).uniform(-2, 2, (200, full.dim))
+        np.testing.assert_array_equal(got.contains(probes),
+                                      full.contains(probes))
+    return isinstance(got, EmptySet)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_ball_feasible_set_of_extreme_points_matches_full_sample(seed, d):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((300, d))
+    sample = 0.8 * g / np.linalg.norm(g, axis=1)[:, None] * rng.random(
+        (300, 1)) ** (1 / d)
+    rho = min_enclosing_ball(sample)[1]
+    verdicts = [_assert_ball_feasible_set_matches_full_sample(sample, r)
+                for r in (0.5 * rho, rho * (1 - 1e-6), rho * (1 + 1e-6),
+                          1.5 * rho)]
+    assert verdicts == [True, True, False, False]
+    # Only the extreme points are kept as centres.
+    kept = feasible_translations(Ball(1.5 * rho, d), sample).centers
+    assert len(kept) < len(sample)
+
+
+def test_ball_feasible_set_of_extreme_points_degenerate_samples():
+    t = np.linspace(-1.0, 1.0, 15)[:, None]
+    collinear = np.array([0.1, -0.2]) + t * np.array([0.6, 0.3])
+    half = float(np.linalg.norm([0.6, 0.3]))  # half the segment's length
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-0.5, 0.5, (10, 3))
+    duplicated = np.vstack([base, base[::-1], base[:3]])
+    rho = min_enclosing_ball(base)[1]
+    for sample, r, empty in [
+            (collinear, 0.99 * half, True), (collinear, 1.01 * half, False),
+            (duplicated, 0.99 * rho, True), (duplicated, 1.01 * rho, False),
+            (np.array([[0.3, -0.4]]), 0.1, False),
+            (np.array([[0.3, -0.4, 0.2]] * 4), 0.1, False)]:
+        assert _assert_ball_feasible_set_matches_full_sample(sample,
+                                                             r) == empty
+
+
+@pytest.mark.parametrize("eps, empty", [(5e-10, False), (9e-10, False),
+                                        (3e-9, True)])
+def test_ball_feasible_set_three_points_near_enclosing_radius(eps, empty):
+    theta = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+    a = (1.0 + eps) * np.column_stack([np.cos(theta), np.sin(theta)])
+    assert _assert_ball_feasible_set_matches_full_sample(a, 1.0) == empty
 
 
 def test_feasible_set_contains_zero_when_A_in_K():
