@@ -39,6 +39,7 @@ __all__ = [
     "normal_cone",
     "polar",
     "polar_cone",
+    "row_norms",
     "support_function",
     "supporting_cone",
     "unit_direction",
@@ -52,6 +53,24 @@ def unit_direction(u):
     if n < 1e-12:
         raise ValueError("direction must be nonzero")
     return u / n
+
+
+def row_norms(x):
+    """The Euclidean norm of each row of a 2-D array: the floats of
+    ``np.linalg.norm(x, axis=1)``, bit for bit.
+
+    numpy adds the squares of a row shorter than 8 left to right, as the
+    loop below does, whatever the memory order of x, but pays for a
+    reduction over a short axis; from 8 columns on it may add them
+    pairwise, so those rows go to numpy itself.
+    """
+    d = x.shape[1]
+    if not 0 < d < 8:
+        return np.linalg.norm(x, axis=1)
+    out = x[:, 0] * x[:, 0]
+    for j in range(1, d):
+        out += x[:, j] * x[:, j]
+    return np.sqrt(out, out=out)
 
 
 class EmptySet:
@@ -307,7 +326,7 @@ class Ball:
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(points, axis=1) <= self.radius + GEO_TOL
+        return row_norms(points) <= self.radius + GEO_TOL
 
 
 @dataclass(frozen=True)
@@ -336,7 +355,7 @@ class HalfBall:
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return ((np.linalg.norm(points, axis=1) <= self.radius + GEO_TOL)
+        return ((row_norms(points) <= self.radius + GEO_TOL)
                 & (points @ self.axis >= -GEO_TOL))
 
 

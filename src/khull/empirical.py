@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .bodies import Ball, HalfBall, Polytope, cube
+from .bodies import GEO_TOL, Ball, HalfBall, Polytope, cube, row_norms
 from .matexp import matrix_exponential
-from .poisson import replicate_rngs, spawn_rng
-from .zerocell import (build_zero_cell, cone_preset, restrict_to_cone,
-                       TangentPoint)
+from .poisson import replicate_rngs, sample_PK, spawn_rng
+from .zerocell import (build_zero_cell, cone_preset, cone_projection,
+                       halfspaces_from_marks, restrict_to_cone,
+                       TangentPoint, window_horizon)
 
 __all__ = [
     "ExperimentReport",
@@ -41,6 +42,8 @@ DEFAULT_S_MAX = 50.0
 T_HORIZON = 100.0
 # Largest radius of the dual-cone points that enter the regression.
 DUAL_R_MAX = 1.0
+# Limit cells of the inclusion experiment tested in one product.
+REPLICATE_BLOCK = 64
 
 
 # -- sampling -------------------------------------------------------------------
@@ -66,7 +69,7 @@ def uniform_sample(body, n, seed=None, rng=None):
         return np.zeros((0, d))
     if isinstance(body, Ball):
         u = rng.standard_normal((n, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u /= row_norms(u)[:, None]
         r = body.radius * rng.random(n) ** (1.0 / d)
         return u * r[:, None]
     if isinstance(body, HalfBall):
@@ -121,18 +124,13 @@ def _xn_map(point, n, d):
     return matrix_exponential(-np.asarray(c) / n), np.asarray(x) / n
 
 
-def _maps_cover(maps, batch, body):
-    """Does every map (g, s) send every batch point into the body?"""
-    return all(bool(np.all(body.contains(batch @ g.T - s)))
-               for g, s in maps)
-
-
 def xn_membership(point, batch, n, body):
     """Is (x, C) in n times the feasible set of the batch?
 
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """
-    return _maps_cover([_xn_map(point, n, body.dim)], batch, body)
+    g, s = _xn_map(point, n, body.dim)
+    return bool(np.all(body.contains(batch @ g.T - s)))
 
 
 # -- statistics -----------------------------------------------------------------
@@ -215,7 +213,7 @@ def _finite_rotation_extent(points, n):
     [beta, pi/2 - beta] with beta = arccos(1/rho); points with rho <= 1
     are unconstrained.  Exact, vectorized.
     """
-    rho = np.linalg.norm(points, axis=1)
+    rho = row_norms(points)
     mask = rho > 1.0
     if not np.any(mask):
         return math.inf, math.inf
@@ -377,20 +375,21 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     window_radius = float(
         max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
 
-    limit_hits = 0
-    for rng in replicate_rngs(seed, 0, replicates):
-        cell = build_zero_cell(body, window_radius, rng=rng)
-        restricted = restrict_to_cone(cell, cone)
-        if bool(np.all(restricted.contains(test_points))):
-            limit_hits += 1
+    limit_hits = _limit_cell_hits(body, cone, test_points, window_radius,
+                                  replicates, seed)
 
     # n X_n converges to the reflected cell: test the negated points.  Their
-    # maps do not depend on the sample, so they are computed once.
-    maps = [_xn_map(-cone.embed(c), n, body.dim) for c in test_points]
+    # maps do not depend on the sample: stacked once, they move each sample
+    # in one product, whose rows i*k..i*k+k-1 are point i under each map.
+    d = body.dim
+    maps = [_xn_map(-cone.embed(c), n, d) for c in test_points]
+    g_all = np.hstack([g.T for g, _ in maps])
+    s_all = np.concatenate([s for _, s in maps])
     finite_hits = 0
     for rng in replicate_rngs(seed, 1, replicates):
         pts = uniform_sample(body, n, rng=rng)
-        finite_hits += _maps_cover(maps, pts, body)
+        finite_hits += bool(np.all(body.contains(
+            (pts @ g_all - s_all).reshape(-1, d))))
 
     report = ExperimentReport(
         name="inclusion",
@@ -406,6 +405,35 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     )
     report.runtime = time.perf_counter() - t0
     return report
+
+
+def _limit_cell_hits(body, cone, test_points, window_radius, replicates,
+                     seed):
+    """How many limit cells, restricted to the cone, hold every test point.
+
+    Replicate i's cell is the one `build_zero_cell` draws from its
+    generator.  The cells of `REPLICATE_BLOCK` replicates are stacked into
+    one constraint array, restricted by `cone_projection` and compared
+    with the test points in one product; a cell is a hit unless one of its
+    kept rows cuts a test point, so a cell without kept rows is a hit.
+    """
+    t_max = window_horizon(body, window_radius)
+    rngs = replicate_rngs(seed, 0, replicates)
+    hits = 0
+    for start in range(0, replicates, REPLICATE_BLOCK):
+        size = min(REPLICATE_BLOCK, replicates - start)
+        # The generator is reseeded on the next step: draw from it at once.
+        cells = [sample_PK(body, t_max, rng=next(rngs)) for _ in range(size)]
+        normals, offsets = halfspaces_from_marks(
+            np.concatenate([c.t for c in cells]),
+            np.concatenate([c.eta for c in cells]),
+            np.concatenate([c.u for c in cells]))
+        proj, keep = cone_projection(normals, cone)
+        holds = np.all(test_points @ proj.T <= offsets + GEO_TOL, axis=0)
+        owner = np.repeat(np.arange(size), [len(c) for c in cells])
+        cuts = np.bincount(owner[keep & ~holds], minlength=size)
+        hits += size - int(np.count_nonzero(cuts))
+    return hits
 
 
 # -- dual-cone intensity experiment ------------------------------------------------

@@ -116,22 +116,21 @@ class HullResult:
 class BallHullOracle:
     """Intersection of all radius-r balls whose centers cover the sample.
 
-    The feasible centres F = ∩_{a∈A} B(a, r) equal ∩_{v∈ext conv A} B(v, r),
-    since a ball that holds the extreme points holds conv A; so the oracle
-    keeps only the h extreme points as `centers`.  A point y is in the hull
-    iff max_{x∈F} |x - y| <= r.  In the plane that maximum is attained at a
+    The oracle is built on the feasible centres F = ∩_{v∈ext conv A} B(v, r)
+    that `feasible_translations` returns when they are non-empty; its
+    `centers` are the h extreme points of A.  A point y is in the hull iff
+    max_{x∈F} |x - y| <= r.  In the plane that maximum is attained at a
     corner of F (`center_set.corners`, found once in O(h²)) or at the far
     point of one circle from y (feasibility tested for all queries at
     once), so q queries cost O(q·h²) and the answer is exact.
     """
 
-    def __init__(self, sample, radius):
-        sample = np.atleast_2d(np.asarray(sample, dtype=float))
-        self.radius = float(radius)
-        if sample.shape[1] != 2:
+    def __init__(self, center_set):
+        if center_set.dim != 2:
             raise ValueError("ball-hull membership implemented for d=2")
-        self.centers = sample[_extreme_points(sample)]
-        self.center_set = BallIntersection(self.centers, self.radius)
+        self.center_set = center_set
+        self.centers = center_set.centers
+        self.radius = float(center_set.radius)
 
     def _max_center_distances(self, points):
         """max over feasible centers x of |x - y|, one value per row y."""
@@ -167,7 +166,8 @@ class BallHullOracle:
 # -- translation hulls --------------------------------------------------------
 
 def feasible_translations(body, sample):
-    """{x : sample ⊆ body + x}, which ext conv(sample) alone fixes."""
+    """{x : sample ⊆ body + x}, which ext conv(sample) alone fixes: a ball
+    that holds the extreme points holds conv(sample)."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Polytope):
         if not body.is_full_dimensional:
@@ -194,7 +194,7 @@ def k_hull_translations(body, sample):
                                         body.facet_offsets + mins)
         return HullResult(hull)
     if isinstance(body, Ball):
-        return HullResult(BallHullOracle(sample, body.radius))
+        return HullResult(BallHullOracle(feasible))
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 

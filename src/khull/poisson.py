@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, HalfBall, Polytope
+from .bodies import Ball, HalfBall, Polytope, row_norms
 
 __all__ = [
     "PoissonSample",
@@ -159,7 +159,8 @@ def _ball_volume(r, d):
 
 def _uniform_sphere(rng, d, n):
     x = rng.standard_normal((n, d))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= row_norms(x)[:, None]
+    return x
 
 
 def _uniform_disk(rng, d, r, n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .bodies import Ball, GEO_TOL, Polytope
+from .bodies import Ball, GEO_TOL, Polytope, row_norms
 from .poisson import sample_PK
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "TangentPoint",
     "build_zero_cell",
     "cone_preset",
+    "cone_projection",
     "halfspaces_from_marks",
     "is_bounded",
     "membership",
@@ -34,6 +35,7 @@ __all__ = [
     "support_extent",
     "transform_rotation_of_K",
     "transform_translation_of_K",
+    "window_horizon",
 ]
 
 
@@ -133,17 +135,25 @@ class HalfSpaceSystem:
 RestrictedSystem = HalfSpaceSystem
 
 
+def window_horizon(body, window_radius):
+    """Largest mark weight t that can cut the window ball of radius R.
+
+    A constraint with normal (u, N) satisfies sup over the window of
+    <C eta + x, u> <= R * (1 + |eta|), so marks with t > R * (1 + max |eta|)
+    never cut it.
+    """
+    return window_radius * (1.0 + _max_boundary_norm(body))
+
+
 def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
     """Zero-cell constraints that can bind inside the given window.
 
-    A constraint with normal (u, N) satisfies sup over the window ball of
-    radius R of <C eta + x, u> <= R * (1 + |eta|), so marks with
-    t > R * (1 + max |eta|) never cut the window: the returned truncated
+    Marks up to `window_horizon` are drawn, so the returned truncated
     system agrees with the infinite one on the whole window.
     """
     d = body.dim
     if t_max is None:
-        t_max = window_radius * (1.0 + _max_boundary_norm(body))
+        t_max = window_horizon(body, window_radius)
     sample = sample_PK(body, t_max, seed=seed, rng=rng)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
     return HalfSpaceSystem(normals, offsets, d, sample=sample)
@@ -262,14 +272,18 @@ CONE_PRESETS = ("translations", "skew", "traceless", "symmetric-traceless",
                 "diagonal", "scalings", "full")
 
 
-def restrict_to_cone(system, cone):
-    """The system in the cone's subspace coordinates (a change of basis).
+def cone_projection(normals, cone):
+    """Constraint normals in the cone's subspace coordinates, and a mask of
+    the rows kept: a row with vanishing projection never binds inside the
+    subspace."""
+    proj = normals @ cone.basis.T
+    return proj, row_norms(proj) > 1e-12
 
-    Constraints with vanishing projection never bind inside the subspace
-    and are dropped.
-    """
-    proj = system.normals @ cone.basis.T
-    keep = np.linalg.norm(proj, axis=1) > 1e-12
+
+def restrict_to_cone(system, cone):
+    """The system in the cone's subspace coordinates (a change of basis),
+    without the constraints that `cone_projection` drops."""
+    proj, keep = cone_projection(system.normals, cone)
     return replace(system, normals=proj[keep], offsets=system.offsets[keep])
 
 

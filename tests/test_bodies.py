@@ -25,6 +25,7 @@ from khull.bodies import (
     normal_cone,
     polar,
     polar_cone,
+    row_norms,
     support_function,
     supporting_cone,
     _extreme_points,
@@ -56,6 +57,25 @@ FACET_INPUTS = {
     "box-1e4": 2.0 * np.random.default_rng(4).random((10_000, 3)) - 1.0,
     "gauss-1e4": np.random.default_rng(5).standard_normal((10_000, 3)),
 }
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_norms_equals_numpy_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((600, d)) * 10.0 ** rng.uniform(-3, 3, (600, 1))
+    x[0] = 0.0
+    x[1, 0] = -0.0
+    x[2] = 5e-324 * rng.integers(-9, 10, d)  # subnormals
+    x[3] = 1e-310 * rng.standard_normal(d)
+    x[4] = 1e150 * rng.standard_normal(d)
+    x[5] = 1e-150 * rng.standard_normal(d)
+    x[6] = 1e150 * np.where(rng.random(d) < 0.5, 1e-300, 1.0)
+    # A (d, m) array's leading columns, transposed: the polytope sample.
+    wide = np.hstack([x.T, rng.standard_normal((d, 50))])
+    for a in (x, np.asfortranarray(x), wide[:, :len(x)].T, x[::3]):
+        got, want = row_norms(a), np.linalg.norm(a, axis=1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_support_unit_ball():

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 
 from khull.bodies import Ball, HalfBall, body_from_json, body_to_json, cube
 from khull.cli import _write_csv, _write_json_array, main
-from khull.hulls import BallHullOracle
+from khull.hulls import k_hull_translations
 from khull.poisson import sample_PK
 from khull.zerocell import build_zero_cell
 
@@ -63,8 +63,8 @@ def test_hull_k_hull_ball_writes_centers(tmp_path):
     # The centres and the radius fix the hull.
     queries = 3 * rng.random((100, 2)) - 1.5
     np.testing.assert_array_equal(
-        BallHullOracle(centers, 1.5).contains(queries),
-        BallHullOracle(sample, 1.5).contains(queries))
+        k_hull_translations(Ball(1.5, 2), centers).body.contains(queries),
+        k_hull_translations(Ball(1.5, 2), sample).body.contains(queries))
 
 
 def test_hull_unknown_family_exits_2(square_json, two_points_csv, tmp_path):

@@ -333,12 +333,17 @@ def _reference_inclusion_statistics(body, cone, test_points, n, replicates,
             "difference": abs(limit_hits - finite_hits) / replicates}
 
 
+REFERENCE_CASES = [
+    pytest.param(SQUARE, "skew", [[0.5], [-1.0]], id="square-skew"),
+    pytest.param(cube(3), "skew", [[0.5, -0.3, 0.4], [-0.6, 0.2, 0.1]],
+                 id="cube3-skew"),
+    pytest.param(Ball(2.0, 2), "scalings",
+                 [[0.3, -0.2, 0.4], [-0.5, 0.1, 0.2]], id="ball2-scalings"),
+]
+
+
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("body,cone,points", [
-    (SQUARE, "skew", [[0.5], [-1.0]]),
-    (cube(3), "skew", [[0.5, -0.3, 0.4], [-0.6, 0.2, 0.1]]),
-    (Ball(2.0, 2), "scalings", [[0.3, -0.2, 0.4], [-0.5, 0.1, 0.2]]),
-], ids=["square-skew", "cube3-skew", "ball2-scalings"])
+@pytest.mark.parametrize("body,cone,points", REFERENCE_CASES)
 def test_inclusion_functional_matches_per_replicate_reference(body, cone,
                                                               points, seed):
     cone = cone_preset(cone, body.dim)
@@ -348,6 +353,49 @@ def test_inclusion_functional_matches_per_replicate_reference(body, cone,
     want = _reference_inclusion_statistics(body, cone, points, 20, 40, seed)
     assert rep.statistics == want
     assert 0 < want["finite_frequency"] < 1
+
+
+@pytest.mark.parametrize("replicates", [1, 63, 64, 65, 150])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("body,cone,points", REFERENCE_CASES + [
+    # Every projection vanishes: each cell keeps no rows.
+    pytest.param(Ball(2.0, 2), "skew", [[0.5], [-1.0]], id="ball2-skew"),
+    pytest.param(HalfBall(1.0, dim=2), "translations",
+                 [[0.3, -0.2], [-0.1, 0.4]], id="halfball2-translations"),
+])
+def test_inclusion_functional_matches_reference_across_blocks(
+        body, cone, points, seed, replicates):
+    """Replicate counts on both sides of the limit side's block edges."""
+    cone = cone_preset(cone, body.dim)
+    points = np.array(points)
+    rep = inclusion_functional_estimate(body, cone, points, n=20,
+                                        replicates=replicates, seed=seed)
+    want = _reference_inclusion_statistics(body, cone, points, 20,
+                                           replicates, seed)
+    assert rep.statistics == want
+
+
+def test_ball_skew_cells_keep_no_rows():
+    cell = build_zero_cell(Ball(2.0, 2), 2.0, seed=0)
+    assert cell.n_constraints > 0
+    assert restrict_to_cone(cell, cone_preset("skew", 2)).n_constraints == 0
+
+
+@pytest.mark.parametrize("body,cone,points,limit_hits,finite_hits", [
+    (SQUARE, "skew", [[0.03], [-0.04]], 289, 292),
+    (cube(3), "skew", [[0.02, -0.01, 0.03], [-0.03, 0.02, 0.01]], 289, 286),
+    (Ball(1.0, 2), "scalings", [[0.01, -0.02, 0.03], [-0.03, 0.01, 0.02]],
+     277, 275),
+], ids=["square-skew", "cube3-skew", "ball2-scalings"])
+def test_inclusion_functional_statistics_at_benchmark_size(
+        body, cone, points, limit_hits, finite_hits):
+    """The benchmark's cases at its n, ending on a partial block; the hit
+    counts are those of the per-replicate loop."""
+    rep = inclusion_functional_estimate(body, cone_preset(cone, body.dim),
+                                        np.array(points), n=2000,
+                                        replicates=300, seed=0)
+    assert rep.statistics["limit_frequency"] == limit_hits / 300
+    assert rep.statistics["finite_frequency"] == finite_hits / 300
 
 
 def test_xn_membership_matches_matrix_exponential_formula():

@@ -176,8 +176,13 @@ def _disk_sample(rng, n, radius=0.8):
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
 
 
+def _ball_hull(sample, r):
+    """The planar ball hull's oracle, built on the sample's feasible set."""
+    return BallHullOracle(feasible_translations(Ball(r, 2), sample))
+
+
 def _assert_matches_reference(sample, r, queries):
-    oracle = BallHullOracle(sample, r)
+    oracle = _ball_hull(sample, r)
     want = _reference_max_center_distances(sample, r, queries)
     got = np.array([oracle.max_center_distance(y) for y in queries])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -205,7 +210,7 @@ def test_ball_hull_oracle_matches_reference_degenerate_samples():
     collinear = np.array([0.1, -0.2]) + t * np.array([0.6, 0.3])
     _assert_matches_reference(collinear, 0.9, np.vstack([queries,
                                                          collinear]))
-    oracle = BallHullOracle(collinear, 0.9)
+    oracle = _ball_hull(collinear, 0.9)
     assert len(oracle.centers) == 2
 
 
@@ -213,11 +218,11 @@ def test_ball_hull_oracle_permutation_invariant():
     rng = np.random.default_rng(3)
     sample = _disk_sample(rng, 80)
     queries = 3.2 * rng.random((200, 2)) - 1.6
-    oracle = BallHullOracle(sample, 1.2)
+    oracle = _ball_hull(sample, 1.2)
     verdicts = oracle.contains(queries)
     assert 0 < verdicts.sum() < len(queries)
     for _ in range(3):
-        shuffled = BallHullOracle(sample[rng.permutation(len(sample))], 1.2)
+        shuffled = _ball_hull(sample[rng.permutation(len(sample))], 1.2)
         np.testing.assert_array_equal(shuffled.contains(queries), verdicts)
 
 
@@ -235,7 +240,7 @@ def test_ball_hull_max_center_distance_matches_grid(sample, r):
     grid = grid + sample[0]
     for a in sample:
         grid = grid[np.linalg.norm(grid - a, axis=1) <= r]
-    oracle = BallHullOracle(sample, r)
+    oracle = _ball_hull(sample, r)
     rng = np.random.default_rng(0)
     for y in np.vstack([[0.0, 0.0], 2.0 * rng.random((5, 2)) - 1.0]):
         exact = oracle.max_center_distance(y)
