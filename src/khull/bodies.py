@@ -233,6 +233,30 @@ class Polytope:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     @cached_property
+    def is_box(self):
+        """Is the polytope its bounding box?  Decided once, from the facets.
+
+        True for 2d facets whose unit normals have one nonzero entry each,
+        so are the 2d signed unit coordinate vectors, with each offset
+        within GEO_TOL / 2 of its bound of `bounding_box`.  `contains` then
+        compares each coordinate with its offset + GEO_TOL, which rounds
+        to no less than the bound, and accepts every point of [lo, hi]:
+        every lo + u * (hi - lo) with u in [0, 1), since u * (hi - lo)
+        rounds below the rounded span by more than that span's own error.
+        """
+        a, d = self.facet_normals, self.dim
+        if a is None or len(a) != 2 * d:
+            return False
+        rows, axes = np.nonzero(a)
+        signs = a[rows, axes]
+        sides = set(zip(axes.tolist(), (signs > 0).tolist()))
+        if not np.array_equal(rows, np.arange(2 * d)) or len(sides) != 2 * d:
+            return False
+        lo, hi = self.bounding_box
+        bounds = np.where(signs > 0, hi[axes], -lo[axes])
+        return bool(np.all(np.abs(self.facet_offsets - bounds) <= GEO_TOL / 2))
+
+    @cached_property
     def max_norm(self):
         """Largest norm of a point of the polytope (at a vertex), once."""
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
@@ -342,6 +366,9 @@ class HalfBall:
         if axis is None:
             axis = np.zeros(self.dim)
             axis[0] = 1.0
+        elif np.shape(axis) != (self.dim,):
+            raise ValueError(f"axis must have shape ({self.dim},), got "
+                             f"{np.shape(axis)}; pass the dimension as dim=")
         object.__setattr__(self, "axis", unit_direction(axis))
 
     def __eq__(self, other):

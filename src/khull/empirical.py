@@ -10,6 +10,7 @@ comparing them with the limit-cell simulator and with closed-form laws.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -42,7 +43,8 @@ DEFAULT_S_MAX = 50.0
 T_HORIZON = 100.0
 # Largest radius of the dual-cone points that enter the regression.
 DUAL_R_MAX = 1.0
-# Limit cells of the inclusion experiment tested in one product.
+# Replicates whose geometry runs in one pass: the limit cells of the
+# inclusion experiment and both sides of the so2-square experiment.
 REPLICATE_BLOCK = 64
 
 
@@ -55,7 +57,9 @@ def uniform_sample(body, n, seed=None, rng=None):
     the first n in-body candidates of the ``rng.random`` stream mapped to
     the box.  Batches are sized from the acceptance rate observed so far,
     but which candidates come first does not depend on the batch size, so
-    the sample is fixed by the generator state alone.  The polytope sample
+    the sample is fixed by the generator state alone.  Every candidate of
+    a box (`Polytope.is_box`) is in the body, so a box skips the test and
+    its sample is the first n candidates of one batch.  The polytope sample
     is the transpose of a coordinate-major (d, n) array, so each column of
     the result is contiguous: reductions along axis 0 run on them directly.
     """
@@ -93,13 +97,14 @@ def uniform_sample(body, n, seed=None, rng=None):
             m = math.ceil((n - filled) / rate) + 8
             # Map to the box in (d, m) layout, where numpy broadcasts along
             # the long axis; the values are those of the (m, d) map.
-            cand = rng.random((m, d)).T.copy()
-            cand *= span
+            cand = np.multiply(rng.random((m, d)).T, span,
+                               out=np.empty((d, m)))
             cand += lo
             drawn += m
-            inside = body.contains(cand.T)
-            if not inside.all():
-                cand = np.compress(inside, cand, axis=1)
+            if not body.is_box:  # a box keeps every candidate
+                inside = body.contains(cand.T)
+                if not inside.all():
+                    cand = np.compress(inside, cand, axis=1)
             take = min(cand.shape[1], n - filled)
             if take == n:  # the first batch filled the sample
                 return cand[:, :n].T
@@ -176,8 +181,20 @@ class ExperimentReport:
 
 # -- rotation (skew direction) experiment for the square --------------------------
 
-def _limit_rotation_endpoints(rng, t_horizon=T_HORIZON):
-    """One draw of the rotation-extent endpoints of the limit cell.
+def _segment_min(values, counts):
+    """Minimum of each run of counts[i] consecutive values; inf if empty."""
+    counts = np.asarray(counts)
+    out = np.full(len(counts), math.inf)
+    full = counts > 0
+    if full.any():
+        # Empty runs add nothing between the starts of the others.
+        starts = np.cumsum(counts) - counts
+        out[full] = np.minimum.reduceat(values, starts[full])
+    return out
+
+
+def _limit_rotation_endpoints(replicates, seed, t_horizon=T_HORIZON):
+    """The rotation-extent endpoints of each replicate's limit cell.
 
     The skew restriction of a square mark (t, eta, u) is the scalar
     constraint c * (u1*eta2 - u2*eta1) <= t on the rotation angle c.  The
@@ -192,40 +209,66 @@ def _limit_rotation_endpoints(rng, t_horizon=T_HORIZON):
     dt*dy/V(K) = dt*dy/4 on (0, inf) x [-1, 1], and the four pool to
     dt*dz).  The two endpoints use disjoint halves of the process, so they
     are independent.  The negative endpoint min t/(-z) over z < 0 is read
-    as -max t/z: negation is exact, so the values are the same.  A mark
+    as min -t/z: negation is exact, so the values are the same.  A mark
     with z == 0 exactly (chance 2**-53) divides by zero; neither side
-    reads its quotient.
+    reads its quotient.  A side without marks is inf.
+
+    Replicate i draws (count, t, z) from stream 0's generator i, in
+    order; the quotients of `REPLICATE_BLOCK` replicates are formed in
+    one pass and reduced per replicate.  Returns the (plus, minus) arrays.
     """
-    count = rng.poisson(2.0 * t_horizon)
-    t = t_horizon * (1.0 - rng.random(count))
-    z = 2.0 * rng.random(count) - 1.0
-    q = t / z
-    plus = q.min(where=z > 0, initial=math.inf)
-    minus = -q.max(where=z < 0, initial=-math.inf)
+    rngs = replicate_rngs(seed, 0, replicates)
+    plus, minus = np.empty(replicates), np.empty(replicates)
+    for start in range(0, replicates, REPLICATE_BLOCK):
+        stop = min(start + REPLICATE_BLOCK, replicates)
+        counts, ut, uz = [], [], []
+        for rng in itertools.islice(rngs, stop - start):
+            count = rng.poisson(2.0 * t_horizon)
+            counts.append(count)
+            ut.append(rng.random(count))
+            uz.append(rng.random(count))
+        t = t_horizon * (1.0 - np.concatenate(ut))
+        z = 2.0 * np.concatenate(uz) - 1.0
+        q = t / z
+        plus[start:stop] = _segment_min(np.where(z > 0, q, math.inf), counts)
+        minus[start:stop] = _segment_min(np.where(z < 0, -q, math.inf),
+                                         counts)
     return plus, minus
 
 
-def _finite_rotation_extent(points, n):
-    """Scaled maximal rotation angles keeping all points in the square.
+def _finite_rotation_extents(square, n, replicates, seed):
+    """Scaled maximal rotation angles keeping each sample in the square.
 
     A point at radius rho > 1 and angle phi stays in [-1,1]^2 under
     rotation by theta iff (phi + theta) mod (pi/2) lies in
     [beta, pi/2 - beta] with beta = arccos(1/rho); points with rho <= 1
-    are unconstrained.  Exact, vectorized.
+    are unconstrained, and a sample without such a point gives inf.
+    Exact.  Replicate i samples n points of `square` with stream 1's
+    generator i; the samples of `REPLICATE_BLOCK` replicates are stacked
+    coordinate-major and the angles reduced per replicate.  Returns the
+    (plus, minus) arrays.
     """
-    rho = row_norms(points)
-    mask = rho > 1.0
-    if not np.any(mask):
-        return math.inf, math.inf
-    rho = rho[mask]
-    phi = np.arctan2(points[mask, 1], points[mask, 0])
-    beta = np.arccos(1.0 / rho)
-    r0 = np.mod(phi, math.pi / 2)
-    # Guard rounding: r0 must lie within the feasible arc.
-    r0 = np.clip(r0, beta, math.pi / 2 - beta)
-    plus = float(np.min(math.pi / 2 - beta - r0))
-    minus = float(np.min(r0 - beta))
-    return n * plus, n * minus
+    rngs = replicate_rngs(seed, 1, replicates)
+    plus, minus = np.empty(replicates), np.empty(replicates)
+    for start in range(0, replicates, REPLICATE_BLOCK):
+        stop = min(start + REPLICATE_BLOCK, replicates)
+        pts = np.empty((2, (stop - start) * n))
+        for i, rng in enumerate(itertools.islice(rngs, stop - start)):
+            pts[:, i * n:(i + 1) * n] = uniform_sample(square, n, rng=rng).T
+        rho = row_norms(pts.T)
+        mask = rho > 1.0
+        counts = np.count_nonzero(mask.reshape(stop - start, n), axis=1)
+        rho = rho[mask]
+        phi = np.arctan2(pts[1, mask], pts[0, mask])
+        beta = np.arccos(1.0 / rho)
+        r0 = np.mod(phi, math.pi / 2)
+        # Guard rounding: r0 must lie within the feasible arc.
+        r0 = np.clip(r0, beta, math.pi / 2 - beta)
+        # Scaling by n > 0 is monotone, so it commutes with the minimum.
+        plus[start:stop] = _segment_min(n * (math.pi / 2 - beta - r0),
+                                        counts)
+        minus[start:stop] = _segment_min(n * (r0 - beta), counts)
+    return plus, minus
 
 
 def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
@@ -240,21 +283,10 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
     are compared by a two-sample KS test.
     """
     t0 = time.perf_counter()
-    body = cube(2)
-    zp = np.zeros(limit_replicates)
-    zm = np.zeros(limit_replicates)
-    for i, rng in enumerate(replicate_rngs(seed, 0, limit_replicates)):
-        zp[i], zm[i] = _limit_rotation_endpoints(rng)
-    zp = np.minimum(zp, s_max)
-    zm = np.minimum(zm, s_max)
-
-    fp = np.zeros(replicates)
-    fm = np.zeros(replicates)
-    for i, rng in enumerate(replicate_rngs(seed, 1, replicates)):
-        pts = uniform_sample(body, n, rng=rng)
-        a, b = _finite_rotation_extent(pts, n)
-        fp[i] = min(a, s_max)
-        fm[i] = min(b, s_max)
+    zp, zm = (np.minimum(z, s_max) for z in
+              _limit_rotation_endpoints(limit_replicates, seed))
+    fp, fm = (np.minimum(f, s_max) for f in
+              _finite_rotation_extents(cube(2), n, replicates, seed))
 
     exp_half = scipy.stats.expon(scale=2.0).cdf
     ks_plus, p_plus = ks_statistic(zp, exp_half)
@@ -306,13 +338,13 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
     """
     t0 = time.perf_counter()
     body = cube(2)
+    cone = cone_preset("translations", 2)
+    dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
     extents = np.zeros((replicates, 4))
     for i, rng in enumerate(replicate_rngs(seed, 0, replicates)):
         if simulate_via_marks:
             cell = build_zero_cell(body, 0.0, rng=rng, t_max=T_HORIZON)
-            restricted = restrict_to_cone(cell, cone_preset("translations",
-                                                            2))
-            dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
+            restricted = restrict_to_cone(cell, cone)
             extents[i] = [restricted.extent(u) for u in dirs]
         else:
             # Minimum of a rate-1/2 stream per facet is Exp(1/2) exactly.

@@ -598,3 +598,11 @@ def test_half_ball_equality_and_hash():
     assert HalfBall(1.0, dim=2) != HalfBall(1.0, dim=3)
     assert a != Ball(1.0, 3)
     assert len({a, HalfBall(1.0, dim=3), HalfBall(2.0, dim=3)}) == 2
+
+
+@pytest.mark.parametrize("args", [
+    (2,), (np.array([1.0, 0.0]), 3), (np.array([[1.0, 0.0]]), 2)])
+def test_half_ball_rejects_axis_of_wrong_shape(args):
+    # HalfBall(1.0, 2) passes 2 as the axis, not the dimension.
+    with pytest.raises(ValueError, match="axis must have shape"):
+        HalfBall(1.0, *args)

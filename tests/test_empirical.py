@@ -26,7 +26,7 @@ def test_uniform_sample_empty():
     assert uniform_sample(SQUARE, 0, seed=0).shape == (0, 2)
 
 
-@pytest.mark.parametrize("body", [SQUARE, Ball(1.0, 2), HalfBall(1.0, 2)],
+@pytest.mark.parametrize("body", [SQUARE, Ball(1.0, 2), HalfBall(1.0, dim=2)],
                          ids=["polytope", "ball", "half-ball"])
 def test_uniform_sample_negative_size_raises(body):
     with pytest.raises(ValueError, match="non-negative"):
@@ -53,12 +53,38 @@ def _reference_polytope_sample(body, n, seed):
 
 HEXAGON = Polytope.from_vertices(np.column_stack(
     [np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3)]))
+TRIANGLE = Polytope.from_vertices(
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+OFF_CENTRE_BOX = Polytope.from_vertices(  # [0, 3] x [-1, 2]
+    np.array([[0.0, -1.0], [3.0, -1.0], [3.0, 2.0], [0.0, 2.0]]))
+ROTATED_SQUARE = Polytope.from_vertices(cube(2).vertices @ np.array(
+    [[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]]))
+
+
+@pytest.mark.parametrize("body", [cube(2), cube(3), OFF_CENTRE_BOX],
+                         ids=["square", "cube3", "off-centre-box"])
+def test_box_keeps_every_mapped_candidate(body):
+    assert body.is_box
+    lo, hi = body.bounding_box
+    # uniform_sample's map of the least and the greatest rng.random value;
+    # the map is monotone in u, so every candidate lies between these.
+    for u in (0.0, 1.0 - 2.0 ** -53):
+        cand = np.multiply(np.full((body.dim, 1), u), (hi - lo)[:, None])
+        cand += lo[:, None]
+        assert body.contains(cand.T).all()
 
 
 @pytest.mark.parametrize("body", [
-    cube(2), cube(3), cross_polytope(3), HEXAGON,
-    Polytope.from_vertices(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-], ids=["square", "cube3", "cross3", "hexagon", "triangle"])
+    HEXAGON, TRIANGLE, cross_polytope(3), ROTATED_SQUARE,
+], ids=["hexagon", "triangle", "cross3", "rotated-square"])
+def test_non_box_polytopes_are_not_boxes(body):
+    assert not body.is_box
+
+
+@pytest.mark.parametrize("body", [
+    cube(2), cube(3), cross_polytope(3), HEXAGON, TRIANGLE, OFF_CENTRE_BOX,
+], ids=["square", "cube3", "cross3", "hexagon", "triangle",
+        "off-centre-box"])
 @pytest.mark.parametrize("n", [1, 7, 5000])
 def test_uniform_sample_polytope_is_stream_prefix(body, n):
     # The sample must not depend on how the candidate stream is batched.
@@ -140,18 +166,19 @@ def test_xn_monotone_in_n():
 @pytest.mark.parametrize("n", [50, 2000])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_finite_rotation_extent_matches_brute_force_rotation(n, seed):
-    from khull.empirical import _finite_rotation_extent
+    from khull.empirical import _finite_rotation_extents
 
-    pts = uniform_sample(SQUARE, n, rng=spawn_rng(seed))
-    plus, minus = _finite_rotation_extent(pts, n)
+    plus, minus = _finite_rotation_extents(SQUARE, n, 2, seed)
+    for i in range(2):
+        pts = uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i))
 
-    def rotated(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        return pts @ np.array([[c, s], [-s, c]])
+        def rotated(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            return pts @ np.array([[c, s], [-s, c]])
 
-    for theta in (plus / n, -minus / n):
-        assert SQUARE.contains(rotated((1 - 1e-3) * theta)).all()
-        assert not SQUARE.contains(rotated((1 + 1e-3) * theta)).all()
+        for theta in (plus[i] / n, -minus[i] / n):
+            assert SQUARE.contains(rotated((1 - 1e-3) * theta)).all()
+            assert not SQUARE.contains(rotated((1 + 1e-3) * theta)).all()
 
 
 # -- statistics helpers -----------------------------------------------------------------
@@ -198,8 +225,9 @@ def test_so2_experiment_reproducible():
     assert a.config_hash == b.config_hash
 
 
-def _reference_limit_rotation_endpoints(rng, t_horizon):
-    """The endpoints with boolean-index copies and the negated divisor."""
+def _reference_limit_rotation_endpoints(rng, t_horizon=100.0):
+    """One replicate's endpoints, with boolean-index copies and the
+    negated divisor."""
     count = rng.poisson(2.0 * t_horizon)
     t = t_horizon * (1.0 - rng.random(count))
     z = 2.0 * rng.random(count) - 1.0
@@ -209,29 +237,58 @@ def _reference_limit_rotation_endpoints(rng, t_horizon):
     return plus, minus
 
 
+def _reference_finite_rotation_extent(points, n):
+    """One sample's scaled maximal rotation angles, from its own arrays."""
+    rho = np.linalg.norm(points, axis=1)
+    mask = rho > 1.0
+    if not np.any(mask):
+        return np.inf, np.inf
+    rho = rho[mask]
+    phi = np.arctan2(points[mask, 1], points[mask, 0])
+    beta = np.arccos(1.0 / rho)
+    r0 = np.clip(np.mod(phi, np.pi / 2), beta, np.pi / 2 - beta)
+    return (n * float(np.min(np.pi / 2 - beta - r0)),
+            n * float(np.min(r0 - beta)))
+
+
+@pytest.mark.parametrize("replicates", [1, 63, 64, 65, 150])
 @pytest.mark.parametrize("t_horizon", [100.0, 0.5])
-def test_limit_rotation_endpoints_match_reference(t_horizon):
+def test_limit_rotation_endpoints_match_reference(replicates, t_horizon):
     from khull.empirical import _limit_rotation_endpoints
 
-    got = np.array([_limit_rotation_endpoints(spawn_rng(5, i), t_horizon)
-                    for i in range(300)])
-    want = np.array([_reference_limit_rotation_endpoints(spawn_rng(5, i),
+    got = np.column_stack(_limit_rotation_endpoints(replicates, 5,
+                                                    t_horizon))
+    want = np.array([_reference_limit_rotation_endpoints(spawn_rng(5, 0, i),
                                                          t_horizon)
-                     for i in range(300)])
+                     for i in range(replicates)])
     assert np.array_equal(got, want)
-    if t_horizon < 1:  # a short horizon leaves some sides without marks
+    if t_horizon < 1 and replicates > 60:
+        # A short horizon leaves some sides without marks.
+        assert np.isinf(want).any() and np.isfinite(want).any()
+
+
+@pytest.mark.parametrize("replicates", [1, 63, 64, 65, 150])
+@pytest.mark.parametrize("n", [1, 300])
+def test_finite_rotation_extents_match_reference(replicates, n):
+    from khull.empirical import _finite_rotation_extents
+
+    got = np.column_stack(_finite_rotation_extents(SQUARE, n, replicates, 9))
+    want = np.array([
+        _reference_finite_rotation_extent(
+            uniform_sample(SQUARE, n, rng=spawn_rng(9, 1, i)), n)
+        for i in range(replicates)])
+    assert np.array_equal(got, want)
+    if n == 1 and replicates > 60:
+        # One point lies within the unit disk about 79% of the time.
         assert np.isinf(want).any() and np.isfinite(want).any()
 
 
 def _reference_so2_samples(n, replicates, limit_replicates, seed, s_max):
     """Per-replicate clipped rotation endpoints, one `spawn_rng` each."""
-    from khull.empirical import (_finite_rotation_extent,
-                                 _limit_rotation_endpoints)
-
-    limit = np.array([_limit_rotation_endpoints(spawn_rng(seed, 0, i))
-                      for i in range(limit_replicates)])
+    limit = np.array([_reference_limit_rotation_endpoints(
+        spawn_rng(seed, 0, i)) for i in range(limit_replicates)])
     finite = np.array([
-        _finite_rotation_extent(
+        _reference_finite_rotation_extent(
             uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i)), n)
         for i in range(replicates)])
     limit, finite = np.minimum(limit, s_max), np.minimum(finite, s_max)
