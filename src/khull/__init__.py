@@ -53,6 +53,7 @@ from .poisson import (
     PoissonSample,
     replicate_rngs,
     sample_PK,
+    sample_PK_block,
     spawn_rng,
 )
 from .zerocell import (

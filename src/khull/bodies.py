@@ -268,16 +268,17 @@ class Polytope:
 
     @cached_property
     def facet_geometry(self):
-        """Facet areas, vertices and fan cdfs, computed once per object.
+        """Facet areas, cdfs, vertices and fan cdfs, once per object.
 
-        Returns the (F,) areas, the (F, V, d) facet vertices (zero-padded
-        to the largest facet) and, in d=3, the (F, V-2) cdfs over each
-        facet's fan triangles (padded with inf); d=2 gives None.  In d=3
-        each facet's vertices are sorted by angle around its centre and
-        fanned from the first one; the cdf is the one `Generator.choice`
-        builds from the area probabilities.  The cache lives on this
-        object, not on its value: equal polytopes with their facets in
-        another order have other arrays, and draw other boundary streams.
+        Returns the (F,) areas, the (F,) cdf over the facets, the
+        (F, V, d) facet vertices (zero-padded to the largest facet) and,
+        in d=3, the (F, V-2) cdfs over each facet's fan triangles (padded
+        with inf); d=2 gives None.  In d=3 each facet's vertices are sorted
+        by angle around its centre and fanned from the first one.  Each cdf
+        is the one `Generator.choice` builds from the area probabilities.
+        The cache lives on this object, not on its value: equal polytopes
+        with their facets in another order have other arrays, and draw
+        other boundary streams.
         """
         d = self.dim
         if d not in (2, 3):
@@ -309,7 +310,9 @@ class Polytope:
                 cdf = (tri / tri.sum()).cumsum()
                 cdfs[f, :len(tri)] = cdf / cdf[-1]
             verts[f, :len(v)] = v
-        return areas, verts, (cdfs if d == 3 else None)
+        facet_cdf = (areas / areas.sum()).cumsum()
+        facet_cdf /= facet_cdf[-1]
+        return areas, facet_cdf, verts, (cdfs if d == 3 else None)
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):

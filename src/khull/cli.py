@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -164,8 +165,9 @@ def cmd_hull(args):
 
 def cmd_simulate_pk(args):
     body = _load_body(args.body)
-    if args.tmax <= 0:
-        raise ConfigError("--tmax must be positive")
+    if not 0 < args.tmax < math.inf:
+        raise ConfigError(f"--tmax must be finite and positive, got "
+                          f"{args.tmax}")
     sample = sample_PK(body, args.tmax, seed=args.seed)
     d = body.dim
     header = (["t"] + [f"eta_{i + 1}" for i in range(d)]
@@ -197,8 +199,9 @@ def _write_json_array(fh, entry, rows):
 
 def cmd_simulate_zerocell(args):
     body = _load_body(args.body)
-    if args.window <= 0:
-        raise ConfigError("--window must be positive")
+    if not 0 < args.window < math.inf:
+        raise ConfigError(f"--window must be finite and positive, got "
+                          f"{args.window}")
     system = build_zero_cell(body, args.window, seed=args.seed)
     s = system.sample
     head = json.dumps({

@@ -21,7 +21,7 @@ import scipy
 
 from .bodies import GEO_TOL, Ball, HalfBall, Polytope, cube, row_norms
 from .matexp import matrix_exponential
-from .poisson import replicate_rngs, sample_PK, spawn_rng
+from .poisson import replicate_rngs, sample_PK_block, spawn_rng
 from .zerocell import (build_zero_cell, cone_preset, cone_projection,
                        halfspaces_from_marks, restrict_to_cone,
                        TangentPoint, window_horizon)
@@ -444,25 +444,23 @@ def _limit_cell_hits(body, cone, test_points, window_radius, replicates,
     """How many limit cells, restricted to the cone, hold every test point.
 
     Replicate i's cell is the one `build_zero_cell` draws from its
-    generator.  The cells of `REPLICATE_BLOCK` replicates are stacked into
-    one constraint array, restricted by `cone_projection` and compared
-    with the test points in one product; a cell is a hit unless one of its
-    kept rows cuts a test point, so a cell without kept rows is a hit.
+    generator.  The marks of `REPLICATE_BLOCK` replicates come from one
+    `sample_PK_block` call; their constraints are restricted by
+    `cone_projection` and compared with the test points in one product.
+    A cell is a hit unless one of its kept rows cuts a test point, so a
+    cell without kept rows is a hit.
     """
     t_max = window_horizon(body, window_radius)
     rngs = replicate_rngs(seed, 0, replicates)
     hits = 0
     for start in range(0, replicates, REPLICATE_BLOCK):
         size = min(REPLICATE_BLOCK, replicates - start)
-        # The generator is reseeded on the next step: draw from it at once.
-        cells = [sample_PK(body, t_max, rng=next(rngs)) for _ in range(size)]
-        normals, offsets = halfspaces_from_marks(
-            np.concatenate([c.t for c in cells]),
-            np.concatenate([c.eta for c in cells]),
-            np.concatenate([c.u for c in cells]))
+        marks, counts = sample_PK_block(body, t_max,
+                                        itertools.islice(rngs, size))
+        normals, offsets = halfspaces_from_marks(marks.t, marks.eta, marks.u)
         proj, keep = cone_projection(normals, cone)
         holds = np.all(test_points @ proj.T <= offsets + GEO_TOL, axis=0)
-        owner = np.repeat(np.arange(size), [len(c) for c in cells])
+        owner = np.repeat(np.arange(size), counts)
         cuts = np.bincount(owner[keep & ~holds], minlength=size)
         hits += size - int(np.count_nonzero(cuts))
     return hits

@@ -20,6 +20,7 @@ __all__ = [
     "PoissonSample",
     "replicate_rngs",
     "sample_PK",
+    "sample_PK_block",
     "spawn_rng",
 ]
 
@@ -157,24 +158,26 @@ def _ball_volume(r, d):
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r ** d
 
 
-def _uniform_sphere(rng, d, n):
-    x = rng.standard_normal((n, d))
-    x /= row_norms(x)[:, None]
-    return x
-
-
-def _uniform_disk(rng, d, r, n):
-    """n uniform points in the (d-1)-dimensional disk of radius r."""
-    u = _uniform_sphere(rng, d - 1, n)
-    return r * u * (rng.random(n) ** (1.0 / (d - 1)))[:, None]
-
-
 class BoundarySampler:
     """Draws (eta, u) from normalized surface measure with attached normals.
 
-    A polytope's facet geometry and volume are `Polytope` cached
-    properties, computed once per body object: building a sampler for the
-    same object again, as every `sample_PK` call does, reuses them.
+    A generator's draws for n marks come in one fixed order after its mark
+    count, which is the stream contract of `sample_PK`:
+
+    - polytopes: one ``random(3n)`` (d=2) or ``random(5n)`` (d=3), split
+      into the n weights, the n facet picks, then per mark the position on
+      its segment (d=2), or the fan-triangle pick and two barycentric
+      coordinates (d=3);
+    - balls: ``random(n)`` for the weights, then ``standard_normal((n, d))``;
+    - half-balls: one ``random(2n)`` for the weights and the cap flags, then
+      the k cap normals ``standard_normal((k, d))``, the flat-part
+      directions ``standard_normal((n-k, d-1))`` and radii ``random(n-k)``.
+
+    `fill` makes those calls for one generator; `draw` maps the fills of a
+    block of generators in one pass, elementwise or row by row, so each
+    generator's marks do not depend on the block around it.  The facet pick
+    is `Generator.choice`'s algorithm on the facet cdf that `Polytope`
+    caches with the rest of its facet geometry, once per body object.
     """
 
     def __init__(self, body):
@@ -182,8 +185,8 @@ class BoundarySampler:
         if isinstance(body, Polytope):
             if not body.is_full_dimensional:
                 raise ValueError("body must be full-dimensional")
-            areas, self.facet_verts, self.fan_cdfs = body.facet_geometry
-            self.facet_probs = areas / areas.sum()
+            (areas, self.facet_cdf, self.facet_verts,
+             self.fan_cdfs) = body.facet_geometry
             self.surface_area = float(areas.sum())
             self.volume = body.volume
         elif isinstance(body, Ball):
@@ -205,24 +208,40 @@ class BoundarySampler:
         else:
             raise TypeError(f"unsupported body {type(body).__name__}")
 
-    def draw(self, rng, n):
-        """n independent marks as (eta, u), two (n, d) arrays.
-
-        Polytopes draw all facet indices, then one uniform row per mark:
-        the position along a segment (d=2), or the fan triangle and the
-        two barycentric coordinates (d=3).
-        """
+    def fill(self, rng, n):
+        """One generator's draws for n marks: the n weight uniforms, then
+        the arrays that `draw` maps."""
         body = self.body
         d = body.dim
         if isinstance(body, Polytope):
-            idx = rng.choice(len(self.facet_probs), size=n,
-                             p=self.facet_probs)
+            raw = rng.random((3 if d == 2 else 5) * n)
+            return raw[:n], raw[n:2 * n], raw[2 * n:]
+        if isinstance(body, Ball):
+            return rng.random(n), rng.standard_normal((n, d))
+        raw = rng.random(2 * n)
+        cap = raw[n:] < self.cap_area / self.surface_area
+        k = int(np.count_nonzero(cap))
+        return (raw[:n], cap, rng.standard_normal((k, d)),
+                rng.standard_normal((n - k, d - 1)), rng.random(n - k))
+
+    def draw(self, fills):
+        """The marks of a block, as (eta, u), two (n, d) arrays.
+
+        `fills` holds each generator's `fill` less its weights, in
+        generator order; the marks come in the same order.
+        """
+        parts = [np.concatenate(p) for p in zip(*fills)]
+        body = self.body
+        d = body.dim
+        if isinstance(body, Polytope):
+            pick, coords = parts
+            idx = self.facet_cdf.searchsorted(pick, side="right")
             u = body.facet_normals[idx]
             v0 = self.facet_verts[idx, 0]
             if d == 2:
-                lam = rng.random(n)[:, None]
+                lam = coords[:, None]
                 return v0 + lam * (self.facet_verts[idx, 1] - v0), u
-            c, a, b = rng.random((n, 3)).T
+            c, a, b = coords.reshape(-1, 3).T
             flip = a + b > 1
             a, b = np.where(flip, 1 - a, a), np.where(flip, 1 - b, b)
             # searchsorted(cdf, c, side="right") of each mark's facet.
@@ -232,34 +251,60 @@ class BoundarySampler:
             return eta, u
         r = body.radius
         if isinstance(body, Ball):
-            u = _uniform_sphere(rng, d, n)
+            (u,) = parts
+            u /= row_norms(u)[:, None]
             return r * u, u
-        # HalfBall: cap marks, then flat marks; a cap normal drawn in the
-        # lower hemisphere is reflected into the upper one.
-        cap = rng.random(n) < self.cap_area / self.surface_area
-        k = int(cap.sum())
-        cap_u = _uniform_sphere(rng, d, k)
+        # HalfBall: a cap normal drawn in the lower hemisphere is reflected
+        # into the upper one; only the sign of its product with the axis is
+        # read, so that product may run on the whole block.
+        cap, cap_u, flat, radii = parts
+        cap_u /= row_norms(cap_u)[:, None]
         cap_u[cap_u @ body.axis < 0] *= -1
-        eta, u = np.empty((n, d)), np.empty((n, d))
+        flat /= row_norms(flat)[:, None]
+        flat = r * flat * (radii ** (1.0 / (d - 1)))[:, None]
+        # The product with the frame runs per generator, over its flat
+        # marks (one radius each): BLAS may round a longer product otherwise.
+        sizes = [len(fill[-1]) for fill in fills]
+        ends = np.cumsum(sizes)
+        eta, u = np.empty((len(cap), d)), np.empty((len(cap), d))
         eta[cap], u[cap] = r * cap_u, cap_u
-        eta[~cap] = _uniform_disk(rng, d, r, n - k) @ self.frame.T
+        eta[~cap] = np.concatenate([flat[a:b] @ self.frame.T
+                                    for a, b in zip(ends - sizes, ends)])
         u[~cap] = -body.axis
         return eta, u
 
 
+def sample_PK_block(body, t_max, rngs):
+    """One Poisson sample of marks with t <= t_max per generator.
+
+    Each generator draws its count, Poisson(rate * t_max), then its
+    `BoundarySampler.fill`, before the next one is taken from `rngs`;
+    `draw` then maps the whole block.  The weights t are i.i.d. uniform on
+    (0, t_max], independent of the boundary marks.  Returns the marks of
+    all generators, concatenated in generator order, as one
+    `PoissonSample`, and the (k,) mark count of each generator.  Generator
+    i's marks are those `sample_PK` draws from it alone, bit for bit.
+    """
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    sampler = BoundarySampler(body)
+    mean = sampler.surface_area / sampler.volume * t_max
+    fills = [sampler.fill(rng, rng.poisson(mean)) for rng in rngs]
+    counts = np.array([len(f[0]) for f in fills])
+    t = t_max * (1.0 - np.concatenate([f[0] for f in fills]))
+    eta, u = sampler.draw([f[1:] for f in fills])
+    return PoissonSample(t, eta, u), counts
+
+
 def sample_PK(body, t_max, seed=None, rng=None):
-    """Poisson sample of marks with t <= t_max.
+    """Poisson sample of marks with t <= t_max, drawn from `rng`, or from
+    `spawn_rng(seed)` when no generator is given.
 
     The count is Poisson(rate * t_max); t values are i.i.d. uniform on
-    (0, t_max], independent of the boundary marks.
+    (0, t_max], independent of the boundary marks, which follow the draw
+    order of `BoundarySampler`.  This is `sample_PK_block` over one
+    generator.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
     if rng is None:
         rng = spawn_rng(seed)
-    sampler = BoundarySampler(body)
-    rate = sampler.surface_area / sampler.volume
-    n = rng.poisson(rate * t_max)
-    t = t_max * (1.0 - rng.random(n))
-    eta, u = sampler.draw(rng, n)
-    return PoissonSample(t, eta, u)
+    return sample_PK_block(body, t_max, [rng])[0]

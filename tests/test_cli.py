@@ -255,10 +255,18 @@ def test_simulate_pk_malformed_body_exits_2(tmp_path):
     assert code == 2
 
 
-def test_simulate_pk_bad_tmax_exits_2(square_json, tmp_path):
-    code = main(["simulate", "pk", "--body", square_json, "--tmax", "-1",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command, flag", [("pk", "--tmax"),
+                                           ("zerocell", "--window")])
+def test_simulate_non_finite_or_non_positive_size_names_the_flag(
+        command, flag, value, square_json, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["simulate", command, "--body", square_json, flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite and positive, got " \
+        f"{float(value)}\n"
+    assert not out.exists()
 
 
 def test_simulate_pk_one_dimensional_half_ball_exits_2(tmp_path, capsys):

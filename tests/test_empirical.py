@@ -419,6 +419,10 @@ def test_inclusion_functional_matches_per_replicate_reference(body, cone,
     pytest.param(Ball(2.0, 2), "skew", [[0.5], [-1.0]], id="ball2-skew"),
     pytest.param(HalfBall(1.0, dim=2), "translations",
                  [[0.3, -0.2], [-0.1, 0.4]], id="halfball2-translations"),
+    # A tilted axis: the flat marks go through a full frame product.
+    pytest.param(HalfBall(1.5, axis=np.array([1.0, -2.0, 2.0]), dim=3),
+                 "translations", [[0.3, -0.2, 0.1], [-0.1, 0.4, -0.2]],
+                 id="halfball3-translations"),
 ])
 def test_inclusion_functional_matches_reference_across_blocks(
         body, cone, points, seed, replicates):

@@ -5,7 +5,7 @@ from scipy.spatial import ConvexHull
 from khull.bodies import (Ball, HalfBall, Polytope, cross_polytope, cube,
                           support_function)
 from khull.poisson import (BoundarySampler, replicate_rngs, sample_PK,
-                           spawn_rng)
+                           sample_PK_block, spawn_rng)
 
 SQUARE = cube(2)
 HEXAGON = Polytope.from_vertices(np.array(
@@ -13,6 +13,8 @@ HEXAGON = Polytope.from_vertices(np.array(
 # Its hexagonal facets have four fan triangles each.
 HEXAGONAL_PRISM = Polytope.from_vertices(np.array(
     [[x, y, z] for x, y in HEXAGON.vertices for z in (-1.0, 1.0)]))
+HALF_BALLS = (HalfBall(1.0, dim=2),
+              HalfBall(1.5, axis=np.array([1.0, -2.0, 2.0]), dim=3))
 
 
 def _rate(body):
@@ -30,9 +32,7 @@ def test_rates():
 
 
 def test_marks_valid_on_all_bodies():
-    half_balls = (HalfBall(1.0, dim=2),
-                  HalfBall(1.5, axis=np.array([1.0, -2.0, 2.0]), dim=3))
-    for body in (SQUARE, Ball(1.0, 2), cube(3), Ball(2.0, 3)) + half_balls:
+    for body in (SQUARE, Ball(1.0, 2), cube(3), Ball(2.0, 3)) + HALF_BALLS:
         s = sample_PK(body, 4.0, seed=0)
         d = body.dim
         assert len(s) > 0
@@ -42,7 +42,7 @@ def test_marks_valid_on_all_bodies():
         assert np.all(np.abs(np.linalg.norm(s.u, axis=1) - 1.0) <= 1e-9)
         h = np.array([support_function(body, u) for u in s.u])
         assert np.all(np.abs(np.sum(s.eta * s.u, axis=1) - h) <= 1e-9)
-    for body in half_balls:
+    for body in HALF_BALLS:
         s = sample_PK(body, 50.0, seed=1)
         cap = ~np.all(s.u == -body.axis, axis=1)
         assert 0 < cap.sum() < len(s)
@@ -130,9 +130,49 @@ def test_sample_stream_matches_per_mark_reference(body, seed, t_max):
     assert np.array_equal(s.u, u)
 
 
+@pytest.mark.parametrize("t_max", [0.3, 5.0])
+@pytest.mark.parametrize("k", [1, 63, 64, 65])
+@pytest.mark.parametrize("body", [
+    SQUARE, HEXAGON, cube(3), cross_polytope(3), HEXAGONAL_PRISM,
+    Ball(2.0, 2), Ball(1.0, 3), *HALF_BALLS],
+    ids=["square", "hexagon", "cube3", "cross3", "hexprism", "ball2",
+         "ball3", "halfball2", "halfball3"])
+def test_block_sampler_concatenates_per_generator_samples(body, k, t_max):
+    marks, counts = sample_PK_block(body, t_max, replicate_rngs(4, 0, k))
+    cells = [sample_PK(body, t_max, rng=spawn_rng(4, 0, i))
+             for i in range(k)]
+    assert np.array_equal(counts, [len(c) for c in cells])
+    assert np.array_equal(marks.t, np.concatenate([c.t for c in cells]))
+    assert np.array_equal(marks.eta, np.concatenate([c.eta for c in cells]))
+    assert np.array_equal(marks.u, np.concatenate([c.u for c in cells]))
+    if k > 1 and t_max < 1:
+        # Generators without marks sit between those with some.
+        assert 0 < np.count_nonzero(counts == 0) < k
+
+
+@pytest.mark.parametrize("body", [SQUARE, HEXAGON, cube(3),
+                                  cross_polytope(3), HEXAGONAL_PRISM],
+                         ids=["square", "hexagon", "cube3", "cross3",
+                              "hexprism"])
+def test_facet_pick_is_generator_choice(body):
+    sampler = BoundarySampler(body)
+    areas = body.facet_geometry[0]
+    n = 20000
+    want = spawn_rng(5).choice(len(areas), size=n, p=areas / areas.sum())
+    # One segment position (d=2) or fan pick and two coordinates (d=3).
+    width = 1 if body.dim == 2 else 3
+    _, u = sampler.draw([(spawn_rng(5).random(n), np.full(width * n, 0.25))])
+    assert np.array_equal(u, body.facet_normals[want])
+    # The largest double `random` returns picks the last facet: the cdf
+    # ends at 1 exactly, whatever the rounding of the area sums.
+    _, u = sampler.draw([(np.array([1 - 2.0 ** -53]), np.full(width, 0.25))])
+    assert np.array_equal(u, body.facet_normals[-1:])
+
+
 def test_repeated_sampler_reuses_body_geometry():
     body = cube(3)
     first, second = BoundarySampler(body), BoundarySampler(body)
+    assert second.facet_cdf is first.facet_cdf
     assert second.facet_verts is first.facet_verts
     assert second.fan_cdfs is first.fan_cdfs
     assert second.volume == first.volume == 8.0
@@ -239,9 +279,10 @@ def test_replicate_rngs_reject_negative_seed_as_spawn_rng_does():
     assert str(got.value) == str(want.value)
 
 
-def test_t_max_validation():
-    with pytest.raises(ValueError):
-        sample_PK(SQUARE, 0.0, seed=0)
+@pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf])
+def test_t_max_validation(t_max):
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        sample_PK(SQUARE, t_max, seed=0)
 
 
 def test_times_uniform():
