@@ -10,10 +10,10 @@ parametric transform cones.
 import numpy as np
 
 from khull import (
-    TangentPoint,
     build_zero_cell,
     cone_preset,
     cube,
+    flatten_pair,
     membership,
     restrict_to_cone,
     sample_PK,
@@ -38,7 +38,7 @@ def main():
 
     # The identity ray (0, mu I), mu <= 0 is always feasible.
     for mu in (-2.0, -0.5, 0.0, 0.5):
-        inside = membership(system, TangentPoint(np.zeros(2), mu * np.eye(2)))
+        inside = membership(system, flatten_pair(np.zeros(2), mu * np.eye(2)))
         print(f"  (0, {mu:+.1f} I) in cell: {inside}")
 
     # Directional extents along translation axes.

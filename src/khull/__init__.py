@@ -14,10 +14,8 @@ from .bodies import (
     WholeSpace,
     body_from_json,
     body_to_json,
-    convex_hull,
     cross_polytope,
     cube,
-    minkowski_difference,
     normal_cone,
     polar,
     polar_cone,
@@ -60,9 +58,9 @@ from .zerocell import (
     CONE_PRESETS,
     ConeSpec,
     HalfSpaceSystem,
-    TangentPoint,
     build_zero_cell,
     cone_preset,
+    flatten_pair,
     halfspaces_from_marks,
     is_bounded,
     membership,

@@ -1,4 +1,4 @@
-"""Convex bodies in low dimension: support functions, polars, cones, erosion.
+"""Convex bodies in low dimension: support functions, polars, cones, JSON.
 
 Supported representations are polytopes (with mutually consistent V- and
 H-reps), Euclidean balls and half-balls centered at the origin, half-spaces,
@@ -32,10 +32,8 @@ __all__ = [
     "WholeSpace",
     "body_from_json",
     "body_to_json",
-    "convex_hull",
     "cross_polytope",
     "cube",
-    "minkowski_difference",
     "normal_cone",
     "polar",
     "polar_cone",
@@ -74,7 +72,8 @@ def row_norms(x):
 
 
 class EmptySet:
-    """The empty set (a valid Minkowski-difference result)."""
+    """The empty set: an infeasible half-space system, or the feasible
+    translations of a sample that no translate of the body holds."""
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -684,37 +683,7 @@ def normal_cone(body, v):
     raise TypeError(f"normal cone unsupported for {type(body).__name__}")
 
 
-# -- Minkowski difference -----------------------------------------------------
-
-def minkowski_difference(body, other):
-    """{x : other + x is contained in body}."""
-    if isinstance(body, Polytope):
-        if not body.is_full_dimensional:
-            raise ValueError("Minkowski difference needs an H-rep")
-        if isinstance(other, Ball):
-            shift = other.radius * np.ones(len(body.facet_offsets))
-        else:
-            pts = np.atleast_2d(np.asarray(other, dtype=float))
-            shift = np.max(pts @ body.facet_normals.T, axis=0)
-        offsets = body.facet_offsets - shift
-        return Polytope.from_halfspaces(body.facet_normals, offsets)
-    if isinstance(body, Ball):
-        if isinstance(other, Ball):
-            r = body.radius - other.radius
-            return Ball(r, body.dim) if r >= 0 else EMPTY
-        pts = np.atleast_2d(np.asarray(other, dtype=float))
-        x = BallIntersection(-pts, body.radius)
-        return EMPTY if x.is_empty() else x
-    raise TypeError(f"Minkowski difference unsupported for "
-                    f"{type(body).__name__}")
-
-
-# -- convex hull of points ----------------------------------------------------
-
-def convex_hull(points):
-    """Standard closed convex hull of finitely many points, as a Polytope."""
-    return Polytope.from_vertices(points)
-
+# -- standard bodies ----------------------------------------------------------
 
 def cube(d, half_width=1.0):
     """The cube [-w, w]^d."""
@@ -760,8 +729,26 @@ def body_to_json(body):
     raise TypeError(f"cannot serialize {type(body).__name__}")
 
 
+def _radius(doc):
+    radius = float(doc["radius"])
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    return radius
+
+
+def _dim(doc):
+    dim = int(doc.get("dim", 2))
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    return dim
+
+
 def body_from_json(doc):
-    """Inverse of body_to_json.  Accepts a dict, JSON text, or file path."""
+    """Inverse of body_to_json.  Accepts a dict, JSON text, or file path.
+
+    A radius that is not finite and positive, or a dim below 1, raises a
+    ValueError that names the field.
+    """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -772,11 +759,11 @@ def body_from_json(doc):
     if kind == "polytope":
         return Polytope.from_vertices(np.asarray(doc["vertices"], float))
     if kind == "ball":
-        return Ball(float(doc["radius"]), int(doc.get("dim", 2)))
+        return Ball(_radius(doc), _dim(doc))
     if kind == "half_ball":
         axis = doc.get("axis")
-        dim = len(axis) if axis is not None else int(doc.get("dim", 2))
-        return HalfBall(float(doc["radius"]),
+        dim = len(axis) if axis is not None else _dim(doc)
+        return HalfBall(_radius(doc),
                         np.asarray(axis, float) if axis is not None else None,
                         dim)
     if kind == "half_space":
@@ -789,5 +776,5 @@ def body_from_json(doc):
         return PolyhedralCone(
             np.asarray(gens, float) if gens is not None else None,
             np.asarray(norms, float) if norms is not None else None,
-            int(doc.get("dim", 2)))
+            _dim(doc))
     raise ValueError(f"unknown body kind: {kind!r}")

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -117,11 +118,16 @@ def _load_body(path):
 
 def _load_points(path):
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is reported below, not by numpy's warning.
+            warnings.simplefilter("ignore", UserWarning)
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError:
         raise ConfigError(f"points file not found: {path}")
     except ValueError as exc:
         raise ConfigError(f"malformed points CSV {path}: {exc}")
+    if not len(pts):
+        raise ConfigError(f"--points file {path} has no rows")
     return pts
 
 

@@ -24,7 +24,7 @@ from .matexp import matrix_exponential
 from .poisson import replicate_rngs, sample_PK_block, spawn_rng
 from .zerocell import (build_zero_cell, cone_preset, cone_projection,
                        halfspaces_from_marks, restrict_to_cone,
-                       TangentPoint, window_horizon)
+                       window_horizon)
 
 __all__ = [
     "ExperimentReport",
@@ -119,18 +119,16 @@ def uniform_sample(body, n, seed=None, rng=None):
 # -- scaled feasible-set membership ----------------------------------------------
 
 def _xn_map(point, n, d):
-    """The map xi -> exp(-C/n) xi - x/n of (x, C), as (exp(-C/n), x/n)."""
-    if isinstance(point, TangentPoint):
-        x, c = point.x, point.C
-    else:
-        v = np.asarray(point, dtype=float)
-        x, c = v[:d], v[d:].reshape(d, d)
+    """The map xi -> exp(-C/n) xi - x/n of the flat (x, C), as
+    (exp(-C/n), x/n)."""
+    v = np.asarray(point, dtype=float)
+    x, c = v[:d], v[d:].reshape(d, d)
     n = float(n)
-    return matrix_exponential(-np.asarray(c) / n), np.asarray(x) / n
+    return matrix_exponential(-c / n), x / n
 
 
 def xn_membership(point, batch, n, body):
-    """Is (x, C) in n times the feasible set of the batch?
+    """Is the flat (x, C) in n times the feasible set of the batch?
 
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """

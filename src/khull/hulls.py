@@ -35,7 +35,6 @@ from .bodies import (
     PolyhedralCone,
     _extreme_points,
     _in_convex_hull,
-    convex_hull,
 )
 from .matexp import matrix_exponential, skew_dim, skew_matrix
 
@@ -132,8 +131,10 @@ class BallHullOracle:
         self.centers = center_set.centers
         self.radius = float(center_set.radius)
 
-    def _max_center_distances(self, points):
-        """max over feasible centers x of |x - y|, one value per row y."""
+    def max_center_distances(self, points):
+        """max over feasible centers x of |x - y|, one value per row y
+        (exact in the plane)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         c, r = self.centers, self.radius
         v = c[None] - points[:, None]
         nv = np.linalg.norm(v, axis=2, keepdims=True)
@@ -153,14 +154,8 @@ class BallHullOracle:
             raise ValueError("empty feasible center set")
         return best
 
-    def max_center_distance(self, y):
-        """max over feasible centers x of |x - y| (exact in the plane)."""
-        y = np.asarray(y, dtype=float)
-        return float(self._max_center_distances(y.reshape(1, 2))[0])
-
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._max_center_distances(points) <= self.radius + GEO_TOL
+        return self.max_center_distances(points) <= self.radius + GEO_TOL
 
 
 # -- translation hulls --------------------------------------------------------
@@ -213,7 +208,7 @@ def hull_translations_scalings(body, sample):
     """
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Ball):
-        return HullResult(convex_hull(sample))
+        return HullResult(Polytope.from_vertices(sample))
     if not isinstance(body, Polytope):
         raise TypeError(f"unsupported body {type(body).__name__}")
     if not body.is_full_dimensional:
@@ -228,13 +223,13 @@ def hull_translations_scalings(body, sample):
 
 def hull_full_affine(sample):
     """Hull under all rigid motions with scalings: the classical hull."""
-    return HullResult(convex_hull(sample))
+    return HullResult(Polytope.from_vertices(sample))
 
 
 def hull_linear_ball(sample):
     """Hull by all linear images of the unit ball: conv(A u -A)."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    return HullResult(convex_hull(np.vstack([sample, -sample])))
+    return HullResult(Polytope.from_vertices(np.vstack([sample, -sample])))
 
 
 def positive_hull(sample):

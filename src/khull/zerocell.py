@@ -14,17 +14,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .bodies import Ball, GEO_TOL, Polytope, row_norms
+from .bodies import Ball, GEO_TOL, HalfBall, Polytope, row_norms
 from .poisson import sample_PK
 
 __all__ = [
     "CONE_PRESETS",
     "ConeSpec",
     "HalfSpaceSystem",
-    "TangentPoint",
     "build_zero_cell",
     "cone_preset",
     "cone_projection",
+    "flatten_pair",
     "halfspaces_from_marks",
     "is_bounded",
     "membership",
@@ -39,27 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TangentPoint:
-    """Pair (x, C) in R^d x M_d with a fixed row-major flattening."""
-
-    x: np.ndarray
-    C: np.ndarray
-
-    @property
-    def dim(self):
-        return len(self.x)
-
-    def flatten(self):
-        return np.concatenate([self.x, self.C.reshape(-1)])
-
-    @staticmethod
-    def unflatten(v, d):
-        v = np.asarray(v, dtype=float)
-        return TangentPoint(v[:d].copy(), v[d:].reshape(d, d).copy())
-
-
 def flatten_pair(x, c):
+    """The pair (x, C) in R^d x M_d as one flat (d + d^2) vector: x, then
+    the rows of C."""
     return np.concatenate([np.asarray(x, float).ravel(),
                            np.asarray(c, float).reshape(-1)])
 
@@ -162,12 +144,12 @@ def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
 def _max_boundary_norm(body):
     if isinstance(body, Polytope):
         return body.max_norm
-    return float(body.radius)
+    if isinstance(body, (Ball, HalfBall)):
+        return float(body.radius)
+    raise TypeError(f"unsupported body {type(body).__name__}")
 
 
 def membership(system, point):
-    if isinstance(point, TangentPoint):
-        point = point.flatten()
     return bool(system.contains(np.asarray(point)[None])[0])
 
 
@@ -293,9 +275,10 @@ def restrict_to_cone(system, cone):
 class RecessionCone:
     """T_K = {(x,C) : <C y + x, u> >= 0 for all (y,u) in Nor(K)}.
 
-    Both membership tests go through the survival functional
+    Membership goes through the survival functional
     s(p) = max over (y,u) in Nor(K) of <(u, u outer y), p>, which is
-    sublinear with -T_K = {s <= 0}.  For polytopes the finite list of
+    sublinear with -T_K = {s <= 0}: p is in T_K iff
+    `contains_reflected(-p)`.  For polytopes the finite list of
     (vertex, facet normal) rows is exact; for balls the maximum over the
     unit sphere is the exact trust-region subproblem.
     """
@@ -308,8 +291,6 @@ class RecessionCone:
 
         Every such g gives the cut s >= <g, .>, valid everywhere.
         """
-        if isinstance(point, TangentPoint):
-            point = point.flatten()
         p = np.asarray(point, dtype=float)
         if self.rows is not None:
             vals = self.rows @ p
@@ -320,11 +301,6 @@ class RecessionCone:
         x, c = p[:d], p[d:].reshape(d, d)
         val, u = _min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
         return -val, flatten_pair(u, r * np.outer(u, u))
-
-    def contains(self, point):
-        if isinstance(point, TangentPoint):
-            point = point.flatten()
-        return self.survival(-np.asarray(point, dtype=float))[0] <= GEO_TOL
 
     def contains_reflected(self, point):
         """Membership of the reflected cone -T_K."""

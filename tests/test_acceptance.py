@@ -18,7 +18,7 @@ from khull.empirical import (dual_cone_intensity_experiment,
 from khull.hulls import (hull_full_affine, hull_linear_ball,
                          k_hull_translations, positive_hull,
                          spherical_hull_halfball)
-from khull.zerocell import (TangentPoint, build_zero_cell, cone_preset,
+from khull.zerocell import (build_zero_cell, cone_preset, flatten_pair,
                             halfspaces_from_marks, is_bounded, membership,
                             recession_cone_TK, reflected_recession_in_cone,
                             restrict_to_cone)
@@ -173,7 +173,7 @@ def test_criterion_6_recession_cone_checks():
     for seed in range(10):
         s = build_zero_cell(SQUARE, 3.0, seed=seed)
         for mu in (-2.0, -0.5, 0.0):
-            if not membership(s, TangentPoint(np.zeros(2), mu * np.eye(2))):
+            if not membership(s, flatten_pair(np.zeros(2), mu * np.eye(2))):
                 ok = False
     verdict("criterion 6: recession cones and boundedness catalogue", ok)
 
@@ -201,7 +201,7 @@ def test_criterion_7_geometry_identities():
         x = rng.standard_normal(d)
         c = rng.standard_normal((d, d))
         n, _ = halfspaces_from_marks(1.0, eta, u)
-        lhs = float(TangentPoint(x, c).flatten() @ n)
+        lhs = float(flatten_pair(x, c) @ n)
         rhs = float((c @ eta + x) @ u)
         if abs(lhs - rhs) > 1e-12:
             ok = False

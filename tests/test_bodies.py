@@ -9,7 +9,6 @@ from khull.bodies import (
     BallIntersection,
     EMPTY,
     GEO_TOL,
-    EmptySet,
     HalfBall,
     HalfSpace,
     PolyhedralCone,
@@ -17,11 +16,9 @@ from khull.bodies import (
     WHOLE_SPACE,
     body_from_json,
     body_to_json,
-    convex_hull,
     cross_polytope,
     cube,
     min_enclosing_ball,
-    minkowski_difference,
     normal_cone,
     polar,
     polar_cone,
@@ -174,26 +171,6 @@ def test_normal_cone_is_polar_of_supporting_cone():
         assert np.array_equal(s.contains(pts), dual.contains(pts))
 
 
-def test_minkowski_difference_square_ball():
-    d = minkowski_difference(SQUARE, Ball(0.5, 2))
-    assert d == cube(2, 0.5)
-
-
-def test_minkowski_difference_singleton():
-    a = np.array([[0.25, -0.5]])
-    d = minkowski_difference(SQUARE, a)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        u = rng.standard_normal(2)
-        assert support_function(d, u) == pytest.approx(
-            support_function(SQUARE, u) - float(a[0] @ u))
-
-
-def test_minkowski_difference_empty():
-    d = minkowski_difference(SQUARE, np.array([[-3.0, 0.0], [3.0, 0.0]]))
-    assert isinstance(d, EmptySet)
-
-
 # Three centres at the origin and one at (2, 0): their centroid (0.5, 0)
 # is 1.5 from (2, 0), yet (1, 0) is within 1.2 of every centre.
 SKEWED_CENTERS = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
@@ -209,16 +186,11 @@ def test_ball_intersection_nonempty_with_infeasible_centroid():
         1.2, abs=1e-6)
     assert support_function(x, np.array([-1.0, 0.0])) == pytest.approx(
         -0.8, abs=1e-6)
-    d = minkowski_difference(Ball(1.2, 2), -SKEWED_CENTERS)
-    assert isinstance(d, BallIntersection)
-    assert d.contains([[1.0, 0.0]])[0]
 
 
 def test_ball_intersection_empty_pair():
     assert BallIntersection(np.array([[0.0, 0.0], [3.0, 0.0]]),
                             1.2).is_empty()
-    assert isinstance(minkowski_difference(
-        Ball(1.2, 2), np.array([[0.0, 0.0], [-3.0, 0.0]])), EmptySet)
 
 
 def _circle_grid_in_balls(centers, r, angles):
@@ -487,9 +459,9 @@ def test_one_dimensional_polytopes():
     assert not point.is_full_dimensional
 
 
-def test_convex_hull_collinear():
+def test_from_vertices_collinear():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-    seg = convex_hull(pts)
+    seg = Polytope.from_vertices(pts)
     assert len(seg.vertices) == 2
     assert not seg.is_full_dimensional
 

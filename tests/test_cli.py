@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -480,3 +481,66 @@ def test_simulate_zerocell_same_seed_same_bytes(body, tmp_path):
     assert a == b
     doc = json.loads(a)
     assert len(doc["marks"]) == len(doc["constraints"]) > 0
+
+
+# Bodies that the boundary sampler does not draw marks on.
+UNSAMPLED_BODIES = {
+    "HalfSpace": {"kind": "half_space",
+                  "facets": [{"normal": [1, 0], "offset": 1}]},
+    "PolyhedralCone": {"kind": "cone", "dim": 2,
+                       "generators": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSAMPLED_BODIES))
+@pytest.mark.parametrize("command", ["zerocell", "inclusion"])
+def test_zero_cell_commands_reject_unsampled_body(command, name, tmp_path,
+                                                  capsys):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(UNSAMPLED_BODIES[name]))
+    points = tmp_path / "pts.csv"
+    points.write_text("0.3\n")
+    argv = {"zerocell": ["simulate", "zerocell", "--window", "2"],
+            "inclusion": ["experiment", "inclusion", "--points", str(points),
+                          "--n", "10", "--reps", "2"]}[command]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--body", str(body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unsupported body {name}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (kind, "radius", value) for kind in ("ball", "half_ball")
+    for value in (0, -1, float("nan"), float("inf"))
+] + [("ball", "dim", 0), ("half_ball", "dim", 0)])
+def test_simulate_pk_invalid_ball_field_names_it(kind, field, value,
+                                                 tmp_path, capsys):
+    doc = {"kind": kind, "radius": 1, field: value}
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(doc))  # NaN and Infinity as json reads them
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "pk", "--body", str(body), "--tmax", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid body description in {body}: "
+                          f"{field} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "inclusion", "--body", "BODY"],
+    ["hull", "--family", "full-affine"],
+], ids=["inclusion", "hull"])
+def test_empty_points_file_names_the_flag(argv, square_json, tmp_path,
+                                          capsys):
+    points = tmp_path / "empty.csv"
+    points.write_text("")
+    out = tmp_path / "x.json"
+    argv = [square_json if a == "BODY" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-input warning too
+        code = main(argv + ["--points", str(points), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: --points file {points} has no rows\n"
+    assert not out.exists()

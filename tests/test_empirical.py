@@ -14,7 +14,7 @@ from khull.empirical import (
     xn_membership,
 )
 from khull.poisson import spawn_rng
-from khull.zerocell import (TangentPoint, build_zero_cell, cone_preset,
+from khull.zerocell import (build_zero_cell, cone_preset, flatten_pair,
                             restrict_to_cone)
 
 SQUARE = cube(2)
@@ -134,14 +134,14 @@ def test_xn_membership_identity_ray():
     # contains (0, mu I) for mu >= 0.)
     pts = uniform_sample(SQUARE, 500, seed=5)
     for n in (1, 10, 500):
-        p = TangentPoint(np.zeros(2), 3.0 * np.eye(2))
+        p = flatten_pair(np.zeros(2), 3.0 * np.eye(2))
         assert xn_membership(p, pts, n, SQUARE)
 
 
 def test_xn_membership_huge_translation():
     pts = uniform_sample(SQUARE, 100, seed=6)
     n = 100
-    p = TangentPoint(np.array([n * 5.0, 0.0]), np.zeros((2, 2)))
+    p = flatten_pair(np.array([n * 5.0, 0.0]), np.zeros((2, 2)))
     assert not xn_membership(p, pts, n, SQUARE)
 
 
@@ -155,9 +155,9 @@ def test_xn_monotone_in_n():
         c = 0.5 * qrng.standard_normal((2, 2))
         # Unscaled feasibility of (x, C): exp(C)(K+x) covers the batch;
         # covering the first 150 points implies covering the first 100.
-        big = xn_membership(TangentPoint(x * 150, c * 150), pts[:150], 150,
+        big = xn_membership(flatten_pair(x * 150, c * 150), pts[:150], 150,
                             SQUARE)
-        small = xn_membership(TangentPoint(x * 100, c * 100), pts[:100], 100,
+        small = xn_membership(flatten_pair(x * 100, c * 100), pts[:100], 100,
                               SQUARE)
         if big:
             assert small
@@ -469,7 +469,6 @@ def test_xn_membership_matches_matrix_exponential_formula():
         want = bool(SQUARE.contains(moved).all())
         assert xn_membership(np.concatenate([x, c.ravel()]), pts, 300,
                              SQUARE) is want
-        assert xn_membership(TangentPoint(x, c), pts, 300, SQUARE) is want
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 

@@ -108,7 +108,7 @@ def test_k_hull_ball_two_points_just_over_diameter(eps):
     assert isinstance(oracle, BallHullOracle)
     assert oracle.contains([[1.0, 0.0], [1.0, 0.5], [0.0, 0.0]]).all()
     assert not oracle.contains([[1.0, 1.01], [-0.01, 0.0]]).any()
-    assert oracle.max_center_distance([1.0, 0.0]) == pytest.approx(
+    assert oracle.max_center_distances([[1.0, 0.0]])[0] == pytest.approx(
         eps / 2, abs=1e-15)
 
 
@@ -123,7 +123,7 @@ def test_k_hull_ball_three_points_just_over_enclosing_radius(eps):
     assert isinstance(oracle, BallHullOracle)
     assert oracle.contains(np.vstack([a, [[0.0, 0.0], [0.5, 0.5]]])).all()
     assert not oracle.contains([[1.01, 0.0], [0.0, -1.01]]).any()
-    assert oracle.max_center_distance([0.0, 0.0]) < 1e-9
+    assert oracle.max_center_distances([[0.0, 0.0]])[0] < 1e-9
 
 
 def _reference_circle_intersections(c1, c2, r):
@@ -184,7 +184,7 @@ def _ball_hull(sample, r):
 def _assert_matches_reference(sample, r, queries):
     oracle = _ball_hull(sample, r)
     want = _reference_max_center_distances(sample, r, queries)
-    got = np.array([oracle.max_center_distance(y) for y in queries])
+    got = oracle.max_center_distances(queries)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(oracle.contains(queries),
                                   want <= r + GEO_TOL)
@@ -242,8 +242,8 @@ def test_ball_hull_max_center_distance_matches_grid(sample, r):
         grid = grid[np.linalg.norm(grid - a, axis=1) <= r]
     oracle = _ball_hull(sample, r)
     rng = np.random.default_rng(0)
-    for y in np.vstack([[0.0, 0.0], 2.0 * rng.random((5, 2)) - 1.0]):
-        exact = oracle.max_center_distance(y)
+    queries = np.vstack([[0.0, 0.0], 2.0 * rng.random((5, 2)) - 1.0])
+    for y, exact in zip(queries, oracle.max_center_distances(queries)):
         brute = np.max(np.linalg.norm(grid - y, axis=1))
         assert brute <= exact + 1e-12
         assert exact - brute <= h * np.sqrt(2)
@@ -741,6 +741,17 @@ def test_feasible_set_translations_exact():
     # X = {0} x [-1, 1]
     assert sorted(map(tuple, np.round(x.vertices, 9).tolist())) == [
         (0.0, -1.0), (0.0, 1.0)]
+
+
+def test_feasible_translations_singleton_is_reflected_body():
+    # {x : a in K + x} = a - K, so h(a - K, u) = <a, u> + h(K, -u).
+    a = np.array([[0.25, -0.5]])
+    x = feasible_translations(SQUARE, a)
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        u = rng.standard_normal(2)
+        assert support_function(x, u) == pytest.approx(
+            float(a[0] @ u) + support_function(SQUARE, -u))
 
 
 def _assert_ball_feasible_set_matches_full_sample(sample, r):

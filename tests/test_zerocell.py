@@ -11,9 +11,9 @@ from khull.zerocell import (
     CONE_PRESETS,
     ConeSpec,
     HalfSpaceSystem,
-    TangentPoint,
     build_zero_cell,
     cone_preset,
+    flatten_pair,
     halfspaces_from_marks,
     is_bounded,
     membership,
@@ -39,15 +39,9 @@ def random_system(seed, body=SQUARE, window=3.0):
 
 # -- flattening and the constraint identity ---------------------------------------
 
-def test_tangent_point_round_trip():
-    rng = np.random.default_rng(0)
-    for d in (2, 3):
-        for _ in range(20):
-            p = TangentPoint(rng.standard_normal(d),
-                             rng.standard_normal((d, d)))
-            q = TangentPoint.unflatten(p.flatten(), d)
-            assert np.array_equal(p.x, q.x)
-            assert np.array_equal(p.C, q.C)
+def test_flatten_pair_is_x_then_rows_of_c():
+    x, c = np.array([1.0, 2.0]), np.array([[3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(flatten_pair(x, c), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def test_halfspaces_from_marks_examples():
@@ -98,7 +92,7 @@ def test_flattening_identity_1000_random_tuples():
         x = rng.standard_normal(d)
         c = rng.standard_normal((d, d))
         n, _ = halfspaces_from_marks(1.0, eta, u)
-        lhs = float(TangentPoint(x, c).flatten() @ n)
+        lhs = float(flatten_pair(x, c) @ n)
         rhs = float((c @ eta + x) @ u)
         assert abs(lhs - rhs) < 1e-12
 
@@ -121,7 +115,7 @@ def test_negative_multiple_of_identity_feasible():
         s = build_zero_cell(body, 3.0, seed=3)
         d = body.dim
         for mu in (-0.5, -2.0, 0.0):
-            p = TangentPoint(np.zeros(d), mu * np.eye(d))
+            p = flatten_pair(np.zeros(d), mu * np.eye(d))
             assert membership(s, p)
 
 
@@ -148,7 +142,7 @@ def test_support_extent_single_constraint():
 
 def test_support_extent_recession_direction():
     s = random_system(6)
-    v = TangentPoint(np.zeros(2), -np.eye(2)).flatten()
+    v = flatten_pair(np.zeros(2), -np.eye(2))
     v /= np.linalg.norm(v)
     assert support_extent(s, v) == np.inf
 
@@ -241,8 +235,8 @@ def test_scaling_coupling():
         for _ in range(50):
             x = rng.standard_normal(2)
             c = rng.standard_normal((2, 2))
-            in_rk = membership(s_rk, TangentPoint(x, c))
-            in_k = membership(s_k, TangentPoint(x / r, c))
+            in_rk = membership(s_rk, flatten_pair(x, c))
+            in_k = membership(s_k, flatten_pair(x / r, c))
             assert in_rk == in_k
 
 
@@ -346,16 +340,15 @@ def test_recession_contains_minus_identity():
     for body in (SQUARE, Ball(1.0, 2), Ball(2.0, 3), cube(3)):
         rec = recession_cone_TK(body)
         d = body.dim
-        assert rec.contains_reflected(
-            TangentPoint(np.zeros(d), -np.eye(d)).flatten())
+        assert rec.contains_reflected(flatten_pair(np.zeros(d), -np.eye(d)))
 
 
 def test_recession_skew_in_both_for_ball():
     rec = recession_cone_TK(Ball(1.0, 2))
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    p = TangentPoint(np.zeros(2), j)
-    assert rec.contains(p)
-    assert rec.contains_reflected(p.flatten())
+    p = flatten_pair(np.zeros(2), j)
+    assert rec.contains_reflected(-p)
+    assert rec.contains_reflected(p)
 
 
 def test_reflected_recession_diagonal_is_nonpositive_orthant():
@@ -552,8 +545,7 @@ def test_recession_membership_matches_direct_formulas():
             p = np.concatenate([0.3 * rng.standard_normal(d), c.ravel()])
             inside = direct(p)
             hits += inside
-            assert rec.contains(p) is inside
-            assert rec.contains(TangentPoint.unflatten(p, d)) is inside
+            assert rec.contains_reflected(-p) is inside
             assert rec.contains_reflected(p) is direct(-p)
         assert 0 < hits < 60
 
