@@ -737,16 +737,21 @@ def _radius(doc):
 
 
 def _dim(doc):
-    dim = int(doc.get("dim", 2))
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    value = doc.get("dim", 2)
+    try:
+        dim = int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+        dim = 0
+    if dim < 1 or dim != value:
+        raise ValueError(f"dim must be an integer of at least 1, got {value}")
     return dim
 
 
 def body_from_json(doc):
     """Inverse of body_to_json.  Accepts a dict, JSON text, or file path.
 
-    A radius that is not finite and positive, or a dim below 1, raises a
+    A radius that is not finite and positive, a dim that is not an integer
+    of at least 1, or a half-space without exactly one facet raises a
     ValueError that names the field.
     """
     if isinstance(doc, str):
@@ -767,7 +772,11 @@ def body_from_json(doc):
                         np.asarray(axis, float) if axis is not None else None,
                         dim)
     if kind == "half_space":
-        facet = doc["facets"][0]
+        facets = doc["facets"]
+        if len(facets) != 1:
+            raise ValueError(f"facets must be a list of one facet, got "
+                             f"{len(facets)}")
+        facet = facets[0]
         return HalfSpace(np.asarray(facet["normal"], float),
                          float(facet["offset"]))
     if kind == "cone":

@@ -21,7 +21,8 @@ import scipy
 
 from .bodies import GEO_TOL, Ball, HalfBall, Polytope, cube, row_norms
 from .matexp import matrix_exponential
-from .poisson import replicate_rngs, sample_PK_block, spawn_rng
+from .poisson import (_ball_surface_area, _ball_volume, replicate_rngs,
+                      sample_PK_block, spawn_rng)
 from .zerocell import (build_zero_cell, cone_preset, cone_projection,
                        halfspaces_from_marks, restrict_to_cone,
                        window_horizon)
@@ -476,9 +477,8 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
     """
     t0 = time.perf_counter()
     rng = spawn_rng(seed)
-    kd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    kdm1 = math.pi ** ((d - 1) / 2) / math.gamma((d - 1) / 2 + 1)
-    flat_rate = kdm1 / (kd / 2.0)  # flat-disk area over half-ball volume
+    # Flat-disk area over half-ball volume.
+    flat_rate = _ball_volume(1.0, d - 1) / (_ball_volume(1.0, d) / 2.0)
 
     # Points with |p| >= a all come from marks with t <= 1/a.
     mass_above = _dual_tail_mass(d)
@@ -527,16 +527,10 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
 
 def _dual_tail_mass(d):
     """a * (expected number of dual points with |p| >= a), a constant."""
-    kd = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    if d == 2:
-        sigma = 2.0  # 0-sphere
-    else:
-        sigma = 2 * math.pi ** ((d - 1) / 2) / math.gamma((d - 1) / 2)
-    return 2.0 * sigma / (kd * d)
+    sigma = _ball_surface_area(1.0, d - 1)  # 2.0 for the 0-sphere
+    return 2.0 * sigma / (_ball_volume(1.0, d) * d)
 
 
 def _shell_volume(edges, k):
     """Volumes of spherical shells in R^k between consecutive radii."""
-    kk = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
-    vols = kk * edges ** k
-    return np.diff(vols)
+    return np.diff(_ball_volume(edges, k))

@@ -53,44 +53,45 @@ __all__ = [
 ]
 
 
+# Linear part -> (parameter count in d, decode its parameters p to g).
+_LINEAR_PARTS = {
+    "identity": (lambda d: 0, lambda p, d: np.eye(d)),
+    "scalings": (lambda d: 1, lambda p, d: math.exp(p[0]) * np.eye(d)),
+    "scalings_rotations": (
+        lambda d: 1 + skew_dim(d),
+        lambda p, d: math.exp(p[0]) * matrix_exponential(
+            skew_matrix(p[1:], d))),
+    "general_linear": (lambda d: d * d,
+                       lambda p, d: matrix_exponential(p.reshape(d, d))),
+}
+
+
 @dataclass(frozen=True)
 class HullFamily:
     """Transform family: translation set x linear-map set."""
 
     name: str
     translations: str  # "full" or "zero"
-    linear: str  # identity | scalings | scalings_rotations | general_linear
+    linear: str  # a key of _LINEAR_PARTS
+
+    def __post_init__(self):
+        if self.translations not in ("full", "zero"):
+            raise ValueError("translations must be 'full' or 'zero', got "
+                             f"{self.translations!r}")
+        if self.linear not in _LINEAR_PARTS:
+            raise ValueError(f"linear must be one of {tuple(_LINEAR_PARTS)}, "
+                             f"got {self.linear!r}")
 
     def param_count(self, d):
-        n = d if self.translations == "full" else 0
-        if self.linear == "scalings":
-            n += 1
-        elif self.linear == "scalings_rotations":
-            n += 1 + skew_dim(d)
-        elif self.linear == "general_linear":
-            n += d * d
-        return n
+        k = d if self.translations == "full" else 0
+        return k + _LINEAR_PARTS[self.linear][0](d)
 
     def transform(self, params, d):
         """Decode a parameter vector into (translation x, linear map g)."""
         params = np.asarray(params, dtype=float)
-        k = 0
-        if self.translations == "full":
-            x, k = params[:d], d
-        else:
-            x = np.zeros(d)
-        if self.linear == "identity":
-            g = np.eye(d)
-        elif self.linear == "scalings":
-            g = math.exp(params[k]) * np.eye(d)
-        elif self.linear == "scalings_rotations":
-            g = math.exp(params[k]) * matrix_exponential(
-                skew_matrix(params[k + 1:], d))
-        elif self.linear == "general_linear":
-            g = matrix_exponential(params[k:].reshape(d, d))
-        else:
-            raise ValueError(f"unknown linear part {self.linear!r}")
-        return x, g
+        k = d if self.translations == "full" else 0
+        x = params[:d] if k else np.zeros(d)
+        return x, _LINEAR_PARTS[self.linear][1](params[k:], d)
 
 
 FAMILY_PRESETS = {

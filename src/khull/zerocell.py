@@ -190,68 +190,46 @@ def _orthonormalize(rows):
     return q
 
 
+def _e(d, i, j):
+    """The flat matrix direction (0, E_ij) in R^d x M_d."""
+    row = np.zeros(d + d * d)
+    row[d + i * d + j] = 1.0
+    return row
+
+
+def _pairs(d):
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _trace_steps(d):
+    return [_e(d, i, i) - _e(d, i + 1, i + 1) for i in range(d - 1)]
+
+
+# Named tangent cones of the transformation families: name -> basis in
+# dimension d.  skew spans so(d), traceless sl(d); scalings is (x, r*I).
+_CONE_BASES = {
+    "translations": lambda d: np.eye(d, d + d * d),
+    "skew": lambda d: _orthonormalize(
+        [_e(d, i, j) - _e(d, j, i) for i, j in _pairs(d)]),
+    "traceless": lambda d: _orthonormalize(
+        [_e(d, i, j) for i in range(d) for j in range(d) if i != j]
+        + _trace_steps(d)),
+    "symmetric-traceless": lambda d: _orthonormalize(
+        [_e(d, i, j) + _e(d, j, i) for i, j in _pairs(d)] + _trace_steps(d)),
+    "diagonal": lambda d: np.array([_e(d, i, i) for i in range(d)]),
+    "scalings": lambda d: np.vstack(
+        [np.eye(d, d + d * d), sum(_e(d, i, i) for i in range(d))
+         / math.sqrt(d)]),
+    "full": lambda d: np.eye(d + d * d),
+}
+CONE_PRESETS = tuple(_CONE_BASES)
+
+
 def cone_preset(name, d):
-    """Named tangent cones of the transformation families."""
-    dd = d * d
-
-    def mat_row(c):
-        return flatten_pair(np.zeros(d), c)
-
-    if name == "translations":
-        basis = np.eye(d, d + dd)
-    elif name == "skew":  # special orthogonal group
-        rows = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                c = np.zeros((d, d))
-                c[i, j], c[j, i] = 1.0, -1.0
-                rows.append(mat_row(c))
-        basis = _orthonormalize(rows)
-    elif name == "traceless":  # special linear group
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    c = np.zeros((d, d))
-                    c[i, j] = 1.0
-                    rows.append(mat_row(c))
-        for i in range(d - 1):
-            c = np.zeros((d, d))
-            c[i, i], c[i + 1, i + 1] = 1.0, -1.0
-            rows.append(mat_row(c))
-        basis = _orthonormalize(rows)
-    elif name == "symmetric-traceless":
-        rows = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                c = np.zeros((d, d))
-                c[i, j] = c[j, i] = 1.0
-                rows.append(mat_row(c))
-        for i in range(d - 1):
-            c = np.zeros((d, d))
-            c[i, i], c[i + 1, i + 1] = 1.0, -1.0
-            rows.append(mat_row(c))
-        basis = _orthonormalize(rows)
-    elif name == "diagonal":
-        rows = []
-        for i in range(d):
-            c = np.zeros((d, d))
-            c[i, i] = 1.0
-            rows.append(mat_row(c))
-        basis = np.array(rows)
-    elif name == "scalings":  # (x, r*I): translations plus scalar dilations
-        rows = [np.eye(d, d + dd)[i] for i in range(d)]
-        rows.append(mat_row(np.eye(d) / math.sqrt(d)))
-        basis = np.array(rows)
-    elif name == "full":
-        basis = np.eye(d + dd)
-    else:
+    """The named tangent cone in dimension d (names in `CONE_PRESETS`)."""
+    if name not in _CONE_BASES:
         raise ValueError(f"unknown cone preset {name!r}")
-    return ConeSpec(name, basis, d)
-
-
-CONE_PRESETS = ("translations", "skew", "traceless", "symmetric-traceless",
-                "diagonal", "scalings", "full")
+    return ConeSpec(name, _CONE_BASES[name](d), d)
 
 
 def cone_projection(normals, cone):

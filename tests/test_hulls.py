@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
@@ -8,6 +10,7 @@ from khull.bodies import (GEO_TOL, Ball, BallIntersection, EmptySet,
 from khull.hulls import (
     BallHullOracle,
     FAMILY_PRESETS,
+    HullFamily,
     SphericalHull,
     feasible_translations,
     generic_hull_membership,
@@ -592,6 +595,47 @@ def test_monotonicity_in_family():
 
 
 # -- generic membership oracle -------------------------------------------------------
+
+# name -> (param_count at d = 2, 3) and the sha256 of x.tobytes() +
+# g.tobytes() for `transform(np.linspace(-0.5, 0.7, n), d)` (numpy 2.4,
+# scipy 1.17): the generic oracle's search depends on these bytes.
+FAMILY_PINS = {
+    "k-hull": ((2, 3), (
+        "d45d7e3fb98b2b08fd3c37907370bf0a80c3944c9e9f15adb2aec68d3a22049d",
+        "9e6d5c7d102f8f17876c494480efb40048d08703ea4d5801dcd19901993b3e99")),
+    "translations-scalings": ((3, 4), (
+        "f84d32dd0aad0bcf9a2ac3305dbcd81997ebfcc880935feadb9683947224db0c",
+        "3ce7150e635e612aec50b57feb36745d72b34dd7a431b19ffb3010e9b67338c1")),
+    "full-affine": ((4, 7), (
+        "4bc056e240127fc5ef6d6f5d69aa0774adb142b73de1b9ac0a78e678c1f4cad1",
+        "eb7499c5f0d64f27492c70ce8debbc8e77a703700f50b47dbca2241e0b9cef19")),
+    "linear-ball": ((4, 9), (
+        "bd776d1d2e03e8d357bd9392557371260f206a51b55218b0f8d5d960534befe9",
+        "208e9c6f055f0c8ab32ce96b89adf6026e9445c1aa0a613e5f0a6cae26a35783")),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILY_PRESETS))
+def test_family_param_count_and_transform_bytes(name, d):
+    fam = FAMILY_PRESETS[name]
+    counts, digests = FAMILY_PINS[name]
+    n = fam.param_count(d)
+    assert n == counts[d - 2]
+    x, g = fam.transform(np.linspace(-0.5, 0.7, n), d)
+    assert x.shape == (d,) and g.shape == (d, d)
+    digest = hashlib.sha256(x.tobytes() + g.tobytes()).hexdigest()
+    assert digest == digests[d - 2]
+
+
+@pytest.mark.parametrize("field, parts", [
+    ("translations", ("some", "identity")),
+    ("linear", ("full", "rotations")),
+])
+def test_hull_family_rejects_unknown_part(field, parts):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        HullFamily("x", *parts)
+
 
 def test_generic_membership_trivial_inside():
     fam = FAMILY_PRESETS["full-affine"]

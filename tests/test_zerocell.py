@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -256,6 +257,75 @@ def test_traceless_preset_is_traceless():
     for row in cone.basis:
         c = row[3:].reshape(3, 3)
         assert abs(np.trace(c)) < 1e-12
+
+
+def _small(a):
+    return np.max(np.abs(a), initial=0.0) < 1e-12
+
+
+# name -> (basis size in d, property of each basis row's (x, C) part).
+PRESET_LAWS = {
+    "translations": (lambda d: d, lambda x, c: np.all(c == 0)),
+    "skew": (lambda d: d * (d - 1) // 2,
+             lambda x, c: _small(x) and _small(c + c.T)),
+    "traceless": (lambda d: d * d - 1,
+                  lambda x, c: _small(x) and _small(np.trace(c))),
+    "symmetric-traceless": (
+        lambda d: d * (d + 1) // 2 - 1,
+        lambda x, c: _small(x) and _small(c - c.T) and _small(np.trace(c))),
+    "diagonal": (lambda d: d,
+                 lambda x, c: _small(x) and _small(c - np.diag(np.diag(c)))),
+    "scalings": (lambda d: d + 1,
+                 lambda x, c: _small(c - c[0, 0] * np.eye(len(x)))),
+    "full": (lambda d: d + d * d, lambda x, c: True),
+}
+
+# sha256 of cone_preset(name, d).basis.tobytes(), float64 little-endian
+# (numpy 2.4, scipy 1.17): a new way of building the presets must keep
+# these bytes.
+PRESET_BASIS_SHA256 = {  # name -> (d = 2, d = 3)
+    "translations": (
+        "72b93c49ec7e72f1fbc288d734711ed945c876e5ad163651189cbdfba5abdd3d",
+        "128d6261e0408ee157952d1e82d33e0829072b9fbcfadda6e83f22e0208451ce"),
+    "skew": (
+        "2a53b7d492a548e9d02afe607a8eae87092e274d42800710a8dab22736cdd22a",
+        "fbd712ca60f5785b8c585a5bb4dc3e792d674ed257f75d0dd95cdbbff70e6cd8"),
+    "traceless": (
+        "9228369d2ad839ffb3769604b15b7f2d3b8a8aafd602a62e7e7bab6416c92505",
+        "c572cb21e841497763069856cb9e908e663b863e33046c77bb7b8ef06466504d"),
+    "symmetric-traceless": (
+        "b88ee842546892e99a6f5ce94d6a535765c7d1682fba97f9560f872b9af8b0fb",
+        "ba8f12dcfb284ac157400bd4c08e10d77d4a7a6395fb68dbc4d060d2084bd659"),
+    "diagonal": (
+        "f53240c5f4c3b0785aa59755480d4110f901251ee381d581d603b40491c36d93",
+        "72b4310a4401b197d461abd0a5a0dc0c83ee9c0b8beafa6c533bf936686af5e9"),
+    "scalings": (
+        "092f93c7e68b9b7ad88caa4e89828bf0e36831b154f26dd4602d1f1d5b13da20",
+        "4d1df31424ae5fabefb511a67aebc31cf30bdfa2d445bcb29d2dec0c27e74809"),
+    "full": (
+        "fe7f03d336210c0ede5316a178d818a67ebf348cdf2bffac790ba49244eabdf3",
+        "4f254dd664be1db80fb0796990b61db0846137d8039edd2b891da1f626141e0d"),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", CONE_PRESETS)
+def test_preset_basis_size_property_and_bytes(name, d):
+    size, law = PRESET_LAWS[name]
+    basis = cone_preset(name, d).basis
+    assert basis.shape == (size(d), d + d * d)
+    for row in basis:
+        assert law(row[:d], row[d:].reshape(d, d))
+    digest = hashlib.sha256(basis.tobytes()).hexdigest()
+    assert digest == PRESET_BASIS_SHA256[name][d - 2]
+
+
+def test_preset_order_and_unknown_name():
+    assert CONE_PRESETS == ("translations", "skew", "traceless",
+                            "symmetric-traceless", "diagonal", "scalings",
+                            "full")
+    with pytest.raises(ValueError, match="unknown cone preset 'rotations'"):
+        cone_preset("rotations", 2)
 
 
 def test_skew_restriction_is_signed_area():
