@@ -133,8 +133,92 @@ def xn_membership(point, batch, n, body):
 
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """
-    g, s = _xn_map(point, n, body.dim)
-    return bool(np.all(body.contains(batch @ g.T - s)))
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    return _MapsKeepSample(body, [_xn_map(point, n, body.dim)])(batch)
+
+
+# Bound on the rounding of either test of `_MapsKeepSample`, per d**2 and
+# per unit size of its numbers: 64 unit roundoffs.
+_ROUNDING = 32 * np.finfo(float).eps
+
+
+class _MapsKeepSample:
+    """The per-sample predicate "do all maps (g, s) keep the sample in the
+    body?", that is g a - s in the body for every map and sample point a.
+
+    Built once per set of maps.  A call first runs a sufficient screen on
+    the sample's extreme values and runs the exact test only when the
+    screen does not pass.  The exact test moves every point by every map
+    in one product and asks `body.contains`, comparing each slack with
+    its bound + GEO_TOL.
+
+    Polytope screen.  <u, g a - s> = <g^T u, a> - <u, s>, so the sample
+    passes when its support value in each pulled-back normal g^T u is at
+    most h + <u, s> + GEO_TOL / 2, one product for all maps.  Ball screen.
+    |g a - s| <= |g|_2 |a| + |s|, so the sample passes when
+    max|a| max|g|_2 (1 + 1e-12) + max|s| <= r + GEO_TOL / 2; the factor
+    covers the relative error of the computed spectral norm.  Half-balls
+    and lower-dimensional polytopes have no screen.
+
+    Rounding.  Let M bound the numbers of either test: for a polytope
+    M = |U|(|g|_2 |a| + |s|) + max|h| + GEO_TOL over its facet normals U,
+    the maps and the sample; for a ball whose screen passes, M = 2r + 1.
+    Standard dot-product error bounds put each computed support value,
+    slack and bound within R / 2 of its exact value, R = `_ROUNDING` d^2 M.
+    A screen runs only where R <= GEO_TOL / 4 (for a polytope, on samples
+    with no coordinate above `coord_max`), so a pass leaves every true
+    slack within its bound + 3/4 GEO_TOL, and every comparison of the
+    exact test passes: the verdicts, and so the report bytes, are the
+    exact test's.
+    """
+
+    def __init__(self, body, maps):
+        d = self.dim = body.dim
+        self.body = body
+        self.g_all = np.hstack([g.T for g, _ in maps])
+        self.s_all = np.concatenate([s for _, s in maps])
+        self.kind = None
+        norm_g = max(np.linalg.norm(g, 2) for g, _ in maps)
+        norm_s = max(np.linalg.norm(s) for _, s in maps)
+        if isinstance(body, Polytope) and body.is_full_dimensional:
+            normals, offsets = body.facet_normals, body.facet_offsets
+            norm_u = float(row_norms(normals).max())
+            # Largest coordinate of a sample the rounding bound admits.
+            budget = (GEO_TOL / 4 / (_ROUNDING * d * d)
+                      - float(np.abs(offsets).max()) - GEO_TOL
+                      - norm_u * norm_s)
+            self.coord_max = budget / (norm_u * norm_g * math.sqrt(d))
+            if self.coord_max > 0:
+                self.kind = "polytope"
+                self.pulled = np.vstack([normals @ g for g, _ in maps])
+                self.limit = np.concatenate(
+                    [offsets + normals @ s + GEO_TOL / 2 for _, s in maps])
+        elif isinstance(body, Ball) and (
+                _ROUNDING * d * d * (2 * body.radius + 1.0) <= GEO_TOL / 4):
+            self.kind = "ball"
+            self.grow = norm_g * (1 + 1e-12)
+            self.room = body.radius + GEO_TOL / 2 - norm_s
+
+    def screen(self, pts):
+        """Sufficient: True only if every map keeps every point."""
+        if not len(pts):
+            return False
+        if self.kind == "polytope":
+            if np.abs(pts).max() > self.coord_max:
+                return False
+            # pts.T is contiguous for a polytope sample.
+            support = (self.pulled @ pts.T).max(axis=1)
+            return bool(np.all(support <= self.limit))
+        if self.kind == "ball":
+            return bool(row_norms(pts).max() * self.grow <= self.room)
+        return False
+
+    def exact(self, pts):
+        moved = (pts @ self.g_all - self.s_all).reshape(-1, self.dim)
+        return bool(np.all(self.body.contains(moved)))
+
+    def __call__(self, pts):
+        return self.screen(pts) or self.exact(pts)
 
 
 # -- statistics -----------------------------------------------------------------
@@ -410,17 +494,12 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
                                   replicates, seed)
 
     # n X_n converges to the reflected cell: test the negated points.  Their
-    # maps do not depend on the sample: stacked once, they move each sample
-    # in one product, whose rows i*k..i*k+k-1 are point i under each map.
-    d = body.dim
-    maps = [_xn_map(-cone.embed(c), n, d) for c in test_points]
-    g_all = np.hstack([g.T for g, _ in maps])
-    s_all = np.concatenate([s for _, s in maps])
+    # maps do not depend on the sample, so the test is built once.
+    keeps = _MapsKeepSample(
+        body, [_xn_map(-cone.embed(c), n, body.dim) for c in test_points])
     finite_hits = 0
     for rng in replicate_rngs(seed, 1, replicates):
-        pts = uniform_sample(body, n, rng=rng)
-        finite_hits += bool(np.all(body.contains(
-            (pts @ g_all - s_all).reshape(-1, d))))
+        finite_hits += keeps(uniform_sample(body, n, rng=rng))
 
     report = ExperimentReport(
         name="inclusion",

@@ -178,8 +178,9 @@ class ConeSpec:
         return np.asarray(coords, dtype=float) @ self.basis
 
 
-def _orthonormalize(rows):
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+def _orthonormalize(rows, d):
+    """Orthonormal rows spanning the flat rows, (0, d + d^2) when none."""
+    rows = np.reshape(np.asarray(rows, dtype=float), (-1, d + d * d))
     q, _ = np.linalg.qr(rows.T)
     # Align signs with the input rows for readable coordinates.
     q = q.T
@@ -210,12 +211,13 @@ def _trace_steps(d):
 _CONE_BASES = {
     "translations": lambda d: np.eye(d, d + d * d),
     "skew": lambda d: _orthonormalize(
-        [_e(d, i, j) - _e(d, j, i) for i, j in _pairs(d)]),
+        [_e(d, i, j) - _e(d, j, i) for i, j in _pairs(d)], d),
     "traceless": lambda d: _orthonormalize(
         [_e(d, i, j) for i in range(d) for j in range(d) if i != j]
-        + _trace_steps(d)),
+        + _trace_steps(d), d),
     "symmetric-traceless": lambda d: _orthonormalize(
-        [_e(d, i, j) + _e(d, j, i) for i, j in _pairs(d)] + _trace_steps(d)),
+        [_e(d, i, j) + _e(d, j, i) for i, j in _pairs(d)] + _trace_steps(d),
+        d),
     "diagonal": lambda d: np.array([_e(d, i, i) for i in range(d)]),
     "scalings": lambda d: np.vstack(
         [np.eye(d, d + d * d), sum(_e(d, i, i) for i in range(d))

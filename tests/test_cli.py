@@ -319,6 +319,17 @@ def test_experiment_recession(square_json, tmp_path):
     assert doc["bounded"] is True
 
 
+def test_experiment_recession_segment_skew(tmp_path):
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"kind": "polytope",
+                                   "vertices": [[-1], [1]]}))
+    out = tmp_path / "rec.json"
+    code = main(["experiment", "recession", "--body", str(segment),
+                 "--cone", "skew", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["bounded"] is True
+
+
 def test_experiment_recession_unbounded(tmp_path):
     ball = tmp_path / "ball.json"
     ball.write_text(json.dumps({"kind": "ball", "radius": 1.0, "dim": 2}))

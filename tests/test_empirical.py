@@ -3,8 +3,11 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from khull.bodies import Ball, HalfBall, Polytope, cross_polytope, cube
+from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, cross_polytope,
+                          cube)
 from khull.empirical import (
+    _MapsKeepSample,
+    _xn_map,
     dual_cone_intensity_experiment,
     inclusion_functional_estimate,
     ks_statistic,
@@ -13,7 +16,7 @@ from khull.empirical import (
     uniform_sample,
     xn_membership,
 )
-from khull.poisson import spawn_rng
+from khull.poisson import replicate_rngs, spawn_rng
 from khull.zerocell import (build_zero_cell, cone_preset, flatten_pair,
                             restrict_to_cone)
 
@@ -442,12 +445,21 @@ def test_ball_skew_cells_keep_no_rows():
     assert restrict_to_cone(cell, cone_preset("skew", 2)).n_constraints == 0
 
 
-@pytest.mark.parametrize("body,cone,points,limit_hits,finite_hits", [
-    (SQUARE, "skew", [[0.03], [-0.04]], 289, 292),
-    (cube(3), "skew", [[0.02, -0.01, 0.03], [-0.03, 0.02, 0.01]], 289, 286),
-    (Ball(1.0, 2), "scalings", [[0.01, -0.02, 0.03], [-0.03, 0.01, 0.02]],
-     277, 275),
-], ids=["square-skew", "cube3-skew", "ball2-scalings"])
+# (body, cone, test points, limit hits, finite hits) of the benchmark's
+# cases at its n, over 300 replicates at seed 0.
+BENCHMARK_SIZE_CASES = [
+    pytest.param(SQUARE, "skew", [[0.03], [-0.04]], 289, 292,
+                 id="square-skew"),
+    pytest.param(cube(3), "skew", [[0.02, -0.01, 0.03], [-0.03, 0.02, 0.01]],
+                 289, 286, id="cube3-skew"),
+    pytest.param(Ball(1.0, 2), "scalings",
+                 [[0.01, -0.02, 0.03], [-0.03, 0.01, 0.02]], 277, 275,
+                 id="ball2-scalings"),
+]
+
+
+@pytest.mark.parametrize("body,cone,points,limit_hits,finite_hits",
+                         BENCHMARK_SIZE_CASES)
 def test_inclusion_functional_statistics_at_benchmark_size(
         body, cone, points, limit_hits, finite_hits):
     """The benchmark's cases at its n, ending on a partial block; the hit
@@ -471,6 +483,65 @@ def test_xn_membership_matches_matrix_exponential_formula():
                              SQUARE) is want
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# -- the screen of the finite-side test ----------------------------------------------
+
+SCREEN_BODIES = [SQUARE, HEXAGON, cube(3), cross_polytope(3), Ball(1.0, 1),
+                 Ball(1.0, 2), Ball(1.0, 3)]
+
+
+@pytest.mark.parametrize("body", SCREEN_BODIES, ids=[
+    "square", "hexagon", "cube3", "cross3", "ball1", "ball2", "ball3"])
+def test_maps_screen_pass_implies_exact_pass(body):
+    """Over map sizes from far inside to far outside the body, a screen
+    pass is always an exact pass, and the predicate is the exact test."""
+    d, n = body.dim, 100
+    outcomes = set()
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pts = uniform_sample(body, n, seed=seed)
+        for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+            maps = [(expm(scale * rng.standard_normal((d, d)) / n),
+                     scale * rng.standard_normal(d) / n) for _ in range(3)]
+            keeps = _MapsKeepSample(body, maps)
+            screen, exact = keeps.screen(pts), keeps.exact(pts)
+            assert exact or not screen
+            assert keeps(pts) is exact
+            outcomes.add((screen, exact))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+def test_maps_screen_at_the_tolerance():
+    """A point moved out by 2 GEO_TOL fails both tests; one moved out by
+    GEO_TOL / 4 passes both, inside the screen's guard band."""
+    pts = np.array([[1.0, 0.3], [0.2, -0.5], [-0.7, 0.9]])
+    for push, inside in ((2.0, False), (0.25, True)):
+        keeps = _MapsKeepSample(
+            SQUARE, [(np.eye(2), np.array([-push * GEO_TOL, 0.0]))])
+        assert keeps.exact(pts) is inside
+        assert keeps.screen(pts) is inside
+        assert keeps(pts) is inside
+
+
+@pytest.mark.parametrize("body,cone,points,limit_hits,finite_hits",
+                         BENCHMARK_SIZE_CASES)
+def test_maps_screen_settles_most_replicates(body, cone, points, limit_hits,
+                                             finite_hits):
+    """At the benchmark's n the screen settles at least 90% of the
+    replicates that pass; no screen can settle one that fails."""
+    cone = cone_preset(cone, body.dim)
+    keeps = _MapsKeepSample(body, [_xn_map(-cone.embed(c), 2000, body.dim)
+                                   for c in points])
+    screened = passed = 0
+    for rng in replicate_rngs(0, 1, 300):
+        pts = uniform_sample(body, 2000, rng=rng)
+        screen, exact = keeps.screen(pts), keeps.exact(pts)
+        assert exact or not screen
+        screened += screen
+        passed += exact
+    assert passed == finite_hits
+    assert screened >= 0.9 * passed
 
 
 def test_dual_cone_slopes():

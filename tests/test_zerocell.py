@@ -320,6 +320,20 @@ def test_preset_basis_size_property_and_bytes(name, d):
     assert digest == PRESET_BASIS_SHA256[name][d - 2]
 
 
+def test_presets_in_one_dimension():
+    """A line has no skew or traceless maps: those bases are (0, 2)."""
+    sizes = [cone_preset(name, 1).basis.shape for name in CONE_PRESETS]
+    assert sizes == [(k, 2) for k in (1, 0, 0, 0, 1, 2, 2)]
+    cell = build_zero_cell(Ball(1.0, 1), 3.0, seed=0)
+    assert cell.n_constraints > 0
+    for name in CONE_PRESETS:
+        cone = cone_preset(name, 1)
+        restricted = restrict_to_cone(cell, cone)
+        assert restricted.normals.shape[1] == cone.n_params
+        assert restricted.contains(np.zeros((1, cone.n_params))).all()
+    assert is_bounded(cube(1), cone_preset("skew", 1)) == (True, None)
+
+
 def test_preset_order_and_unknown_name():
     assert CONE_PRESETS == ("translations", "skew", "traceless",
                             "symmetric-traceless", "diagonal", "scalings",
