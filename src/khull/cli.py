@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .bodies import body_from_json, body_to_json
-from .empirical import (dual_cone_intensity_experiment,
+from .empirical import (_window_radius, dual_cone_intensity_experiment,
                         inclusion_functional_estimate,
                         so2_square_experiment, translation_box_experiment)
 from .hulls import (BallHullOracle, hull_full_affine, hull_linear_ball,
@@ -286,6 +286,14 @@ def cmd_experiment_inclusion(args):
     if pts.shape[1] != cone.n_params:
         raise ConfigError(f"points must have {cone.n_params} columns for "
                           f"the {args.cone} preset")
+    bad = pts[~np.isfinite(pts)]
+    if len(bad):
+        raise ConfigError(f"--points must be finite, got {bad[0]}")
+    with np.errstate(over="ignore"):
+        radius = _window_radius(cone, pts)
+    if not math.isfinite(radius):
+        raise ConfigError(f"--points are too large: their window radius "
+                          f"is {radius}")
     report = inclusion_functional_estimate(body, cone, pts, n=args.n,
                                            replicates=args.reps,
                                            seed=args.seed)

@@ -54,29 +54,38 @@ REPLICATE_BLOCK = 64
 def uniform_sample(body, n, seed=None, rng=None):
     """n independent uniform points from the body, as an (n, d) array.
 
-    A polytope is sampled by rejection from its bounding box: the result is
-    the first n in-body candidates of the ``rng.random`` stream mapped to
-    the box.  Batches are sized from the acceptance rate observed so far,
-    but which candidates come first does not depend on the batch size, so
-    the sample is fixed by the generator state alone.  Every candidate of
-    a box (`Polytope.is_box`) is in the body, so a box skips the test and
-    its sample is the first n candidates of one batch.  The polytope sample
-    is the transpose of a coordinate-major (d, n) array, so each column of
-    the result is contiguous: reductions along axis 0 run on them directly.
+    The sample is `_place` of `_draw`: the generator calls, then a fixed
+    map into the body.  A polytope is sampled by rejection from its
+    bounding box: the result is the first n in-body candidates of the
+    ``rng.random`` stream mapped to the box.  Batches are sized from the
+    acceptance rate observed so far, but which candidates come first does
+    not depend on the batch size, so the sample is fixed by the generator
+    state alone.  Every candidate of a box (`Polytope.is_box`) is in the
+    body, so a box skips the test and its sample is the first n
+    candidates of one batch.  The polytope sample is the transpose of a
+    coordinate-major (d, n) array, so each column of the result is
+    contiguous: reductions along axis 0 run on them directly.
     """
     if rng is None:
         rng = spawn_rng(seed)
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
-    d = body.dim
     if n == 0:
-        return np.zeros((0, d))
+        return np.zeros((0, body.dim))
+    return _place(body, n, _draw(body, n, rng))
+
+
+def _draw(body, n, rng):
+    """The generator calls of an n-point `uniform_sample`, n >= 1.
+
+    A box draws one (n + 8, d) batch of ``rng.random``; a ball draws
+    (n, d) standard normals, then n uniforms for the radii.  Any other
+    body draws its finished sample, which `_place` leaves as it is.
+    """
+    d = body.dim
     if isinstance(body, Ball):
-        u = rng.standard_normal((n, d))
-        u /= row_norms(u)[:, None]
-        r = body.radius * rng.random(n) ** (1.0 / d)
-        return u * r[:, None]
+        return rng.standard_normal((n, d)), rng.random(n)
     if isinstance(body, HalfBall):
         out = np.zeros((n, d))
         filled = 0
@@ -88,33 +97,60 @@ def uniform_sample(body, n, seed=None, rng=None):
             out[filled:filled + take] = cand[:take]
             filled += take
         return out
-    if isinstance(body, Polytope):
+    if not isinstance(body, Polytope):
+        raise TypeError(f"unsupported body {type(body).__name__}")
+    if body.is_box:  # a box keeps every candidate of the first batch
+        return rng.random((n + 8, d))
+    lo, hi = body.bounding_box
+    span = hi - lo
+    out = None
+    filled = drawn = 0
+    while filled < n:
+        rate = max(filled, 1) / max(drawn, 1)
+        m = math.ceil((n - filled) / rate) + 8
+        cand = _to_box(rng.random((m, d)), lo, span)
+        drawn += m
+        inside = body.contains(cand.T)
+        if not inside.all():
+            cand = np.compress(inside, cand, axis=1)
+        take = min(cand.shape[1], n - filled)
+        if take == n:  # the first batch filled the sample
+            return cand[:, :n].T
+        if out is None:
+            out = np.empty((d, n))
+        out[:, filled:filled + take] = cand[:, :take]
+        filled += take
+    return out.T
+
+
+def _to_box(u, lo, span):
+    """The (m, d) uniforms mapped to the box lo + u * span, in (d, m)
+    layout, where numpy broadcasts along the long axis; the values are
+    those of the (m, d) map."""
+    cand = np.multiply(u.T, span[:, None], out=np.empty(u.shape[::-1]))
+    cand += lo[:, None]
+    return cand
+
+
+def _place(body, n, raw):
+    """The n-point sample of the body from its `_draw`.  A ball's normals
+    are normalised in place, so a draw is placed at most once."""
+    if isinstance(body, Ball):
+        normals, radial = raw
+        normals /= row_norms(normals)[:, None]
+        r = body.radius * radial ** (1.0 / body.dim)
+        return normals * r[:, None]
+    if isinstance(body, Polytope) and body.is_box:
         lo, hi = body.bounding_box
-        lo, span = lo[:, None], (hi - lo)[:, None]
-        out = None
-        filled = drawn = 0
-        while filled < n:
-            rate = max(filled, 1) / max(drawn, 1)
-            m = math.ceil((n - filled) / rate) + 8
-            # Map to the box in (d, m) layout, where numpy broadcasts along
-            # the long axis; the values are those of the (m, d) map.
-            cand = np.multiply(rng.random((m, d)).T, span,
-                               out=np.empty((d, m)))
-            cand += lo
-            drawn += m
-            if not body.is_box:  # a box keeps every candidate
-                inside = body.contains(cand.T)
-                if not inside.all():
-                    cand = np.compress(inside, cand, axis=1)
-            take = min(cand.shape[1], n - filled)
-            if take == n:  # the first batch filled the sample
-                return cand[:, :n].T
-            if out is None:
-                out = np.empty((d, n))
-            out[:, filled:filled + take] = cand[:, :take]
-            filled += take
-        return out.T
-    raise TypeError(f"unsupported body {type(body).__name__}")
+        return _to_box(raw, lo, hi - lo)[:, :n].T
+    return raw
+
+
+def _ball_norm_bound(body, radial):
+    """A bound on the norms of the ball sample that `_place` makes from
+    these radial draws: r max(U)^(1/d) (1 + 1e-12).  The factor covers
+    the pow's one-ulp error and the error of normalising."""
+    return body.radius * radial.max() ** (1.0 / body.dim) * (1 + 1e-12)
 
 
 # -- scaled feasible-set membership ----------------------------------------------
@@ -134,7 +170,8 @@ def xn_membership(point, batch, n, body):
     True iff exp(-C/n) xi - x/n lies in the body for every sample point.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    return _MapsKeepSample(body, [_xn_map(point, n, body.dim)])(batch)
+    maps = [_xn_map(point, n, body.dim)]
+    return _MapsKeepSample(body, maps, len(batch)).exact(batch)
 
 
 # Bound on the rounding of either test of `_MapsKeepSample`, per d**2 and
@@ -143,38 +180,49 @@ _ROUNDING = 32 * np.finfo(float).eps
 
 
 class _MapsKeepSample:
-    """The per-sample predicate "do all maps (g, s) keep the sample in the
-    body?", that is g a - s in the body for every map and sample point a.
+    """The predicate "do all maps (g, s) keep the sample in the body?" on
+    the `_draw` of an n-point sample, n >= 1: is g a - s in the body for
+    every map and every point a that `_place` makes of the draw?
 
     Built once per set of maps.  A call first runs a sufficient screen on
-    the sample's extreme values and runs the exact test only when the
-    screen does not pass.  The exact test moves every point by every map
-    in one product and asks `body.contains`, comparing each slack with
-    its bound + GEO_TOL.
+    the draw's extreme values.  Only when it does not pass is the sample
+    placed and the exact test run: it moves every point by every map in
+    one product and asks `body.contains`, comparing each slack with its
+    bound + GEO_TOL.
 
     Polytope screen.  <u, g a - s> = <g^T u, a> - <u, s>, so the sample
-    passes when its support value in each pulled-back normal g^T u is at
-    most h + <u, s> + GEO_TOL / 2, one product for all maps.  Ball screen.
-    |g a - s| <= |g|_2 |a| + |s|, so the sample passes when
-    max|a| max|g|_2 (1 + 1e-12) + max|s| <= r + GEO_TOL / 2; the factor
-    covers the relative error of the computed spectral norm.  Half-balls
-    and lower-dimensional polytopes have no screen.
+    passes when its support value in each pulled-back normal p = g^T u is
+    at most h + <u, s> + GEO_TOL / 2, one product for all maps.  A box
+    places draw row v at lo + v * span + e, e the rounding of the map, so
+    its screen reads the first n draw rows with p * span in place of p and
+    h + <u, s> + GEO_TOL / 2 - <p, lo> - delta in place of the bound,
+    where delta >= |<p, e>|.  Ball screen.  |g a - s| <= |g|_2 |a| + |s|,
+    and `_ball_norm_bound` bounds every |a| from the radial draws, so the
+    sample passes when that bound times max|g|_2 (1 + 1e-12), plus
+    max|s|, is at most r + GEO_TOL / 2; the factor covers the relative
+    error of the computed spectral norm.  Half-balls and
+    lower-dimensional polytopes have no screen.
 
     Rounding.  Let M bound the numbers of either test: for a polytope
     M = |U|(|g|_2 |a| + |s|) + max|h| + GEO_TOL over its facet normals U,
     the maps and the sample; for a ball whose screen passes, M = 2r + 1.
     Standard dot-product error bounds put each computed support value,
-    slack and bound within R / 2 of its exact value, R = `_ROUNDING` d^2 M.
-    A screen runs only where R <= GEO_TOL / 4 (for a polytope, on samples
-    with no coordinate above `coord_max`), so a pass leaves every true
-    slack within its bound + 3/4 GEO_TOL, and every comparison of the
-    exact test passes: the verdicts, and so the report bytes, are the
-    exact test's.
+    slack and bound within R / 2 of its exact value, R = `_ROUNDING` d^2 M;
+    a box's folded values are at most 2M and take d + 3 more operations,
+    within the same R / 2.  Every polytope sample coordinate is mapped
+    from [0, 1) to the bounding box [lo, hi], so it is at most
+    c = max(|lo|, |hi|)(1 + `_ROUNDING`) in size, and the map rounds it by
+    at most 4 u max(|lo|, |hi|), u the unit roundoff: so
+    delta = `_ROUNDING` d |p| c bounds |<p, e>|.  A screen runs only where
+    R <= GEO_TOL / 4 (for a polytope, checked once with |a| <= sqrt(d) c),
+    so a pass leaves every true slack within its bound + 3/4 GEO_TOL, and
+    every comparison of the exact test passes: the verdicts, and so the
+    report bytes, are the exact test's.
     """
 
-    def __init__(self, body, maps):
+    def __init__(self, body, maps, n):
         d = self.dim = body.dim
-        self.body = body
+        self.body, self.n = body, n
         self.g_all = np.hstack([g.T for g, _ in maps])
         self.s_all = np.concatenate([s for _, s in maps])
         self.kind = None
@@ -183,42 +231,46 @@ class _MapsKeepSample:
         if isinstance(body, Polytope) and body.is_full_dimensional:
             normals, offsets = body.facet_normals, body.facet_offsets
             norm_u = float(row_norms(normals).max())
-            # Largest coordinate of a sample the rounding bound admits.
+            lo, hi = body.bounding_box
+            # Largest size of a placed sample coordinate.
+            c = float(np.abs([lo, hi]).max()) * (1 + _ROUNDING)
             budget = (GEO_TOL / 4 / (_ROUNDING * d * d)
                       - float(np.abs(offsets).max()) - GEO_TOL
-                      - norm_u * norm_s)
-            self.coord_max = budget / (norm_u * norm_g * math.sqrt(d))
-            if self.coord_max > 0:
+                      - norm_u * (norm_g * math.sqrt(d) * c + norm_s))
+            if budget >= 0:
                 self.kind = "polytope"
-                self.pulled = np.vstack([normals @ g for g, _ in maps])
-                self.limit = np.concatenate(
+                pulled = np.vstack([normals @ g for g, _ in maps])
+                limit = np.concatenate(
                     [offsets + normals @ s + GEO_TOL / 2 for _, s in maps])
+                if body.is_box:  # fold the placement into the screen
+                    delta = _ROUNDING * d * c * row_norms(pulled)
+                    limit = limit - pulled @ lo - delta
+                    pulled = pulled * (hi - lo)
+                self.pulled, self.limit = pulled, limit
         elif isinstance(body, Ball) and (
                 _ROUNDING * d * d * (2 * body.radius + 1.0) <= GEO_TOL / 4):
             self.kind = "ball"
             self.grow = norm_g * (1 + 1e-12)
             self.room = body.radius + GEO_TOL / 2 - norm_s
 
-    def screen(self, pts):
+    def screen(self, raw):
         """Sufficient: True only if every map keeps every point."""
-        if not len(pts):
-            return False
         if self.kind == "polytope":
-            if np.abs(pts).max() > self.coord_max:
-                return False
-            # pts.T is contiguous for a polytope sample.
-            support = (self.pulled @ pts.T).max(axis=1)
-            return bool(np.all(support <= self.limit))
+            # A box draw's rows are contiguous, and so are the columns of
+            # any other polytope sample: the product copies neither.
+            support = (self.pulled @ raw[:self.n].T).max(axis=1)
+            return bool((support <= self.limit).all())
         if self.kind == "ball":
-            return bool(row_norms(pts).max() * self.grow <= self.room)
+            bound = _ball_norm_bound(self.body, raw[1])
+            return bool(bound * self.grow <= self.room)
         return False
 
     def exact(self, pts):
         moved = (pts @ self.g_all - self.s_all).reshape(-1, self.dim)
         return bool(np.all(self.body.contains(moved)))
 
-    def __call__(self, pts):
-        return self.screen(pts) or self.exact(pts)
+    def __call__(self, raw):
+        return self.screen(raw) or self.exact(_place(self.body, self.n, raw))
 
 
 # -- statistics -----------------------------------------------------------------
@@ -487,19 +539,19 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     """
     t0 = time.perf_counter()
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-    window_radius = float(
-        max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
+    window_radius = _window_radius(cone, test_points)
 
     limit_hits = _limit_cell_hits(body, cone, test_points, window_radius,
                                   replicates, seed)
 
     # n X_n converges to the reflected cell: test the negated points.  Their
-    # maps do not depend on the sample, so the test is built once.
-    keeps = _MapsKeepSample(
-        body, [_xn_map(-cone.embed(c), n, body.dim) for c in test_points])
+    # maps do not depend on the sample, so the test is built once; a
+    # replicate's sample is placed only if the screen of its draw misses.
+    maps = [_xn_map(-cone.embed(c), n, body.dim) for c in test_points]
+    keeps = _MapsKeepSample(body, maps, n)
     finite_hits = 0
     for rng in replicate_rngs(seed, 1, replicates):
-        finite_hits += keeps(uniform_sample(body, n, rng=rng))
+        finite_hits += keeps(_draw(body, n, rng))
 
     report = ExperimentReport(
         name="inclusion",
@@ -515,6 +567,12 @@ def inclusion_functional_estimate(body, cone, test_points, n=2000,
     )
     report.runtime = time.perf_counter() - t0
     return report
+
+
+def _window_radius(cone, test_points):
+    """Radius of the window the limit cells are drawn in: one more than
+    the largest norm of an embedded test point."""
+    return float(max(np.linalg.norm(cone.embed(c)) for c in test_points)) + 1.0
 
 
 def _limit_cell_hits(body, cone, test_points, window_radius, replicates,

@@ -558,3 +558,23 @@ def test_empty_points_file_names_the_flag(argv, square_json, tmp_path,
     assert capsys.readouterr().err == \
         f"error: --points file {points} has no rows\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "--points must be finite, got nan"),
+    ("inf", "--points must be finite, got inf"),
+    ("1e300", "--points are too large: their window radius is inf"),
+])
+def test_inclusion_non_finite_or_huge_points_name_the_flag(
+        value, message, square_json, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text(f"{value}\n0.1\n")
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings too
+        code = main(["experiment", "inclusion", "--body", square_json,
+                     "--cone", "skew", "--points", str(points),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

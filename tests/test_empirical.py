@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import expm
 
 from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, cross_polytope,
-                          cube)
+                          cube, row_norms)
 from khull.empirical import (
+    _ball_norm_bound,
+    _draw,
     _MapsKeepSample,
+    _place,
     _xn_map,
     dual_cone_intensity_experiment,
     inclusion_functional_estimate,
@@ -108,6 +113,54 @@ def test_polytope_bounding_box_is_vertex_min_and_max(body):
     assert np.array_equal(lo, body.vertices.min(axis=0))
     assert np.array_equal(hi, body.vertices.max(axis=0))
     assert body.bounding_box is body.bounding_box
+
+
+def _reference_ball_sample(radius, d, n, seed):
+    """The ball sampler's formula: normalised normals, radii r U^(1/d)."""
+    rng = spawn_rng(seed)
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u * (radius * rng.random(n) ** (1.0 / d))[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_uniform_sample_ball_is_the_reference_formula(d, n):
+    for radius, seed in ((1.0, 0), (2.5, 1), (0.3, 12345)):
+        got = uniform_sample(Ball(radius, d), n, seed=seed)
+        want = _reference_ball_sample(radius, d, n, seed)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("body", [
+    cube(2), cube(3), OFF_CENTRE_BOX, Ball(1.0, 1), Ball(2.5, 2),
+    Ball(1.0, 3), HEXAGON, HalfBall(1.0, dim=2),
+], ids=["square", "cube3", "off-centre-box", "ball1", "ball2", "ball3",
+        "hexagon", "half-ball"])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_place_of_draw_is_uniform_sample(body, n):
+    for seed in (0, 1, 12345):
+        got = _place(body, n, _draw(body, n, spawn_rng(seed)))
+        want = uniform_sample(body, n, seed=seed)
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+        if isinstance(body, Polytope):
+            assert got.strides[0] == got.itemsize  # contiguous columns
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_ball_norm_bound_is_tight_above_every_sample_norm(d, n):
+    """The bound from the radial draws is at least every computed norm of
+    the placed sample, and within 1e-11 of the largest."""
+    for radius, seed in ((1.0, 0), (2.5, 1), (0.3, 12345)):
+        body = Ball(radius, d)
+        for i in range(20):
+            raw = _draw(body, n, spawn_rng(seed, i))
+            norms = row_norms(_place(body, n, raw))
+            bound = _ball_norm_bound(body, raw[1])
+            assert norms.max() <= bound <= norms.max() * (1 + 1e-11)
 
 
 def test_uniform_sample_ball_radial_cdf():
@@ -487,61 +540,105 @@ def test_xn_membership_matches_matrix_exponential_formula():
 
 # -- the screen of the finite-side test ----------------------------------------------
 
-SCREEN_BODIES = [SQUARE, HEXAGON, cube(3), cross_polytope(3), Ball(1.0, 1),
-                 Ball(1.0, 2), Ball(1.0, 3)]
+SCREEN_BODIES = [SQUARE, HEXAGON, cube(3), cross_polytope(3), OFF_CENTRE_BOX,
+                 Ball(1.0, 1), Ball(1.0, 2), Ball(1.0, 3)]
 
 
 @pytest.mark.parametrize("body", SCREEN_BODIES, ids=[
-    "square", "hexagon", "cube3", "cross3", "ball1", "ball2", "ball3"])
+    "square", "hexagon", "cube3", "cross3", "off-centre-box", "ball1",
+    "ball2", "ball3"])
 def test_maps_screen_pass_implies_exact_pass(body):
     """Over map sizes from far inside to far outside the body, a screen
-    pass is always an exact pass, and the predicate is the exact test."""
+    pass on the draw is always an exact pass on the placed sample, and the
+    predicate is the exact test."""
     d, n = body.dim, 100
     outcomes = set()
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        pts = uniform_sample(body, n, seed=seed)
+        raw = _draw(body, n, spawn_rng(seed))
+        pts = _place(body, n, raw)
         for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0):
             maps = [(expm(scale * rng.standard_normal((d, d)) / n),
                      scale * rng.standard_normal(d) / n) for _ in range(3)]
-            keeps = _MapsKeepSample(body, maps)
-            screen, exact = keeps.screen(pts), keeps.exact(pts)
+            keeps = _MapsKeepSample(body, maps, n)
+            screen, exact = keeps.screen(raw), keeps.exact(pts)
             assert exact or not screen
-            assert keeps(pts) is exact
+            assert keeps(raw) is exact
             outcomes.add((screen, exact))
     assert {(True, True), (False, False)} <= outcomes
 
 
-def test_maps_screen_at_the_tolerance():
-    """A point moved out by 2 GEO_TOL fails both tests; one moved out by
-    GEO_TOL / 4 passes both, inside the screen's guard band."""
-    pts = np.array([[1.0, 0.3], [0.2, -0.5], [-0.7, 0.9]])
+@pytest.mark.parametrize("body", [SQUARE, OFF_CENTRE_BOX],
+                         ids=["square", "off-centre-box"])
+def test_maps_screen_at_the_tolerance(body):
+    """A box point moved out by 2 GEO_TOL fails both tests; one moved out
+    by GEO_TOL / 4 passes both, inside the screen's guard band.  The
+    screen reads only the draw rows that are placed."""
+    hi = body.bounding_box[1]
+    # The first point is placed at x = hi[0] exactly; the box's eight
+    # spare rows lie far outside and must not be read.
+    raw = np.vstack([[[1.0, 0.65], [0.6, 0.25], [0.15, 0.95]],
+                     np.full((8, 2), 5.0)])
+    pts = _place(body, 3, raw)
+    assert pts[0, 0] == hi[0]
     for push, inside in ((2.0, False), (0.25, True)):
         keeps = _MapsKeepSample(
-            SQUARE, [(np.eye(2), np.array([-push * GEO_TOL, 0.0]))])
+            body, [(np.eye(2), np.array([-push * GEO_TOL, 0.0]))], 3)
         assert keeps.exact(pts) is inside
-        assert keeps.screen(pts) is inside
-        assert keeps(pts) is inside
+        assert keeps.screen(raw) is inside
+        assert keeps(raw) is inside
 
 
 @pytest.mark.parametrize("body,cone,points,limit_hits,finite_hits",
                          BENCHMARK_SIZE_CASES)
 def test_maps_screen_settles_most_replicates(body, cone, points, limit_hits,
                                              finite_hits):
-    """At the benchmark's n the screen settles at least 90% of the
-    replicates that pass; no screen can settle one that fails."""
+    """At the benchmark's n the screen of the draws settles at least 90%
+    of the replicates that pass; no screen can settle one that fails."""
     cone = cone_preset(cone, body.dim)
     keeps = _MapsKeepSample(body, [_xn_map(-cone.embed(c), 2000, body.dim)
-                                   for c in points])
+                                   for c in points], 2000)
     screened = passed = 0
     for rng in replicate_rngs(0, 1, 300):
-        pts = uniform_sample(body, 2000, rng=rng)
-        screen, exact = keeps.screen(pts), keeps.exact(pts)
+        raw = _draw(body, 2000, rng)
+        pts = _place(body, 2000, raw)
+        screen, exact = keeps.screen(raw), keeps.exact(pts)
         assert exact or not screen
         screened += screen
         passed += exact
     assert passed == finite_hits
     assert screened >= 0.9 * passed
+
+
+def test_box_screen_property():
+    """For a random box in d = 1..3, maps near the identity and a random
+    scale, a screen pass on the draw is an exact pass on the sample."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None,
+                         database=None)
+    @hypothesis.given(
+        d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+        lo=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0),
+        log_scale=st.floats(-3.0, 1.0), faces=st.booleans())
+    def check(d, seed, lo, width, log_scale, faces):
+        rng = np.random.default_rng(seed)
+        low = lo + rng.uniform(-1.0, 1.0, d)
+        high = low + width * rng.uniform(0.2, 1.0, d)
+        body = Polytope.from_vertices(np.array(
+            list(itertools.product(*zip(low, high)))))
+        hypothesis.assume(body.is_box)
+        n, scale = 50, 10.0 ** log_scale
+        raw = _draw(body, n, rng)
+        if faces:  # draws at the ends of [0, 1) place points on the faces
+            raw[:d] = np.eye(d) * (1.0 - 2.0 ** -53)
+        maps = [(expm(scale * rng.standard_normal((d, d)) / n),
+                 scale * rng.standard_normal(d) / n) for _ in range(2)]
+        keeps = _MapsKeepSample(body, maps, n)
+        assert keeps.exact(_place(body, n, raw)) or not keeps.screen(raw)
+
+    check()
 
 
 def test_dual_cone_slopes():
