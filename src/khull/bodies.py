@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -262,7 +263,13 @@ class Polytope:
 
     @cached_property
     def volume(self):
-        """Volume of a full-dimensional polytope, computed once per object."""
+        """Volume of a full-dimensional polytope, computed once per object.
+
+        A segment (d = 1) is its length; Qhull needs d >= 2.
+        """
+        if self.dim == 1:
+            lo, hi = self.bounding_box
+            return float(hi[0] - lo[0])
         return float(scipy.spatial.ConvexHull(self.vertices).volume)
 
     @cached_property
@@ -686,10 +693,32 @@ def normal_cone(body, v):
 # -- standard bodies ----------------------------------------------------------
 
 def cube(d, half_width=1.0):
-    """The cube [-w, w]^d."""
-    corners = np.array(list(itertools.product([-half_width, half_width],
-                                              repeat=d)))
-    return Polytope.from_vertices(corners)
+    """The cube [-w, w]^d, built in closed form: no Qhull call.
+
+    The vertices are the `itertools.product` corners, except in d = 2,
+    where they run counterclockwise from (-w, -w): the order that
+    `Polytope.from_vertices` gives the corners, so `body_to_json` writes
+    the vertex list of their Qhull polytope.  The facets are -e_1 ...
+    -e_d, +e_1 ... +e_d, with no -0.0 entry, each at offset w.  Marks
+    drawn on this object follow this facet order, so they differ from
+    those of `from_vertices` of the corners, which earlier versions
+    returned.  CLI outputs and experiment reports do not change:
+    `body_from_json` rebuilds a JSON polytope with Qhull from its
+    vertices alone.  A d that is not an integer of at least 1, or a
+    half_width that is not finite and positive, raises a ValueError that
+    names it.
+    """
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
+    if not (isinstance(half_width, numbers.Real) and 0 < half_width < np.inf):
+        raise ValueError(f"half_width must be finite and positive, got "
+                         f"{half_width!r}")
+    w = float(half_width)
+    corners = np.array(list(itertools.product([-w, w], repeat=d)))
+    if d == 2:
+        corners = corners[[0, 2, 3, 1]]
+    eye = np.eye(d)
+    return Polytope(corners, np.vstack([0.0 - eye, eye]), np.full(2 * d, w))
 
 
 def cross_polytope(d):

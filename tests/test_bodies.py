@@ -459,6 +459,56 @@ def test_one_dimensional_polytopes():
     assert not point.is_full_dimensional
 
 
+@pytest.mark.parametrize("args,name", [
+    ((2, -1), "half_width"), ((2, 0), "half_width"),
+    ((2, np.nan), "half_width"), ((2, np.inf), "half_width"),
+    ((0,), "d"),
+], ids=["negative", "zero", "nan", "inf", "d0"])
+def test_cube_rejects_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cube(*args)
+
+
+def test_segment_volume_is_its_length():
+    assert cube(1).volume == 2.0
+    assert cube(1, 0.3).volume == 0.6
+    assert Polytope.from_vertices([[0.0], [3.0]]).volume == 3.0
+
+
+def _facet_rows(body):
+    return set(zip(map(tuple, body.facet_normals.tolist()),
+                   body.facet_offsets.tolist()))
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.vertices, b.vertices),
+                            (a.facet_normals, b.facet_normals),
+                            (a.facet_offsets, b.facet_offsets)))
+
+
+@pytest.mark.parametrize("w", [1, 0.5, 0.3, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cube_is_the_hull_of_its_corners(d, w):
+    # The closed-form cube against the Qhull body of its product corners.
+    hull = Polytope.from_vertices(
+        list(itertools.product([-w, w], repeat=d)))
+    box = cube(d, w)
+    assert box.vertices.tobytes() == hull.vertices.tobytes()
+    assert _facet_rows(box) == _facet_rows(hull)
+    assert not np.any(np.signbit(box.facet_normals[box.facet_normals == 0]))
+    assert box.is_box
+    # body_from_json never reads the facets, so a cube file the library
+    # writes gives the CLI the body a Qhull-built cube's file gave it.
+    assert body_to_json(box)["vertices"] == body_to_json(hull)["vertices"]
+    read = body_from_json(body_to_json(box))
+    assert _same_bits(read, body_from_json(body_to_json(hull)))
+    # In d = 2 Qhull orders the facets of the counterclockwise vertex list
+    # otherwise than those of the product list, for either cube's file.
+    assert _same_bits(read, hull) == (d != 2)
+
+
 def test_from_vertices_collinear():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
     seg = Polytope.from_vertices(pts)

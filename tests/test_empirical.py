@@ -504,7 +504,7 @@ BENCHMARK_SIZE_CASES = [
     pytest.param(SQUARE, "skew", [[0.03], [-0.04]], 289, 292,
                  id="square-skew"),
     pytest.param(cube(3), "skew", [[0.02, -0.01, 0.03], [-0.03, 0.02, 0.01]],
-                 289, 286, id="cube3-skew"),
+                 290, 286, id="cube3-skew"),
     pytest.param(Ball(1.0, 2), "scalings",
                  [[0.01, -0.02, 0.03], [-0.03, 0.01, 0.02]], 277, 275,
                  id="ball2-scalings"),

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import khull
 
 SUBMODULES = ("scipy.optimize", "scipy.spatial", "scipy.linalg",
@@ -48,15 +50,29 @@ print(json.dumps([before, code, loaded()]))
     assert len(rows) > 1
 
 
-def test_polytope_call_loads_scipy_spatial(tmp_path):
+def test_cube_and_its_json_load_no_scipy_submodule(tmp_path):
     out = _run("""
 square = khull.cube(2)
+docs = [khull.body_to_json(square), khull.body_to_json(khull.cube(3))]
 print(json.dumps([loaded(), square.vertices.tolist()]))
 """, tmp_path)
     modules, vertices = out
-    assert "scipy.spatial" in modules and "scipy.optimize" not in modules
+    assert modules == []
     assert sorted(map(tuple, vertices)) == [(-1, -1), (-1, 1), (1, -1),
                                             (1, 1)]
+
+
+@pytest.mark.parametrize("call", [
+    "khull.cube(2).volume",
+    "khull.Polytope.from_vertices([[1, 0], [0.5, 0.8], [-0.5, 0.8], [-1, 0],"
+    " [-0.5, -0.8], [0.5, -0.8]])",
+], ids=["cube-volume", "hexagon"])
+def test_polytope_call_loads_scipy_spatial(call, tmp_path):
+    modules = _run(f"""
+{call}
+print(json.dumps(loaded()))
+""", tmp_path)
+    assert "scipy.spatial" in modules and "scipy.optimize" not in modules
 
 
 def test_lp_call_loads_scipy_optimize(tmp_path):
