@@ -350,12 +350,31 @@ def _in_convex_hull(p, vertices):
     return bool(np.min(dists) <= GEO_TOL)
 
 
+def _check_dim(value, name):
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got "
+                         f"{value!r}")
+
+
+def _check_ball(radius, dim):
+    """Reject a radius that is not finite and positive or a dim that is
+    not an integer of at least 1, with a ValueError that names it."""
+    if not (isinstance(radius, numbers.Real) and 0 < radius < np.inf):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _check_dim(dim, "dim")
+
+
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball of radius r centered at the origin."""
+    """Euclidean ball of radius r centered at the origin.  A radius that
+    is not finite and positive, or a dim that is not an integer of at
+    least 1, raises a ValueError that names it."""
 
     radius: float
     dim: int = 2
+
+    def __post_init__(self):
+        _check_ball(self.radius, self.dim)
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -364,13 +383,15 @@ class Ball:
 
 @dataclass(frozen=True)
 class HalfBall:
-    """Half-ball {|x| <= r, <x, axis> >= 0}; default axis is e1."""
+    """Half-ball {|x| <= r, <x, axis> >= 0}; default axis is e1.  Radius
+    and dim are checked as `Ball` checks them."""
 
     radius: float
     axis: np.ndarray = field(default=None)
     dim: int = 2
 
     def __post_init__(self):
+        _check_ball(self.radius, self.dim)
         axis = self.axis
         if axis is None:
             axis = np.zeros(self.dim)
@@ -708,8 +729,7 @@ def cube(d, half_width=1.0):
     half_width that is not finite and positive, raises a ValueError that
     names it.
     """
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"d must be an integer of at least 1, got {d!r}")
+    _check_dim(d, "d")
     if not (isinstance(half_width, numbers.Real) and 0 < half_width < np.inf):
         raise ValueError(f"half_width must be finite and positive, got "
                          f"{half_width!r}")
@@ -722,7 +742,9 @@ def cube(d, half_width=1.0):
 
 
 def cross_polytope(d):
-    """The cross-polytope conv(+-e_i) in R^d."""
+    """The cross-polytope conv(+-e_i) in R^d.  A d that is not an integer
+    of at least 1 raises a ValueError that names it, as in `cube`."""
+    _check_dim(d, "d")
     verts = np.vstack([np.eye(d), -np.eye(d)])
     return Polytope.from_vertices(verts)
 
@@ -758,13 +780,6 @@ def body_to_json(body):
     raise TypeError(f"cannot serialize {type(body).__name__}")
 
 
-def _radius(doc):
-    radius = float(doc["radius"])
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    return radius
-
-
 def _dim(doc):
     value = doc.get("dim", 2)
     try:
@@ -793,11 +808,11 @@ def body_from_json(doc):
     if kind == "polytope":
         return Polytope.from_vertices(np.asarray(doc["vertices"], float))
     if kind == "ball":
-        return Ball(_radius(doc), _dim(doc))
+        return Ball(float(doc["radius"]), _dim(doc))
     if kind == "half_ball":
         axis = doc.get("axis")
         dim = len(axis) if axis is not None else _dim(doc)
-        return HalfBall(_radius(doc),
+        return HalfBall(float(doc["radius"]),
                         np.asarray(axis, float) if axis is not None else None,
                         dim)
     if kind == "half_space":

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -23,9 +24,7 @@ from .bodies import GEO_TOL, Ball, HalfBall, Polytope, cube, row_norms
 from .matexp import matrix_exponential
 from .poisson import (_ball_surface_area, _ball_volume, replicate_rngs,
                       sample_PK_block, spawn_rng)
-from .zerocell import (build_zero_cell, cone_preset, cone_projection,
-                       halfspaces_from_marks, restrict_to_cone,
-                       window_horizon)
+from .zerocell import cone_projection, halfspaces_from_marks, window_horizon
 
 __all__ = [
     "ExperimentReport",
@@ -38,7 +37,9 @@ __all__ = [
     "xn_membership",
 ]
 
-DEFAULT_S_MAX = 50.0
+# Clipping bound of the rotation and translation extents, read when an
+# experiment runs; written to its report config as "s_max".
+S_MAX = 50.0
 # Weight horizon of the simulated limit extents: an extent found below it
 # is the one of the untruncated process.
 T_HORIZON = 100.0
@@ -51,8 +52,13 @@ REPLICATE_BLOCK = 64
 
 # -- sampling -------------------------------------------------------------------
 
-def uniform_sample(body, n, seed=None, rng=None):
+def uniform_sample(body, n, seed=None):
     """n independent uniform points from the body, as an (n, d) array.
+
+    The points are drawn from ``np.random.default_rng(seed)``: an int
+    seed gives the stream of `spawn_rng(seed)`, a Generator is used and
+    advanced as it is.  n must be a non-negative integer, a numpy one
+    included; anything else raises a ValueError.
 
     The sample is `_place` of `_draw`: the generator calls, then a fixed
     map into the body.  A polytope is sampled by rejection from its
@@ -66,14 +72,12 @@ def uniform_sample(body, n, seed=None, rng=None):
     coordinate-major (d, n) array, so each column of the result is
     contiguous: reductions along axis 0 run on them directly.
     """
-    if rng is None:
-        rng = spawn_rng(seed)
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     n = int(n)
-    if n < 0:
-        raise ValueError(f"sample size must be non-negative, got {n}")
     if n == 0:
         return np.zeros((0, body.dim))
-    return _place(body, n, _draw(body, n, rng))
+    return _place(body, n, _draw(body, n, np.random.default_rng(seed)))
 
 
 def _draw(body, n, rng):
@@ -91,7 +95,7 @@ def _draw(body, n, rng):
         filled = 0
         while filled < n:
             cand = uniform_sample(Ball(body.radius, d), 2 * (n - filled) + 8,
-                                  rng=rng)
+                                  rng)
             cand = cand[cand @ body.axis >= 0]
             take = min(len(cand), n - filled)
             out[filled:filled + take] = cand[:take]
@@ -389,7 +393,7 @@ def _finite_rotation_extents(square, n, replicates, seed):
         stop = min(start + REPLICATE_BLOCK, replicates)
         pts = np.empty((2, (stop - start) * n))
         for i, rng in enumerate(itertools.islice(rngs, stop - start)):
-            pts[:, i * n:(i + 1) * n] = uniform_sample(square, n, rng=rng).T
+            pts[:, i * n:(i + 1) * n] = uniform_sample(square, n, rng).T
         rho = row_norms(pts.T)
         mask = rho > 1.0
         counts = np.count_nonzero(mask.reshape(stop - start, n), axis=1)
@@ -407,7 +411,7 @@ def _finite_rotation_extents(square, n, replicates, seed):
 
 
 def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
-                          seed=0, s_max=DEFAULT_S_MAX):
+                          seed=0):
     """Rotation-extent experiment: limit cell versus finite samples.
 
     Part (a) draws the limit-cell endpoint pair (zeta-, zeta+) per
@@ -415,12 +419,13 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
     (mean two, ``stats.expon(scale=2.0)``; see _limit_rotation_endpoints)
     and the pair for independence.  Part (b) draws the scaled maximal
     rotation angles of n uniform points in the square.  The two pipelines
-    are compared by a two-sample KS test.
+    are compared by a two-sample KS test.  Both sides are clipped at
+    `S_MAX`.
     """
     t0 = time.perf_counter()
-    zp, zm = (np.minimum(z, s_max) for z in
+    zp, zm = (np.minimum(z, S_MAX) for z in
               _limit_rotation_endpoints(limit_replicates, seed))
-    fp, fm = (np.minimum(f, s_max) for f in
+    fp, fm = (np.minimum(f, S_MAX) for f in
               _finite_rotation_extents(cube(2), n, replicates, seed))
 
     exp_half = scipy.stats.expon(scale=2.0).cdf
@@ -435,7 +440,7 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
     report = ExperimentReport(
         name="so2-square",
         config={"n": n, "replicates": replicates,
-                "limit_replicates": limit_replicates, "s_max": s_max},
+                "limit_replicates": limit_replicates, "s_max": S_MAX},
         seed=seed,
         statistics={
             "limit_mean_plus": float(np.mean(zp)),
@@ -461,41 +466,32 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
 
 # -- translation experiment for the square ---------------------------------------
 
-def translation_box_experiment(n=5000, replicates=10000, seed=0,
-                               s_max=DEFAULT_S_MAX, simulate_via_marks=False):
+def translation_box_experiment(n=5000, replicates=10000, seed=0):
     """Translation-only limit cell of the square: a box of Exp(1/2) extents.
 
     The limit extents along +-e1, +-e2 are the minima of four independent
-    rate-1/2 Poisson arrival streams, one per facet normal.  The analytic
-    oracle draws those minima directly; optionally the extents are also
-    read off a simulated mark process.  Finite-n: the scaled feasible
-    translations n(K - max/min of the sample coordinates).
+    rate-1/2 Poisson arrival streams, one per facet normal, drawn directly.
+    Finite-n: the scaled feasible translations n(K - max/min of the sample
+    coordinates).  Both sides are clipped at `S_MAX`.
     """
     t0 = time.perf_counter()
     body = cube(2)
-    cone = cone_preset("translations", 2)
-    dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
     extents = np.zeros((replicates, 4))
     for i, rng in enumerate(replicate_rngs(seed, 0, replicates)):
-        if simulate_via_marks:
-            cell = build_zero_cell(body, 0.0, rng=rng, t_max=T_HORIZON)
-            restricted = restrict_to_cone(cell, cone)
-            extents[i] = [restricted.extent(u) for u in dirs]
-        else:
-            # Minimum of a rate-1/2 stream per facet is Exp(1/2) exactly.
-            extents[i] = rng.exponential(2.0, size=4)
-    extents = np.minimum(extents, s_max)
+        # Minimum of a rate-1/2 stream per facet is Exp(1/2) exactly.
+        extents[i] = rng.exponential(2.0, size=4)
+    extents = np.minimum(extents, S_MAX)
 
     hi = np.zeros((replicates, 2))
     lo = np.zeros((replicates, 2))
     for i, rng in enumerate(replicate_rngs(seed, 1, replicates)):
         # The sample's columns are contiguous: axis-0 reductions are fast.
-        pts = uniform_sample(body, n, rng=rng)
+        pts = uniform_sample(body, n, rng)
         hi[i] = pts.max(axis=0)
         lo[i] = pts.min(axis=0)
     finite = np.minimum(n * np.column_stack([1 - hi[:, 0], 1 + lo[:, 0],
                                              1 - hi[:, 1], 1 + lo[:, 1]]),
-                        s_max)
+                        S_MAX)
 
     exp_half = scipy.stats.expon(scale=2.0).cdf
     ks = [ks_statistic(extents[:, j], exp_half)[0] for j in range(4)]
@@ -510,8 +506,7 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0,
 
     report = ExperimentReport(
         name="translation-box",
-        config={"n": n, "replicates": replicates, "s_max": s_max,
-                "simulate_via_marks": simulate_via_marks},
+        config={"n": n, "replicates": replicates, "s_max": S_MAX},
         seed=seed,
         statistics={
             "ks_limit_vs_exp_half": ks,
@@ -626,7 +621,7 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
     if d == 2:
         y = (2.0 * rng.random(count) - 1.0)[:, None]
     else:
-        y = uniform_sample(Ball(1.0, d - 1), count, rng=rng)
+        y = uniform_sample(Ball(1.0, d - 1), count, rng)
     p = y / t[:, None]
     r = np.linalg.norm(p, axis=1)
     keep = (r >= a) & (r <= DUAL_R_MAX)

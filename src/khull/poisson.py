@@ -296,15 +296,14 @@ def sample_PK_block(body, t_max, rngs):
     return PoissonSample(t, eta, u), counts
 
 
-def sample_PK(body, t_max, seed=None, rng=None):
-    """Poisson sample of marks with t <= t_max, drawn from `rng`, or from
-    `spawn_rng(seed)` when no generator is given.
+def sample_PK(body, t_max, seed=None):
+    """Poisson sample of marks with t <= t_max, drawn from
+    ``np.random.default_rng(seed)``: an int seed gives the stream of
+    `spawn_rng(seed)`, a Generator is used and advanced as it is.
 
     The count is Poisson(rate * t_max); t values are i.i.d. uniform on
     (0, t_max], independent of the boundary marks, which follow the draw
     order of `BoundarySampler`.  This is `sample_PK_block` over one
     generator.
     """
-    if rng is None:
-        rng = spawn_rng(seed)
-    return sample_PK_block(body, t_max, [rng])[0]
+    return sample_PK_block(body, t_max, [np.random.default_rng(seed)])[0]

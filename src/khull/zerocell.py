@@ -69,7 +69,9 @@ class HalfSpaceSystem:
 
     Offsets are positive, so the origin is always strictly feasible.  The
     same type holds the cell in R^(d+d^2) and, after `restrict_to_cone`,
-    in the coordinates of a cone subspace.
+    in the coordinates of a cone subspace.  `sample` holds the marks that
+    `build_zero_cell` drew, row i from mark i; a system derived from
+    another (`restrict_to_cone`, `reflect`, `transform_*`) has none.
     """
 
     normals: np.ndarray  # (m, dim) rows
@@ -127,18 +129,20 @@ def window_horizon(body, window_radius):
     return window_radius * (1.0 + _max_boundary_norm(body))
 
 
-def build_zero_cell(body, window_radius, seed=None, rng=None, t_max=None):
+def build_zero_cell(body, window_radius, seed=None):
     """Zero-cell constraints that can bind inside the given window.
 
-    Marks up to `window_horizon` are drawn, so the returned truncated
-    system agrees with the infinite one on the whole window.
+    Marks up to `window_horizon` are drawn by `sample_PK` with the same
+    `seed` convention, so the returned truncated system agrees with the
+    infinite one on the whole window.  A window_radius that is not finite
+    and positive raises a ValueError that names it.
     """
-    d = body.dim
-    if t_max is None:
-        t_max = window_horizon(body, window_radius)
-    sample = sample_PK(body, t_max, seed=seed, rng=rng)
+    if not 0 < window_radius < math.inf:
+        raise ValueError(f"window_radius must be finite and positive, got "
+                         f"{window_radius}")
+    sample = sample_PK(body, window_horizon(body, window_radius), seed)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
-    return HalfSpaceSystem(normals, offsets, d, sample=sample)
+    return HalfSpaceSystem(normals, offsets, body.dim, sample=sample)
 
 
 def _max_boundary_norm(body):
@@ -246,7 +250,8 @@ def restrict_to_cone(system, cone):
     """The system in the cone's subspace coordinates (a change of basis),
     without the constraints that `cone_projection` drops."""
     proj, keep = cone_projection(system.normals, cone)
-    return replace(system, normals=proj[keep], offsets=system.offsets[keep])
+    return replace(system, normals=proj[keep], offsets=system.offsets[keep],
+                   sample=None)
 
 
 # -- recession cone and boundedness --------------------------------------------
@@ -436,7 +441,7 @@ def reflected_recession_in_cone(body, cone):
 
 def reflect(system):
     """System of the reflected cell: p inside iff -p inside the original."""
-    return replace(system, normals=-system.normals)
+    return replace(system, normals=-system.normals, sample=None)
 
 
 def transform_translation_of_K(system, v):
@@ -451,7 +456,7 @@ def transform_translation_of_K(system, v):
     u = system.normals[:, :d]
     normals = system.normals.copy()
     normals[:, d:] += (u[:, :, None] * v).reshape(len(u), d * d)
-    return replace(system, normals=normals)
+    return replace(system, normals=normals, sample=None)
 
 
 def translation_point_map(point, v, d):
@@ -472,7 +477,7 @@ def transform_rotation_of_K(system, a):
     mats = system.normals[:, d:].reshape(-1, d, d)
     normals = np.concatenate([system.normals[:, :d] @ a.T,
                               (a @ mats @ a.T).reshape(-1, d * d)], axis=1)
-    return replace(system, normals=normals)
+    return replace(system, normals=normals, sample=None)
 
 
 def rotation_point_map(point, a, d):

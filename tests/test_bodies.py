@@ -469,6 +469,26 @@ def test_cube_rejects_bad_arguments(args, name):
         cube(*args)
 
 
+@pytest.mark.parametrize("d", [0, -1, 2.5, np.nan, "2"])
+def test_cross_polytope_rejects_bad_dimension(d):
+    with pytest.raises(ValueError, match="^d must be an integer of at least"):
+        cross_polytope(d)
+    assert cross_polytope(np.int64(2)) == cross_polytope(2)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"radius": -1.0}, "radius"), ({"radius": 0}, "radius"),
+    ({"radius": np.nan}, "radius"), ({"radius": np.inf}, "radius"),
+    ({"radius": "1"}, "radius"), ({"radius": 1.0, "dim": 0}, "dim"),
+    ({"radius": 1.0, "dim": -1}, "dim"), ({"radius": 1.0, "dim": 2.5}, "dim"),
+])
+@pytest.mark.parametrize("kind", [Ball, HalfBall])
+def test_balls_reject_bad_radius_and_dim(kind, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        kind(**kwargs)
+    assert kind(np.float64(2.0), dim=np.int64(3)).dim == 3
+
+
 def test_segment_volume_is_its_length():
     assert cube(1).volume == 2.0
     assert cube(1, 0.3).volume == 0.6

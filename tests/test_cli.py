@@ -434,8 +434,7 @@ def test_output_mode_follows_umask(umask, mode, square_json, tmp_path):
     (["dual-cone", "--n", "3000", "--seed", "3"],
      '{"d": 2, "r_max": 1.0, "target_points": 3000}', "72b5c0ab84fd0684"),
     (["translation-box", "--n", "50", "--reps", "20", "--seed", "3"],
-     '{"n": 50, "replicates": 20, "s_max": 50.0, "simulate_via_marks": '
-     'false}', "c7482d3dc896a5f9"),
+     '{"n": 50, "replicates": 20, "s_max": 50.0}', "60151a7b9afb4889"),
     (["inclusion", "--n", "20", "--reps", "10", "--seed", "3"],
      '{"cone": "skew", "n": 20, "points": [[0.5], [-1.0]], "replicates": '
      '10, "window_radius": 2.0}', "4e8db2383be02358"),

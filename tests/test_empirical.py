@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+from khull import empirical
 from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, cross_polytope,
                           cube, row_norms)
 from khull.empirical import (
@@ -21,8 +22,9 @@ from khull.empirical import (
     uniform_sample,
     xn_membership,
 )
-from khull.poisson import replicate_rngs, spawn_rng
-from khull.zerocell import (build_zero_cell, cone_preset, flatten_pair,
+from khull.poisson import replicate_rngs, sample_PK, spawn_rng
+from khull.zerocell import (HalfSpaceSystem, build_zero_cell, cone_preset,
+                            flatten_pair, halfspaces_from_marks,
                             restrict_to_cone)
 
 SQUARE = cube(2)
@@ -39,6 +41,14 @@ def test_uniform_sample_empty():
 def test_uniform_sample_negative_size_raises(body):
     with pytest.raises(ValueError, match="non-negative"):
         uniform_sample(body, -5, seed=0)
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, "3", None])
+def test_uniform_sample_rejects_non_integer_size(n):
+    with pytest.raises(ValueError, match="^n must be a non-negative integer"):
+        uniform_sample(SQUARE, n, seed=0)
+    assert np.array_equal(uniform_sample(SQUARE, np.int64(3), seed=0),
+                          uniform_sample(SQUARE, 3, seed=0))
 
 
 def test_uniform_sample_square_mean():
@@ -204,7 +214,7 @@ def test_xn_membership_huge_translation():
 def test_xn_monotone_in_n():
     # X_{n+1} is a subset of X_n for nested samples.
     rng = spawn_rng(7)
-    pts = uniform_sample(SQUARE, 200, rng=rng)
+    pts = uniform_sample(SQUARE, 200, rng)
     qrng = np.random.default_rng(7)
     for _ in range(100):
         x = 0.5 * qrng.standard_normal(2)
@@ -226,7 +236,7 @@ def test_finite_rotation_extent_matches_brute_force_rotation(n, seed):
 
     plus, minus = _finite_rotation_extents(SQUARE, n, 2, seed)
     for i in range(2):
-        pts = uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i))
+        pts = uniform_sample(SQUARE, n, spawn_rng(seed, 1, i))
 
         def rotated(theta):
             c, s = np.cos(theta), np.sin(theta)
@@ -331,7 +341,7 @@ def test_finite_rotation_extents_match_reference(replicates, n):
     got = np.column_stack(_finite_rotation_extents(SQUARE, n, replicates, 9))
     want = np.array([
         _reference_finite_rotation_extent(
-            uniform_sample(SQUARE, n, rng=spawn_rng(9, 1, i)), n)
+            uniform_sample(SQUARE, n, spawn_rng(9, 1, i)), n)
         for i in range(replicates)])
     assert np.array_equal(got, want)
     if n == 1 and replicates > 60:
@@ -345,17 +355,19 @@ def _reference_so2_samples(n, replicates, limit_replicates, seed, s_max):
         spawn_rng(seed, 0, i)) for i in range(limit_replicates)])
     finite = np.array([
         _reference_finite_rotation_extent(
-            uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i)), n)
+            uniform_sample(SQUARE, n, spawn_rng(seed, 1, i)), n)
         for i in range(replicates)])
     limit, finite = np.minimum(limit, s_max), np.minimum(finite, s_max)
     return {"limit_plus": limit[:, 0], "limit_minus": limit[:, 1],
             "finite_plus": finite[:, 0], "finite_minus": finite[:, 1]}
 
 
-def test_so2_experiment_matches_per_replicate_reference():
+def test_so2_experiment_matches_per_replicate_reference(monkeypatch):
     # s_max = 2 clips a share of the endpoints on both pipelines.
+    monkeypatch.setattr(empirical, "S_MAX", 2.0)
     rep = so2_square_experiment(n=300, replicates=40, limit_replicates=70,
-                                seed=17, s_max=2.0)
+                                seed=17)
+    assert rep.config["s_max"] == 2.0
     want = _reference_so2_samples(300, 40, 70, 17, 2.0)
     assert rep.samples.keys() == want.keys()
     for key, value in want.items():
@@ -364,22 +376,15 @@ def test_so2_experiment_matches_per_replicate_reference():
     assert (want["finite_plus"] < 2.0).any()
 
 
-def _reference_translation_box_extents(n, replicates, seed, s_max,
-                                       simulate_via_marks):
+def _reference_translation_box_extents(n, replicates, seed, s_max):
     """Per-replicate clipped extents, with per-column extremes."""
-    dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
     limit = np.zeros((replicates, 4))
     for i in range(replicates):
-        rng = spawn_rng(seed, 0, i)
-        if simulate_via_marks:
-            cell = build_zero_cell(SQUARE, 0.0, rng=rng, t_max=100.0)
-            cell = restrict_to_cone(cell, cone_preset("translations", 2))
-            limit[i] = [min(cell.extent(u), s_max) for u in dirs]
-        else:
-            limit[i] = np.minimum(rng.exponential(2.0, size=4), s_max)
+        limit[i] = np.minimum(spawn_rng(seed, 0, i).exponential(2.0, size=4),
+                              s_max)
     finite = np.zeros((replicates, 4))
     for i in range(replicates):
-        pts = uniform_sample(SQUARE, n, rng=spawn_rng(seed, 1, i))
+        pts = uniform_sample(SQUARE, n, spawn_rng(seed, 1, i))
         hi = np.array([c.max() for c in pts.T])
         lo = np.array([c.min() for c in pts.T])
         finite[i] = n * np.array([1 - hi[0], 1 + lo[0], 1 - hi[1],
@@ -387,13 +392,12 @@ def _reference_translation_box_extents(n, replicates, seed, s_max,
     return limit, np.minimum(finite, s_max)
 
 
-@pytest.mark.parametrize("simulate_via_marks", [False, True])
-def test_translation_box_extents_match_reference(simulate_via_marks):
+def test_translation_box_extents_match_reference(monkeypatch):
     # s_max = 2 clips about a third of the extents on both sides.
-    rep = translation_box_experiment(n=400, replicates=60, seed=21, s_max=2.0,
-                                     simulate_via_marks=simulate_via_marks)
-    limit, finite = _reference_translation_box_extents(400, 60, 21, 2.0,
-                                                       simulate_via_marks)
+    monkeypatch.setattr(empirical, "S_MAX", 2.0)
+    rep = translation_box_experiment(n=400, replicates=60, seed=21)
+    assert rep.config == {"n": 400, "replicates": 60, "s_max": 2.0}
+    limit, finite = _reference_translation_box_extents(400, 60, 21, 2.0)
     assert np.array_equal(rep.samples["limit_extents"], limit)
     assert np.array_equal(rep.samples["finite_extents"], finite)
     assert (finite == 2.0).any() and (finite < 2.0).any()
@@ -408,12 +412,25 @@ def test_translation_box_experiment():
     assert max(s["ks_two_sample"]) < 0.06
 
 
+def _mark_path_limit_extents(replicates, seed):
+    """The translation-box limit extents read off simulated marks: each
+    replicate's cell, from marks with t <= 100, restricted to the
+    translations, clipped at 50 as the experiment clips its extents."""
+    dirs = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
+    cone = cone_preset("translations", 2)
+    extents = np.zeros((replicates, 4))
+    for i, rng in enumerate(replicate_rngs(seed, 0, replicates)):
+        s = sample_PK(SQUARE, 100.0, rng)
+        cell = HalfSpaceSystem(*halfspaces_from_marks(s.t, s.eta, s.u), 2)
+        cell = restrict_to_cone(cell, cone)
+        extents[i] = [cell.extent(u) for u in dirs]
+    return np.minimum(extents, 50.0)
+
+
 def test_translation_box_mark_pipeline_agrees_with_oracle():
     oracle = translation_box_experiment(n=200, replicates=1500, seed=14)
-    marks = translation_box_experiment(n=200, replicates=1500, seed=15,
-                                       simulate_via_marks=True)
     a = oracle.samples["limit_extents"][:, 0]
-    b = marks.samples["limit_extents"][:, 0]
+    b = _mark_path_limit_extents(1500, 15)[:, 0]
     assert stats.ks_2samp(a, b).pvalue > 1e-4
 
 
@@ -434,11 +451,11 @@ def _reference_inclusion_statistics(body, cone, test_points, n, replicates,
     window = max(np.linalg.norm(cone.embed(c)) for c in test_points) + 1.0
     limit_hits = finite_hits = 0
     for i in range(replicates):
-        cell = build_zero_cell(body, window, rng=spawn_rng(seed, 0, i))
+        cell = build_zero_cell(body, window, spawn_rng(seed, 0, i))
         limit_hits += bool(restrict_to_cone(cell, cone)
                            .contains(test_points).all())
     for i in range(replicates):
-        pts = uniform_sample(body, n, rng=spawn_rng(seed, 1, i))
+        pts = uniform_sample(body, n, spawn_rng(seed, 1, i))
         finite_hits += all(xn_membership(-cone.embed(c), pts, n, body)
                            for c in test_points)
     return {"limit_frequency": limit_hits / replicates,

@@ -4,8 +4,10 @@ from scipy.spatial import ConvexHull
 
 from khull.bodies import (Ball, HalfBall, Polytope, cross_polytope, cube,
                           support_function)
+from khull.empirical import uniform_sample
 from khull.poisson import (BoundarySampler, replicate_rngs, sample_PK,
                            sample_PK_block, spawn_rng)
+from khull.zerocell import build_zero_cell
 
 SQUARE = cube(2)
 HEXAGON = Polytope.from_vertices(np.array(
@@ -139,7 +141,7 @@ def test_sample_stream_matches_per_mark_reference(body, seed, t_max):
          "ball3", "halfball2", "halfball3"])
 def test_block_sampler_concatenates_per_generator_samples(body, k, t_max):
     marks, counts = sample_PK_block(body, t_max, replicate_rngs(4, 0, k))
-    cells = [sample_PK(body, t_max, rng=spawn_rng(4, 0, i))
+    cells = [sample_PK(body, t_max, spawn_rng(4, 0, i))
              for i in range(k)]
     assert np.array_equal(counts, [len(c) for c in cells])
     assert np.array_equal(marks.t, np.concatenate([c.t for c in cells]))
@@ -205,7 +207,7 @@ def test_count_statistics():
     # Empirical mean count over many draws within 3 sigma of the rate.
     rng = spawn_rng(1)
     draws = 10000
-    counts = [len(sample_PK(SQUARE, 1.0, rng=rng)) for _ in range(draws)]
+    counts = [len(sample_PK(SQUARE, 1.0, rng)) for _ in range(draws)]
     rate = 2.0
     sigma = np.sqrt(rate / draws)
     assert abs(np.mean(counts) - rate) < 3 * sigma
@@ -214,7 +216,7 @@ def test_count_statistics():
 def test_square_facet_proportions():
     # Each of the four normals appears with frequency 1/4 +- 0.01.
     rng = spawn_rng(2)
-    s = sample_PK(SQUARE, 50000.0, rng=rng)
+    s = sample_PK(SQUARE, 50000.0, rng)
     assert len(s) > 90000
     for normal in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
         freq = np.mean(np.all(np.isclose(s.u, normal), axis=1))
@@ -224,7 +226,7 @@ def test_square_facet_proportions():
 def test_half_ball_part_proportions():
     rng = spawn_rng(3)
     body = HalfBall(1.0, dim=2)
-    s = sample_PK(body, 10000.0, rng=rng)
+    s = sample_PK(body, 10000.0, rng)
     flat = np.mean(np.all(np.isclose(s.u, [-1.0, 0.0]), axis=1))
     assert flat == pytest.approx(2.0 / (2.0 + np.pi), abs=0.01)
 
@@ -245,6 +247,29 @@ def test_reproducibility():
     assert np.array_equal(a.t, b.t)
     assert np.array_equal(a.eta, b.eta)
     assert np.array_equal(a.u, b.u)
+
+
+# Each draw function's values at a seed, as one float array.
+DRAWS = {
+    "uniform_sample": lambda seed: uniform_sample(HEXAGON, 50, seed),
+    "sample_PK": lambda seed: np.concatenate(
+        [a.ravel() for a in vars(sample_PK(HEXAGON, 5.0, seed)).values()]),
+    "build_zero_cell": lambda seed: build_zero_cell(HEXAGON, 2.0,
+                                                    seed).normals,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40, 12345678901234567890])
+@pytest.mark.parametrize("name", list(DRAWS))
+def test_seed_is_an_int_or_a_generator(name, seed):
+    # An int seed draws the bytes of spawn_rng(seed); a Generator is used
+    # as it is, so a second call continues its stream.
+    draw = DRAWS[name]
+    want = draw(seed)
+    assert len(want)
+    rng = spawn_rng(seed)
+    assert draw(rng).tobytes() == want.tobytes()
+    assert not np.array_equal(draw(rng), want)
 
 
 def test_spawned_streams_differ():

@@ -74,7 +74,8 @@ def test_halfspaces_from_marks_rows_match_single_marks():
 
 
 def test_empty_zero_cell_has_shaped_normals():
-    cell = build_zero_cell(cube(3), 0.0, seed=0, t_max=1e-9)
+    # Rate 3 times a horizon of 1e-12 (1 + sqrt 3): no marks at this seed.
+    cell = build_zero_cell(cube(3), 1e-12, seed=0)
     assert cell.n_constraints == 0
     assert cell.normals.shape == (0, 12)
     assert transform_translation_of_K(cell, np.ones(3)).normals.shape == \
@@ -208,8 +209,9 @@ def test_window_exactness():
     window = 2.0
     t_bound = window * (1.0 + np.sqrt(2))
     for rep in range(20):
-        s2 = build_zero_cell(SQUARE, window, seed=100 + rep,
-                             t_max=2 * t_bound)
+        # Twice the window has twice the horizon.
+        s2 = build_zero_cell(SQUARE, 2 * window, seed=100 + rep)
+        assert s2.sample.t.max() > t_bound
         # Truncating the same realization at the computed bound must not
         # change any membership answer inside the window.
         keep = s2.offsets <= t_bound
@@ -661,6 +663,24 @@ def test_min_sphere_quadratic_minimiser():
         units /= np.linalg.norm(units, axis=1)[:, None]
         assert val <= np.min(np.einsum("ij,jk,ik->i", units, a, units)
                              + units @ b) + 1e-12
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, np.nan, np.inf])
+def test_build_zero_cell_rejects_bad_window(window):
+    with pytest.raises(ValueError,
+                       match="^window_radius must be finite and positive"):
+        build_zero_cell(SQUARE, window, seed=0)
+
+
+def test_derived_systems_carry_no_sample():
+    cell = build_zero_cell(Ball(1, 2), 3.0, seed=1)
+    assert len(cell.sample) == cell.n_constraints > 0
+    derived = [restrict_to_cone(cell, cone_preset("skew", 2)),
+               reflect(cell), transform_translation_of_K(cell, np.ones(2)),
+               transform_rotation_of_K(cell, np.eye(2))]
+    # A ball's rows vanish on the skew cone: its marks would name none.
+    assert derived[0].n_constraints == 0
+    assert all(system.sample is None for system in derived)
 
 
 # -- reflection and equivariance --------------------------------------------------------
