@@ -16,8 +16,10 @@ from `json.dumps`; the file has the bytes of
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -237,72 +239,6 @@ def cmd_simulate_zerocell(args):
     return EXIT_OK
 
 
-def _write_report(out, report, samples_out=None, sidecar_columns=None):
-    if out:
-        _write_json(out, report.to_json())
-    if samples_out:
-        _write_csv(samples_out, *sidecar_columns)
-
-
-def cmd_experiment_so2(args):
-    report = so2_square_experiment(n=args.n, replicates=args.reps,
-                                   limit_replicates=args.limit_reps,
-                                   seed=args.seed)
-    pairs = np.column_stack([report.samples["limit_plus"],
-                             report.samples["limit_minus"]])
-    _write_report(args.out, report, args.samples_out,
-                  (["zeta_plus", "zeta_minus"], pairs))
-    if args.check:
-        s = report.statistics
-        ok = (s["ks_two_sample_plus"] < 0.05
-              and s["ks_two_sample_minus"] < 0.05
-              and abs(s["endpoint_rank_correlation"]) < 0.03
-              and s["ks_limit_plus_vs_fitted_exponential"] < 0.02)
-        if not ok:
-            return EXIT_CHECK
-    return EXIT_OK
-
-
-def cmd_experiment_box(args):
-    report = translation_box_experiment(n=args.n, replicates=args.reps,
-                                        seed=args.seed)
-    _write_report(args.out, report, args.samples_out,
-                  (["plus_x", "minus_x", "plus_y", "minus_y"],
-                   report.samples["limit_extents"]))
-    if args.check:
-        s = report.statistics
-        ok = (max(s["ks_limit_vs_exp_half"]) < 0.02
-              and s["max_abs_correlation"] < 0.03
-              and max(s["ks_two_sample"]) < 0.05)
-        if not ok:
-            return EXIT_CHECK
-    return EXIT_OK
-
-
-def cmd_experiment_inclusion(args):
-    body = _load_body(args.body)
-    cone = cone_preset(args.cone, body.dim)
-    pts = _load_points(args.points)
-    if pts.shape[1] != cone.n_params:
-        raise ConfigError(f"points must have {cone.n_params} columns for "
-                          f"the {args.cone} preset")
-    bad = pts[~np.isfinite(pts)]
-    if len(bad):
-        raise ConfigError(f"--points must be finite, got {bad[0]}")
-    with np.errstate(over="ignore"):
-        radius = _window_radius(cone, pts)
-    if not math.isfinite(radius):
-        raise ConfigError(f"--points are too large: their window radius "
-                          f"is {radius}")
-    report = inclusion_functional_estimate(body, cone, pts, n=args.n,
-                                           replicates=args.reps,
-                                           seed=args.seed)
-    _write_report(args.out, report)
-    if args.check and report.statistics["difference"] > 0.03:
-        return EXIT_CHECK
-    return EXIT_OK
-
-
 def cmd_experiment_recession(args):
     body = _load_body(args.body)
     cone = cone_preset(args.cone, body.dim)
@@ -324,15 +260,82 @@ def cmd_experiment_recession(args):
     return EXIT_OK
 
 
-def cmd_experiment_dualcone(args):
-    report = dual_cone_intensity_experiment(d=args.d,
-                                            target_points=args.n,
-                                            seed=args.seed)
-    _write_report(args.out, report)
-    if args.check:
-        if abs(report.statistics["slope"] + args.d) > 0.1:
-            return EXIT_CHECK
-    return EXIT_OK
+def _run_inclusion(args):
+    body = _load_body(args.body)
+    cone = cone_preset(args.cone, body.dim)
+    pts = _load_points(args.points)
+    if pts.shape[1] != cone.n_params:
+        raise ConfigError(f"points must have {cone.n_params} columns for "
+                          f"the {args.cone} preset")
+    bad = pts[~np.isfinite(pts)]
+    if len(bad):
+        raise ConfigError(f"--points must be finite, got {bad[0]}")
+    with np.errstate(over="ignore"):
+        radius = _window_radius(cone, pts)
+    if not math.isfinite(radius):
+        raise ConfigError(f"--points are too large: their window radius "
+                          f"is {radius}")
+    return inclusion_functional_estimate(body, cone, pts, args.n, args.reps,
+                                         args.seed)
+
+
+# A `--check` gate passes when `passes(value, bound)`: `lt` fails at the
+# bound, `le` only past it, and both fail a nan.  The value is
+# `read(statistics)` of the report, or its `statistic` when `read` is None.
+_Gate = collections.namedtuple("_Gate", "statistic bound passes read",
+                               defaults=(None,))
+
+# Each `experiment` subcommand but `recession`: its library call, the
+# `--samples-out` header and the `report.samples` keys stacked under it
+# (None: no such flag), and its `--check` gates.  The calls look the
+# library functions up in this module, so a wrapper bound here sees them.
+_Experiment = collections.namedtuple("_Experiment", "run samples gates")
+EXPERIMENTS = {
+    "so2-square": _Experiment(
+        lambda a: so2_square_experiment(a.n, a.reps, a.limit_reps, a.seed),
+        (["zeta_plus", "zeta_minus"], ["limit_plus", "limit_minus"]),
+        [_Gate("ks_two_sample_plus", 0.05, operator.lt),
+         _Gate("ks_two_sample_minus", 0.05, operator.lt),
+         _Gate("|endpoint_rank_correlation|", 0.03, operator.lt,
+               lambda s: abs(s["endpoint_rank_correlation"])),
+         _Gate("ks_limit_plus_vs_fitted_exponential", 0.02, operator.lt)]),
+    "translation-box": _Experiment(
+        lambda a: translation_box_experiment(a.n, a.reps, a.seed),
+        (["plus_x", "minus_x", "plus_y", "minus_y"], ["limit_extents"]),
+        [_Gate("max ks_limit_vs_exp_half", 0.02, operator.lt,
+               lambda s: max(s["ks_limit_vs_exp_half"])),
+         _Gate("max_abs_correlation", 0.03, operator.lt),
+         _Gate("max ks_two_sample", 0.05, operator.lt,
+               lambda s: max(s["ks_two_sample"]))]),
+    "inclusion": _Experiment(
+        _run_inclusion, None, [_Gate("difference", 0.03, operator.le)]),
+    "dual-cone": _Experiment(
+        lambda a: dual_cone_intensity_experiment(a.d, a.n, a.seed), None,
+        [_Gate("|slope - expected_slope|", 0.1, operator.le,
+               lambda s: abs(s["slope"] - s["expected_slope"]))]),
+}
+
+
+def cmd_experiment(args):
+    experiment = EXPERIMENTS[args.experiment_command]
+    report = experiment.run(args)
+    if args.out:
+        _write_json(args.out, report.to_json())
+    if experiment.samples and args.samples_out:
+        header, keys = experiment.samples
+        _write_csv(args.samples_out, header,
+                   np.column_stack([report.samples[k] for k in keys]))
+    if not args.check:
+        return EXIT_OK
+    code = EXIT_OK
+    s = report.statistics
+    for gate in experiment.gates:
+        value = gate.read(s) if gate.read else s[gate.statistic]
+        if not gate.passes(value, gate.bound):
+            sys.stderr.write(f"check failed: {gate.statistic} = {value}, "
+                             f"bound {gate.bound}\n")
+            code = EXIT_CHECK
+    return code
 
 
 def _int_at_least(text, low):
@@ -388,37 +391,34 @@ def build_parser():
 
     exp = sub.add_parser("experiment", help="run a verification experiment")
     expsub = exp.add_subparsers(dest="experiment_command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=_non_negative_int, default=0)
+    shared.add_argument("--check", action="store_true")
+    shared.add_argument("--out")
+    shared.set_defaults(func=cmd_experiment)
+    sidecar = argparse.ArgumentParser(add_help=False, parents=[shared])
+    sidecar.add_argument("--samples-out", dest="samples_out")
 
-    so2 = expsub.add_parser("so2-square")
+    def experiment(name):
+        return expsub.add_parser(name, parents=[
+            sidecar if EXPERIMENTS[name].samples else shared])
+
+    so2 = experiment("so2-square")
     so2.add_argument("--n", type=_positive_int, default=2000)
     so2.add_argument("--reps", type=_positive_int, default=2000)
     so2.add_argument("--limit-reps", type=_positive_int, default=10000,
                      dest="limit_reps")
-    so2.add_argument("--seed", type=_non_negative_int, default=0)
-    so2.add_argument("--check", action="store_true")
-    so2.add_argument("--out")
-    so2.add_argument("--samples-out", dest="samples_out")
-    so2.set_defaults(func=cmd_experiment_so2)
 
-    box = expsub.add_parser("translation-box")
+    box = experiment("translation-box")
     box.add_argument("--n", type=_positive_int, default=5000)
     box.add_argument("--reps", type=_positive_int, default=10000)
-    box.add_argument("--seed", type=_non_negative_int, default=0)
-    box.add_argument("--check", action="store_true")
-    box.add_argument("--out")
-    box.add_argument("--samples-out", dest="samples_out")
-    box.set_defaults(func=cmd_experiment_box)
 
-    inc = expsub.add_parser("inclusion")
+    inc = experiment("inclusion")
     inc.add_argument("--body", required=True)
     inc.add_argument("--cone", default="skew", choices=CONE_PRESETS)
     inc.add_argument("--points", required=True)
     inc.add_argument("--n", type=_positive_int, default=2000)
     inc.add_argument("--reps", type=_positive_int, default=2000)
-    inc.add_argument("--seed", type=_non_negative_int, default=0)
-    inc.add_argument("--check", action="store_true")
-    inc.add_argument("--out")
-    inc.set_defaults(func=cmd_experiment_inclusion)
 
     rec = expsub.add_parser("recession")
     rec.add_argument("--body", required=True)
@@ -426,13 +426,9 @@ def build_parser():
     rec.add_argument("--out")
     rec.set_defaults(func=cmd_experiment_recession)
 
-    dual = expsub.add_parser("dual-cone")
+    dual = experiment("dual-cone")
     dual.add_argument("--d", type=int, default=2, choices=[2, 3])
     dual.add_argument("--n", type=_positive_int, default=100000)
-    dual.add_argument("--seed", type=_non_negative_int, default=0)
-    dual.add_argument("--check", action="store_true")
-    dual.add_argument("--out")
-    dual.set_defaults(func=cmd_experiment_dualcone)
 
     return p
 

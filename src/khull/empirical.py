@@ -410,8 +410,7 @@ def _finite_rotation_extents(square, n, replicates, seed):
     return plus, minus
 
 
-def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
-                          seed=0):
+def so2_square_experiment(n, replicates, limit_replicates, seed):
     """Rotation-extent experiment: limit cell versus finite samples.
 
     Part (a) draws the limit-cell endpoint pair (zeta-, zeta+) per
@@ -466,7 +465,7 @@ def so2_square_experiment(n=2000, replicates=2000, limit_replicates=10000,
 
 # -- translation experiment for the square ---------------------------------------
 
-def translation_box_experiment(n=5000, replicates=10000, seed=0):
+def translation_box_experiment(n, replicates, seed):
     """Translation-only limit cell of the square: a box of Exp(1/2) extents.
 
     The limit extents along +-e1, +-e2 are the minima of four independent
@@ -523,8 +522,8 @@ def translation_box_experiment(n=5000, replicates=10000, seed=0):
 
 # -- inclusion functional ---------------------------------------------------------
 
-def inclusion_functional_estimate(body, cone, test_points, n=2000,
-                                  replicates=10000, seed=0):
+def inclusion_functional_estimate(body, cone, test_points, n, replicates,
+                                  seed):
     """Empirical inclusion probabilities Prob{L in X} on both pipelines.
 
     test_points are cone-subspace coordinate vectors.  The finite-n side
@@ -599,7 +598,7 @@ def _limit_cell_hits(body, cone, test_points, window_radius, replicates,
 
 # -- dual-cone intensity experiment ------------------------------------------------
 
-def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
+def dual_cone_intensity_experiment(d, target_points, seed):
     """Radial-intensity exponent of the scaled dual-cone point process.
 
     Flat-part marks (t, y, -axis) of the unit half-ball are mapped to
@@ -607,6 +606,8 @@ def dual_cone_intensity_experiment(d=2, target_points=100000, seed=0):
     |p|^(-d).  The exponent is estimated by weighted log-log regression
     of shell densities; the proportionality constant is not checked.
     """
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
     t0 = time.perf_counter()
     rng = spawn_rng(seed)
     # Flat-disk area over half-ball volume.

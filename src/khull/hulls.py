@@ -263,8 +263,9 @@ def _positive_hull_2d(dirs):
                               normals=n[None], dim=2)
     if np.allclose(u, w):
         n1 = np.array([u[1], -u[0]])
+        # The ray through u: the line through it, less its -u half.
         return PolyhedralCone(generators=u[None],
-                              normals=np.vstack([n1, -n1]), dim=2)
+                              normals=np.vstack([n1, -n1, -u]), dim=2)
     n1 = np.array([u[1], -u[0]])
     n2 = np.array([-w[1], w[0]])
     return PolyhedralCone(generators=np.vstack([u, w]),

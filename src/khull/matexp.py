@@ -19,10 +19,7 @@ def skew_dim(d):
 def skew_matrix(params, d):
     """Skew-symmetric matrix from its d(d-1)/2 upper-triangle entries."""
     c = np.zeros((d, d))
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            c[i, j] = params[k]
-            c[j, i] = -params[k]
-            k += 1
+    i, j = np.triu_indices(d, 1)
+    c[i, j] = params
+    c[j, i] = np.negative(params)
     return c

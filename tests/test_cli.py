@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import json
+import math
 import os
 import warnings
 
@@ -8,8 +10,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from khull import cli
 from khull.bodies import Ball, HalfBall, body_from_json, body_to_json, cube
 from khull.cli import _write_csv, _write_json_array, main
+from khull.empirical import (ExperimentReport, so2_square_experiment,
+                             translation_box_experiment)
 from khull.hulls import k_hull_translations
 from khull.poisson import sample_PK
 from khull.zerocell import build_zero_cell
@@ -400,6 +405,124 @@ def test_samples_sidecar_deterministic(tmp_path):
         assert code == 0
         files.append(side.read_bytes())
     assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("argv,header,keys", [
+    (["so2-square", "--n", "30", "--reps", "20", "--limit-reps", "25"],
+     "zeta_plus,zeta_minus", ["limit_plus", "limit_minus"]),
+    (["translation-box", "--n", "30", "--reps", "25"],
+     "plus_x,minus_x,plus_y,minus_y", ["limit_extents"]),
+], ids=["so2-square", "translation-box"])
+def test_samples_sidecar_holds_the_limit_samples(argv, header, keys,
+                                                 tmp_path):
+    side = tmp_path / "side.csv"
+    assert main(["experiment"] + argv + ["--seed", "4", "--samples-out",
+                                         str(side)]) == 0
+    lines = side.read_text().splitlines()
+    assert lines[0] == header
+    if argv[0] == "so2-square":
+        report = so2_square_experiment(30, 20, 25, 4)
+    else:
+        report = translation_box_experiment(30, 25, 4)
+    np.testing.assert_array_equal(
+        np.loadtxt(lines[1:], delimiter=",", ndmin=2),
+        np.column_stack([report.samples[k] for k in keys]))
+
+
+# Statistics that pass every `--check` gate of each experiment.
+PASSING_STATISTICS = {
+    "so2-square": {"ks_two_sample_plus": 0.0, "ks_two_sample_minus": 0.0,
+                   "endpoint_rank_correlation": 0.0,
+                   "ks_limit_plus_vs_fitted_exponential": 0.0},
+    "translation-box": {"ks_limit_vs_exp_half": [0.0] * 4,
+                        "max_abs_correlation": 0.0,
+                        "ks_two_sample": [0.0] * 4},
+    "inclusion": {"difference": 0.0},
+    # An expected slope of 0 makes |slope - expected_slope| the slope's
+    # magnitude exactly, so a slope can sit at the bound.
+    "dual-cone": {"slope": 0.0, "expected_slope": 0.0},
+}
+EXPERIMENT_FUNCTIONS = {
+    "so2-square": "so2_square_experiment",
+    "translation-box": "translation_box_experiment",
+    "inclusion": "inclusion_functional_estimate",
+    "dual-cone": "dual_cone_intensity_experiment",
+}
+
+# Each gate: its experiment, the statistic it reads, its bound, whether
+# a value at the bound fails, and the sign the value is stored with (the
+# gates on a magnitude see a negative value as its absolute value).  A
+# list statistic gets the value in its last entry.
+GATES = [
+    ("so2-square", "ks_two_sample_plus", 0.05, True, 1),
+    ("so2-square", "ks_two_sample_minus", 0.05, True, 1),
+    ("so2-square", "endpoint_rank_correlation", 0.03, True, -1),
+    ("so2-square", "ks_limit_plus_vs_fitted_exponential", 0.02, True, 1),
+    ("translation-box", "ks_limit_vs_exp_half", 0.02, True, 1),
+    ("translation-box", "max_abs_correlation", 0.03, True, 1),
+    ("translation-box", "ks_two_sample", 0.05, True, 1),
+    ("inclusion", "difference", 0.03, False, 1),
+    ("dual-cone", "slope", 0.1, False, -1),
+]
+
+
+def _run_gate(monkeypatch, tmp_path, square_json, experiment, statistic,
+              value, check=True):
+    stats = copy.deepcopy(PASSING_STATISTICS[experiment])
+    if isinstance(stats[statistic], list):
+        stats[statistic][-1] = value
+    else:
+        stats[statistic] = value
+    report = ExperimentReport(experiment, {}, 0, stats)
+    monkeypatch.setattr(cli, EXPERIMENT_FUNCTIONS[experiment],
+                        lambda *args: report)
+    argv = ["experiment", experiment]
+    if experiment == "inclusion":
+        points = tmp_path / "pts.csv"
+        points.write_text("0.5\n")
+        argv += ["--body", square_json, "--points", str(points)]
+    out = tmp_path / "report.json"
+    argv += ["--out", str(out)] + (["--check"] if check else [])
+    code = main(argv)
+    written = json.loads(out.read_text())["statistics"]
+    assert json.dumps(written, sort_keys=True) == json.dumps(
+        stats, sort_keys=True)  # compares a nan statistic too
+    return code
+
+
+@pytest.mark.parametrize("experiment,statistic,bound,at_bound_fails,sign",
+                         GATES, ids=[f"{g[0]}-{g[1]}" for g in GATES])
+def test_check_gate(experiment, statistic, bound, at_bound_fails, sign,
+                    monkeypatch, tmp_path, square_json, capsys):
+    past = math.nextafter(bound, math.inf)
+    inside = math.nextafter(bound, 0.0)
+
+    def run(value, check=True):
+        return _run_gate(monkeypatch, tmp_path, square_json, experiment,
+                         statistic, sign * value, check)
+
+    assert run(past) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ") and err.count("\n") == 1
+    assert statistic in err
+    assert err.endswith(f" = {past}, bound {bound}\n")
+    assert run(past, check=False) == 0
+    assert run(inside) == 0
+    assert capsys.readouterr().err == ""
+    assert run(bound) == (3 if at_bound_fails else 0)
+    assert (capsys.readouterr().err != "") == at_bound_fails
+    if not isinstance(PASSING_STATISTICS[experiment][statistic], list):
+        assert run(math.nan) == 3
+        assert capsys.readouterr().err.endswith(f" = nan, bound {bound}\n")
+
+
+def test_check_names_every_failed_gate(capsys):
+    code = main(["experiment", "so2-square", "--n", "30", "--reps", "20",
+                 "--limit-reps", "20", "--seed", "3", "--check"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("check failed: ks_two_sample_plus = ")
+    assert all(line.startswith("check failed: ") for line in lines)
 
 
 def test_unknown_cone_exits_2(square_json, two_points_csv, tmp_path,

@@ -663,3 +663,15 @@ def test_dual_cone_slopes():
         rep = dual_cone_intensity_experiment(d=d, target_points=30000,
                                              seed=17)
         assert abs(rep.statistics["slope"] + d) < 0.1
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_dual_cone_rejects_d_below_two(d):
+    with pytest.raises(ValueError, match=f"^d must be at least 2, got {d}$"):
+        dual_cone_intensity_experiment(d=d, target_points=1000, seed=0)
+
+
+def test_dual_cone_four_dimensional():
+    rep = dual_cone_intensity_experiment(d=4, target_points=30000, seed=1)
+    assert rep.statistics["expected_slope"] == -4.0
+    assert abs(rep.statistics["slope"] + 4) < 0.1

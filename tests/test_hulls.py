@@ -437,6 +437,15 @@ def test_positive_hull_origin_only():
     assert not bool(cone.contains(np.array([[1.0, 0.0]]))[0])
 
 
+@pytest.mark.parametrize("sample", [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+                         ids=["one-point", "two-points"])
+def test_positive_hull_of_one_direction_is_a_ray(sample):
+    cone = positive_hull(np.array(sample)).body
+    assert cone.contains(np.array([[3.0, 0.0], [0.0, 0.0]])).all()
+    assert not cone.contains(np.array([[-1.0, 0.0], [1.0, 0.1],
+                                       [1.0, -0.1]])).any()
+
+
 def test_positive_hull_spanning():
     cone = positive_hull(np.vstack([np.eye(2), -np.eye(2)])).body
     assert cone.is_whole_space()
@@ -505,6 +514,7 @@ def test_spherical_hull_examples():
     assert bool(seg.contains(np.array([[0.5, 0.0]]))[0])
     assert not bool(seg.contains(np.array([[0.5, 0.1]]))[0])
     assert not bool(seg.contains(np.array([[1.1, 0.0]]))[0])
+    assert not bool(seg.contains(np.array([[-0.5, 0.0]]))[0])
 
     s = np.sqrt(2) / 2
     arc_hull = spherical_hull_halfball(np.array([[1.0, 0.0], [s, s]])).body

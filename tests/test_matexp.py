@@ -30,6 +30,27 @@ def test_skew_matrix_construction():
     assert m[0, 1] == 1.0 and m[0, 2] == 2.0 and m[1, 2] == 3.0
 
 
+def _reference_skew_matrix(params, d):
+    c = np.zeros((d, d))
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            c[i, j] = params[k]
+            c[j, i] = -params[k]
+            k += 1
+    return c
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_skew_matrix_matches_row_by_row_fill(d):
+    rng = np.random.default_rng(d)
+    params = rng.standard_normal(skew_dim(d))
+    params[::2] = [0.0, -0.0, 0.0, -0.0][:len(params[::2])]
+    for p in (params, params.tolist()):
+        assert skew_matrix(p, d).tobytes() == \
+            _reference_skew_matrix(p, d).tobytes()
+
+
 def test_rotation_is_orthogonal():
     rng = np.random.default_rng(1)
     for _ in range(20):
