@@ -19,7 +19,6 @@ from .bodies import (
     normal_cone,
     polar,
     polar_cone,
-    support_function,
     supporting_cone,
 )
 from .empirical import (

@@ -2,14 +2,17 @@
 
 Supported representations are polytopes (with mutually consistent V- and
 H-reps), Euclidean balls and half-balls centered at the origin, half-spaces,
-and polyhedral cones.  All operations are pure functions on immutable values.
-Equality and containment tests use the single geometric tolerance GEO_TOL.
+and polyhedral cones.  Each body answers for its own geometry and sampling
+through the members of `_Body`, which the other modules call in place of
+asking for the body's type.  Bodies are immutable values.  Equality and
+containment tests use the single geometric tolerance GEO_TOL.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +42,6 @@ __all__ = [
     "polar",
     "polar_cone",
     "row_norms",
-    "support_function",
     "supporting_cone",
     "unit_direction",
 ]
@@ -72,9 +74,53 @@ def row_norms(x):
     return np.sqrt(out, out=out)
 
 
-class EmptySet:
+def _ball_surface_area(r, d):
+    if d == 2:
+        return 2 * math.pi * r
+    if d == 3:
+        return 4 * math.pi * r * r
+    return 2 * math.pi ** (d / 2) / math.gamma(d / 2) * r ** (d - 1)
+
+
+def _ball_volume(r, d):
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r ** d
+
+
+def _unsupported(body, *args):
+    raise TypeError(f"unsupported body {type(body).__name__}")
+
+
+class _Body:
+    """What the pipeline asks of a body.  A body class defines the members
+    it answers for; any other raises TypeError("unsupported body <Class>").
+
+    - `max_norm`, `volume`, `surface_area`;
+    - `support(u)`: h(K, u), +inf in unbounded directions;
+    - `excess(points)`: the largest constraint excess, <= 0 iff all inside;
+    - `is_symmetric`: K = -K;
+    - `feasible_translations(sample)`: {x : sample ⊆ K + x}, or EMPTY;
+    - `normal_bundle_rows`: the generators (u, u outer y) of Nor(K), or
+      None for a ball (`RecessionCone` solves its maximum exactly);
+    - `uniform_draw(rng, n)`, `uniform_place(n, raw)`: the generator calls
+      of an n-point uniform sample, n >= 1, then their fixed map into K;
+    - `boundary_draw(rng, n)`, `boundary_place(fills)`: one generator's
+      draws for n marks, weights first; then the marks (eta, u) of a block
+      of draws less their weights, mapped elementwise or row by row, so a
+      generator's marks do not depend on the block.
+    """
+
+    max_norm = volume = surface_area = property(_unsupported)
+    is_symmetric = normal_bundle_rows = property(_unsupported)
+    support = excess = feasible_translations = uniform_draw = _unsupported
+    uniform_place = boundary_draw = boundary_place = _unsupported
+
+
+class EmptySet(_Body):
     """The empty set: an infeasible half-space system, or the feasible
     translations of a sample that no translate of the body holds."""
+
+    def support(self, u):
+        return float("-inf")
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -84,7 +130,7 @@ class EmptySet:
         return "EmptySet()"
 
 
-class WholeSpace:
+class WholeSpace(_Body):
     """Sentinel for hulls taken over an empty family of transforms."""
 
     def contains(self, points):
@@ -129,8 +175,17 @@ def _extreme_points(vertices):
     return idx[scipy.spatial.ConvexHull(proj).vertices]
 
 
+def _to_box(u, lo, span):
+    """The (m, d) uniforms mapped to the box lo + u * span, in (d, m)
+    layout, where numpy broadcasts along the long axis; the values are
+    those of the (m, d) map."""
+    cand = np.multiply(u.T, span[:, None], out=np.empty(u.shape[::-1]))
+    cand += lo[:, None]
+    return cand
+
+
 @dataclass(frozen=True)
-class Polytope:
+class Polytope(_Body):
     """Compact polytope with vertex list and (for full-dimensional bodies)
     a facet list of (unit outer normal, offset) pairs.
 
@@ -287,6 +342,8 @@ class Polytope:
         other boundary streams.
         """
         d = self.dim
+        if not self.is_full_dimensional:
+            raise ValueError("body must be full-dimensional")
         if d not in (2, 3):
             raise ValueError("polytope sampling supported for d in {2, 3}")
         sets = self.facet_vertex_sets()
@@ -320,6 +377,94 @@ class Polytope:
         facet_cdf /= facet_cdf[-1]
         return areas, facet_cdf, verts, (cdfs if d == 3 else None)
 
+    @property
+    def surface_area(self):
+        return float(self.facet_geometry[0].sum())
+
+    @property
+    def is_symmetric(self):
+        return bool(np.all(self.contains(-self.vertices)))
+
+    @property
+    def normal_bundle_rows(self):
+        """(u, u outer v) for each facet normal u and vertex v on it."""
+        return np.array([np.append(u, np.outer(u, v))
+                         for idx, u in zip(self.facet_vertex_sets(),
+                                           self.facet_normals)
+                         for v in self.vertices[idx]])
+
+    def support(self, u):
+        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
+
+    def excess(self, points):
+        return float(np.max(points @ self.facet_normals.T
+                            - self.facet_offsets))
+
+    def feasible_translations(self, sample):
+        if not self.is_full_dimensional:
+            raise ValueError("feasible translations need a "
+                             "full-dimensional polytope")
+        shift = np.max(sample @ self.facet_normals.T, axis=0)
+        return Polytope.from_halfspaces(-self.facet_normals,
+                                        self.facet_offsets - shift)
+
+    def uniform_draw(self, rng, n):
+        """A box draws one (n + 8, d) batch of ``rng.random``.  Any other
+        polytope draws its sample by rejection from its bounding box: the
+        first n in-body candidates of the ``rng.random`` stream, whatever
+        the batch sizes, as the transpose of a (d, n) array."""
+        d = self.dim
+        if self.is_box:  # a box keeps every candidate of the first batch
+            return rng.random((n + 8, d))
+        lo, hi = self.bounding_box
+        parts, filled, drawn = [], 0, 0
+        while filled < n:
+            rate = max(filled, 1) / max(drawn, 1)
+            m = math.ceil((n - filled) / rate) + 8
+            cand = _to_box(rng.random((m, d)), lo, hi - lo)
+            drawn += m
+            inside = self.contains(cand.T)
+            if not inside.all():
+                cand = np.compress(inside, cand, axis=1)
+            take = cand[:, :n - filled]
+            if take.shape[1] == n:  # one batch filled the sample
+                return take.T
+            parts.append(take)
+            filled += take.shape[1]
+        return np.concatenate(parts, axis=1).T
+
+    def uniform_place(self, n, raw):
+        if not self.is_box:
+            return raw
+        lo, hi = self.bounding_box
+        return _to_box(raw, lo, hi - lo)[:, :n].T
+
+    def boundary_draw(self, rng, n):
+        """One ``random(3n)`` (d=2) or ``random(5n)`` (d=3), split into the
+        n weights, the n facet picks, then per mark the position on its
+        segment (d=2), or the fan-triangle pick and two barycentric
+        coordinates (d=3)."""
+        raw = rng.random((3 if self.dim == 2 else 5) * n)
+        return raw[:n], raw[n:2 * n], raw[2 * n:]
+
+    def boundary_place(self, fills):
+        """Facet picks by `Generator.choice`'s algorithm on the facet cdf."""
+        pick, coords = (np.concatenate(p) for p in zip(*fills))
+        _, facet_cdf, verts, fan_cdfs = self.facet_geometry
+        idx = facet_cdf.searchsorted(pick, side="right")
+        u = self.facet_normals[idx]
+        v0 = verts[idx, 0]
+        if self.dim == 2:
+            return v0 + coords[:, None] * (verts[idx, 1] - v0), u
+        c, a, b = coords.reshape(-1, 3).T
+        flip = a + b > 1
+        a, b = np.where(flip, 1 - a, a), np.where(flip, 1 - b, b)
+        # searchsorted(cdf, c, side="right") of each mark's facet.
+        i = 1 + np.sum(fan_cdfs[idx] <= c[:, None], axis=1)
+        eta = (v0 + a[:, None] * (verts[idx, i] - v0)
+               + b[:, None] * (verts[idx, i + 1] - v0))
+        return eta, u
+
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
@@ -351,7 +496,8 @@ def _in_convex_hull(p, vertices):
 
 
 def _check_dim(value, name):
-    if not isinstance(value, numbers.Integral) or value < 1:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
         raise ValueError(f"{name} must be an integer of at least 1, got "
                          f"{value!r}")
 
@@ -365,30 +511,77 @@ def _check_ball(radius, dim):
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Body):
     """Euclidean ball of radius r centered at the origin.  A radius that
     is not finite and positive, or a dim that is not an integer of at
     least 1, raises a ValueError that names it."""
 
     radius: float
     dim: int = 2
+    is_symmetric = True
+    normal_bundle_rows = None
 
     def __post_init__(self):
         _check_ball(self.radius, self.dim)
+
+    @property
+    def max_norm(self):
+        return float(self.radius)
+
+    @property
+    def volume(self):
+        return _ball_volume(self.radius, self.dim)
+
+    @property
+    def surface_area(self):
+        return _ball_surface_area(self.radius, self.dim)
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return row_norms(points) <= self.radius + GEO_TOL
 
+    def support(self, u):
+        return self.radius * float(np.linalg.norm(u))
+
+    def excess(self, points):
+        return float(np.max(np.linalg.norm(points, axis=1) - self.radius))
+
+    def feasible_translations(self, sample):
+        """The centres ∩ B(v, r) over the extreme points v of the sample:
+        a ball that holds them holds conv(sample)."""
+        sample = np.asarray(sample, dtype=float)
+        x = BallIntersection(sample[_extreme_points(sample)], self.radius)
+        return EMPTY if x.is_empty() else x
+
+    def uniform_draw(self, rng, n):
+        """(n, d) standard normals, then n uniforms for the radii."""
+        return rng.standard_normal((n, self.dim)), rng.random(n)
+
+    def uniform_place(self, n, raw):
+        """Normalises the normals in place, then scales them by r U^(1/d)."""
+        normals, radial = raw
+        normals /= row_norms(normals)[:, None]
+        return normals * (self.radius * radial ** (1.0 / self.dim))[:, None]
+
+    def boundary_draw(self, rng, n):
+        """``random(n)`` for the weights, then ``standard_normal((n, d))``."""
+        return rng.random(n), rng.standard_normal((n, self.dim))
+
+    def boundary_place(self, fills):
+        (u,) = (np.concatenate(p) for p in zip(*fills))
+        u /= row_norms(u)[:, None]
+        return self.radius * u, u
+
 
 @dataclass(frozen=True)
-class HalfBall:
+class HalfBall(_Body):
     """Half-ball {|x| <= r, <x, axis> >= 0}; default axis is e1.  Radius
     and dim are checked as `Ball` checks them."""
 
     radius: float
     axis: np.ndarray = field(default=None)
     dim: int = 2
+    is_symmetric = False
 
     def __post_init__(self):
         _check_ball(self.radius, self.dim)
@@ -410,14 +603,90 @@ class HalfBall:
     def __hash__(self):
         return hash((self.radius, self.dim))
 
+    @property
+    def max_norm(self):
+        return float(self.radius)
+
+    @property
+    def volume(self):
+        return _ball_volume(self.radius, self.dim) / 2.0
+
+    @property
+    def _cap_area(self):
+        return _ball_surface_area(self.radius, self.dim) / 2.0
+
+    @property
+    def surface_area(self):
+        return self._cap_area + _ball_volume(self.radius, self.dim - 1)
+
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return ((row_norms(points) <= self.radius + GEO_TOL)
                 & (points @ self.axis >= -GEO_TOL))
 
+    def support(self, u):
+        c = float(u @ self.axis)
+        if c >= 0:
+            return self.radius * float(np.linalg.norm(u))
+        return self.radius * float(np.linalg.norm(u - c * self.axis))
+
+    def excess(self, points):
+        return max(Ball.excess(self, points),
+                   float(np.max(-(points @ self.axis))))
+
+    def uniform_draw(self, rng, n):
+        """The finished sample: the first n points with <x, axis> >= 0 of
+        ball samples of 2 (n - filled) + 8 points each."""
+        ball, parts, filled = Ball(self.radius, self.dim), [], 0
+        while filled < n:
+            m = 2 * (n - filled) + 8
+            cand = ball.uniform_place(m, ball.uniform_draw(rng, m))
+            parts.append(cand[cand @ self.axis >= 0][:n - filled])
+            filled += len(parts[-1])
+        return np.concatenate(parts)
+
+    def uniform_place(self, n, raw):
+        return raw
+
+    def boundary_draw(self, rng, n):
+        """One ``random(2n)`` for the weights and the cap flags, then the k
+        cap normals ``standard_normal((k, d))``, the flat-part directions
+        ``standard_normal((n-k, d-1))`` and radii ``random(n-k)``."""
+        raw = rng.random(2 * n)
+        cap = raw[n:] < self._cap_area / self.surface_area
+        k = int(np.count_nonzero(cap))
+        return (raw[:n], cap, rng.standard_normal((k, self.dim)),
+                rng.standard_normal((n - k, self.dim - 1)), rng.random(n - k))
+
+    def boundary_place(self, fills):
+        """A cap normal drawn in the lower hemisphere is reflected into the
+        upper one; only the sign of its product with the axis is read, so
+        that product may run on the whole block.  The flat points' product
+        with the frame runs per generator (one radius each): BLAS may round
+        a longer product otherwise."""
+        d, r, axis = self.dim, self.radius, self.axis
+        if d < 2:
+            raise ValueError("half-ball sampling needs dimension >= 2")
+        # Orthonormal basis of the flat part, the axis's complement.
+        q, _ = np.linalg.qr(np.column_stack([axis, np.eye(d)[:, :d - 1]]))
+        frame = (q * np.sign(q[:, 0] @ axis))[:, 1:]
+        cap, cap_u, flat, radii = (np.concatenate(p) for p in zip(*fills))
+        cap_u /= row_norms(cap_u)[:, None]
+        cap_u[cap_u @ axis < 0] *= -1
+        flat /= row_norms(flat)[:, None]
+        flat = r * flat * (radii ** (1.0 / (d - 1)))[:, None]
+        sizes = [len(fill[-1]) for fill in fills]
+        ends = np.cumsum(sizes)
+        eta, u = np.empty((len(cap), d)), np.empty((len(cap), d))
+        eta[cap], u[cap] = r * cap_u, cap_u
+        eta[~cap] = np.concatenate([flat[a:b] @ frame.T
+                                    for a, b in zip(ends - sizes, ends)])
+        u[~cap] = -axis
+        return eta, u
+
 
 @dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_Body):
     """{x : <x, normal> <= offset} with a unit normal."""
 
     normal: np.ndarray
@@ -434,9 +703,19 @@ class HalfSpace:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return points @ self.normal <= self.offset + GEO_TOL
 
+    def support(self, u):
+        u = np.asarray(u, dtype=float)
+        nu = np.linalg.norm(u)
+        if nu < 1e-12:
+            return 0.0
+        c = float(u @ self.normal)
+        if c > 0 and np.linalg.norm(u - c * self.normal) <= 1e-12 * nu:
+            return c * self.offset
+        return float("inf")
+
 
 @dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(_Body):
     """Closed convex cone, by generator rays and/or facet normals.
 
     With neither representation present the cone is the whole space;
@@ -447,6 +726,9 @@ class PolyhedralCone:
     generators: np.ndarray | None = None
     normals: np.ndarray | None = None
     dim: int = 2
+
+    def __post_init__(self):
+        _check_dim(self.dim, "dim")
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -460,6 +742,16 @@ class PolyhedralCone:
     def is_whole_space(self):
         return self.generators is None and (
             self.normals is None or len(self.normals) == 0)
+
+    def support(self, u):
+        u = np.asarray(u, dtype=float)
+        if self.is_whole_space():
+            return 0.0 if np.linalg.norm(u) < 1e-12 else float("inf")
+        if self.generators is not None:
+            bounded = np.all(self.generators @ u <= GEO_TOL)
+        else:  # H-rep cone: bounded in direction u iff u in pos(normals).
+            bounded = _in_positive_hull(u, self.normals)
+        return 0.0 if bounded else float("inf")
 
 
 def _in_positive_hull(p, generators):
@@ -475,7 +767,7 @@ def _in_positive_hull(p, generators):
 
 
 @dataclass(frozen=True)
-class BallIntersection:
+class BallIntersection(_Body):
     """Intersection of equal-radius balls around the given centers."""
 
     centers: np.ndarray
@@ -579,44 +871,6 @@ def min_enclosing_ball(points):
             i += 1
 
     return welzl(len(pts), [])
-
-
-# -- support function ---------------------------------------------------------
-
-def support_function(body, u):
-    """h(body, u) = sup <x, u>; +inf in unbounded directions."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(body, Polytope):
-        return float(np.max(body.vertices @ u))
-    if isinstance(body, Ball):
-        return body.radius * float(np.linalg.norm(u))
-    if isinstance(body, HalfBall):
-        c = float(u @ body.axis)
-        if c >= 0:
-            return body.radius * float(np.linalg.norm(u))
-        return body.radius * float(np.linalg.norm(u - c * body.axis))
-    if isinstance(body, HalfSpace):
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            return 0.0
-        c = float(u @ body.normal)
-        if c > 0 and np.linalg.norm(u - c * body.normal) <= 1e-12 * nu:
-            return c * body.offset
-        return float("inf")
-    if isinstance(body, PolyhedralCone):
-        if body.is_whole_space():
-            return 0.0 if np.linalg.norm(u) < 1e-12 else float("inf")
-        if body.generators is not None:
-            if np.all(body.generators @ u <= GEO_TOL):
-                return 0.0
-            return float("inf")
-        # H-rep cone: bounded in direction u iff u in pos(normals).
-        return 0.0 if _in_positive_hull(u, body.normals) else float("inf")
-    if isinstance(body, BallIntersection):
-        return body.support(u)
-    if isinstance(body, EmptySet):
-        return float("-inf")
-    raise TypeError(f"unsupported body {type(body).__name__}")
 
 
 # -- polar sets ---------------------------------------------------------------
@@ -781,14 +1035,9 @@ def body_to_json(body):
 
 
 def _dim(doc):
-    value = doc.get("dim", 2)
-    try:
-        dim = int(value)
-    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
-        dim = 0
-    if dim < 1 or dim != value:
-        raise ValueError(f"dim must be an integer of at least 1, got {value}")
-    return dim
+    """The doc's dim; a whole float (JSON may write 2.0) reads as an int."""
+    dim = doc.get("dim", 2)
+    return int(dim) if isinstance(dim, float) and dim.is_integer() else dim
 
 
 def body_from_json(doc):

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .bodies import GEO_TOL, Ball, HalfBall, Polytope, cube, row_norms
+from .bodies import (GEO_TOL, Ball, Polytope, _ball_surface_area,
+                     _ball_volume, cube, row_norms)
 from .matexp import matrix_exponential
-from .poisson import (_ball_surface_area, _ball_volume, replicate_rngs,
-                      sample_PK_block, spawn_rng)
+from .poisson import replicate_rngs, sample_PK_block, spawn_rng
 from .zerocell import cone_projection, halfspaces_from_marks, window_horizon
 
 __all__ = [
@@ -60,99 +60,21 @@ def uniform_sample(body, n, seed=None):
     advanced as it is.  n must be a non-negative integer, a numpy one
     included; anything else raises a ValueError.
 
-    The sample is `_place` of `_draw`: the generator calls, then a fixed
-    map into the body.  A polytope is sampled by rejection from its
-    bounding box: the result is the first n in-body candidates of the
-    ``rng.random`` stream mapped to the box.  Batches are sized from the
-    acceptance rate observed so far, but which candidates come first does
-    not depend on the batch size, so the sample is fixed by the generator
-    state alone.  Every candidate of a box (`Polytope.is_box`) is in the
-    body, so a box skips the test and its sample is the first n
-    candidates of one batch.  The polytope sample is the transpose of a
-    coordinate-major (d, n) array, so each column of the result is
-    contiguous: reductions along axis 0 run on them directly.
+    The sample is `body.uniform_place` of `body.uniform_draw`: the
+    generator calls, which fix it, then a map into the body.
     """
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     n = int(n)
     if n == 0:
         return np.zeros((0, body.dim))
-    return _place(body, n, _draw(body, n, np.random.default_rng(seed)))
-
-
-def _draw(body, n, rng):
-    """The generator calls of an n-point `uniform_sample`, n >= 1.
-
-    A box draws one (n + 8, d) batch of ``rng.random``; a ball draws
-    (n, d) standard normals, then n uniforms for the radii.  Any other
-    body draws its finished sample, which `_place` leaves as it is.
-    """
-    d = body.dim
-    if isinstance(body, Ball):
-        return rng.standard_normal((n, d)), rng.random(n)
-    if isinstance(body, HalfBall):
-        out = np.zeros((n, d))
-        filled = 0
-        while filled < n:
-            cand = uniform_sample(Ball(body.radius, d), 2 * (n - filled) + 8,
-                                  rng)
-            cand = cand[cand @ body.axis >= 0]
-            take = min(len(cand), n - filled)
-            out[filled:filled + take] = cand[:take]
-            filled += take
-        return out
-    if not isinstance(body, Polytope):
-        raise TypeError(f"unsupported body {type(body).__name__}")
-    if body.is_box:  # a box keeps every candidate of the first batch
-        return rng.random((n + 8, d))
-    lo, hi = body.bounding_box
-    span = hi - lo
-    out = None
-    filled = drawn = 0
-    while filled < n:
-        rate = max(filled, 1) / max(drawn, 1)
-        m = math.ceil((n - filled) / rate) + 8
-        cand = _to_box(rng.random((m, d)), lo, span)
-        drawn += m
-        inside = body.contains(cand.T)
-        if not inside.all():
-            cand = np.compress(inside, cand, axis=1)
-        take = min(cand.shape[1], n - filled)
-        if take == n:  # the first batch filled the sample
-            return cand[:, :n].T
-        if out is None:
-            out = np.empty((d, n))
-        out[:, filled:filled + take] = cand[:, :take]
-        filled += take
-    return out.T
-
-
-def _to_box(u, lo, span):
-    """The (m, d) uniforms mapped to the box lo + u * span, in (d, m)
-    layout, where numpy broadcasts along the long axis; the values are
-    those of the (m, d) map."""
-    cand = np.multiply(u.T, span[:, None], out=np.empty(u.shape[::-1]))
-    cand += lo[:, None]
-    return cand
-
-
-def _place(body, n, raw):
-    """The n-point sample of the body from its `_draw`.  A ball's normals
-    are normalised in place, so a draw is placed at most once."""
-    if isinstance(body, Ball):
-        normals, radial = raw
-        normals /= row_norms(normals)[:, None]
-        r = body.radius * radial ** (1.0 / body.dim)
-        return normals * r[:, None]
-    if isinstance(body, Polytope) and body.is_box:
-        lo, hi = body.bounding_box
-        return _to_box(raw, lo, hi - lo)[:, :n].T
-    return raw
+    rng = np.random.default_rng(seed)
+    return body.uniform_place(n, body.uniform_draw(rng, n))
 
 
 def _ball_norm_bound(body, radial):
-    """A bound on the norms of the ball sample that `_place` makes from
-    these radial draws: r max(U)^(1/d) (1 + 1e-12).  The factor covers
+    """A bound on the norms of the ball sample that `uniform_place` makes
+    from these radial draws: r max(U)^(1/d) (1 + 1e-12).  The factor covers
     the pow's one-ulp error and the error of normalising."""
     return body.radius * radial.max() ** (1.0 / body.dim) * (1 + 1e-12)
 
@@ -185,8 +107,8 @@ _ROUNDING = 32 * np.finfo(float).eps
 
 class _MapsKeepSample:
     """The predicate "do all maps (g, s) keep the sample in the body?" on
-    the `_draw` of an n-point sample, n >= 1: is g a - s in the body for
-    every map and every point a that `_place` makes of the draw?
+    the `uniform_draw` of an n-point sample, n >= 1: is g a - s in the body
+    for every map and every point a that `uniform_place` makes of the draw?
 
     Built once per set of maps.  A call first runs a sufficient screen on
     the draw's extreme values.  Only when it does not pass is the sample
@@ -274,7 +196,8 @@ class _MapsKeepSample:
         return bool(np.all(self.body.contains(moved)))
 
     def __call__(self, raw):
-        return self.screen(raw) or self.exact(_place(self.body, self.n, raw))
+        return self.screen(raw) or self.exact(self.body.uniform_place(self.n,
+                                                                      raw))
 
 
 # -- statistics -----------------------------------------------------------------
@@ -545,7 +468,7 @@ def inclusion_functional_estimate(body, cone, test_points, n, replicates,
     keeps = _MapsKeepSample(body, maps, n)
     finite_hits = 0
     for rng in replicate_rngs(seed, 1, replicates):
-        finite_hits += keeps(_draw(body, n, rng))
+        finite_hits += keeps(body.uniform_draw(rng, n))
 
     report = ExperimentReport(
         name="inclusion",

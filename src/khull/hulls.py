@@ -28,8 +28,6 @@ from .bodies import (
     GEO_TOL,
     WHOLE_SPACE,
     Ball,
-    BallIntersection,
-    EmptySet,
     HalfBall,
     Polytope,
     PolyhedralCone,
@@ -117,7 +115,7 @@ class BallHullOracle:
     """Intersection of all radius-r balls whose centers cover the sample.
 
     The oracle is built on the feasible centres F = ∩_{v∈ext conv A} B(v, r)
-    that `feasible_translations` returns when they are non-empty; its
+    that `Ball.feasible_translations` returns when they are non-empty; its
     `centers` are the h extreme points of A.  A point y is in the hull iff
     max_{x∈F} |x - y| <= r.  In the plane that maximum is attained at a
     corner of F (`center_set.corners`, found once in O(h²)) or at the far
@@ -161,37 +159,17 @@ class BallHullOracle:
 
 # -- translation hulls --------------------------------------------------------
 
-def feasible_translations(body, sample):
-    """{x : sample ⊆ body + x}, which ext conv(sample) alone fixes: a ball
-    that holds the extreme points holds conv(sample)."""
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    if isinstance(body, Polytope):
-        if not body.is_full_dimensional:
-            raise ValueError("feasible translations need a "
-                             "full-dimensional polytope")
-        shift = np.max(sample @ body.facet_normals.T, axis=0)
-        return Polytope.from_halfspaces(-body.facet_normals,
-                                        body.facet_offsets - shift)
-    if isinstance(body, Ball):
-        x = BallIntersection(sample[_extreme_points(sample)], body.radius)
-        return EMPTY if x.is_empty() else x
-    raise TypeError(f"unsupported body {type(body).__name__}")
-
-
 def k_hull_translations(body, sample):
     """Intersection of all translates of the body containing the sample."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    feasible = feasible_translations(body, sample)
-    if isinstance(feasible, EmptySet):
+    feasible = body.feasible_translations(sample)
+    if feasible is EMPTY:
         return HullResult(WHOLE_SPACE)
-    if isinstance(body, Polytope):
-        mins = np.min(feasible.vertices @ body.facet_normals.T, axis=0)
-        hull = Polytope.from_halfspaces(body.facet_normals,
-                                        body.facet_offsets + mins)
-        return HullResult(hull)
     if isinstance(body, Ball):
         return HullResult(BallHullOracle(feasible))
-    raise TypeError(f"unsupported body {type(body).__name__}")
+    mins = np.min(feasible.vertices @ body.facet_normals.T, axis=0)
+    return HullResult(Polytope.from_halfspaces(body.facet_normals,
+                                               body.facet_offsets + mins))
 
 
 def hull_translations_scalings(body, sample):
@@ -259,8 +237,10 @@ def _positive_hull_2d(dirs):
     w = np.array([math.cos(hi), math.sin(hi)])
     if abs(gap - math.pi) <= 1e-12:
         n = np.array([u[1], -u[0]])
-        return PolyhedralCone(generators=np.vstack([u, w]),
-                              normals=n[None], dim=2)
+        # A second gap of pi: the directions span a line, and so does pos.
+        line = np.count_nonzero(np.abs(gaps - math.pi) <= 1e-12) == 2
+        return PolyhedralCone(generators=np.vstack([u, w]), dim=2,
+                              normals=np.vstack([n, -n]) if line else n[None])
     if np.allclose(u, w):
         n1 = np.array([u[1], -u[0]])
         # The ray through u: the line through it, less its -u half.
@@ -325,34 +305,12 @@ def spherical_hull_halfball(sample):
 
 # -- generic membership oracle ------------------------------------------------
 
-def _containment_violation(body, points):
-    """Max constraint excess of the points w.r.t. the body (<= 0 inside)."""
-    points = np.atleast_2d(points)
-    if isinstance(body, Polytope):
-        return float(np.max(points @ body.facet_normals.T
-                            - body.facet_offsets))
-    if isinstance(body, Ball):
-        return float(np.max(np.linalg.norm(points, axis=1) - body.radius))
-    if isinstance(body, HalfBall):
-        return float(max(np.max(np.linalg.norm(points, axis=1) - body.radius),
-                         np.max(-(points @ body.axis))))
-    raise TypeError(f"unsupported body {type(body).__name__}")
-
-
 class _Witness(Exception):
     """Raised by the search objective at the first separating parameters."""
 
     def __init__(self, params):
         super().__init__()
         self.params = params
-
-
-def _centrally_symmetric(body):
-    """K = -K: a ball, or a polytope holding its reflected vertices."""
-    if isinstance(body, Ball):
-        return True
-    return (isinstance(body, Polytope)
-            and bool(np.all(body.contains(-body.vertices))))
 
 
 def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
@@ -379,13 +337,13 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
     query = np.asarray(query, dtype=float)
     d = sample.shape[1]
     points = sample
-    if family.translations == "zero" and _centrally_symmetric(body):
+    if family.translations == "zero" and body.is_symmetric:
         points = np.vstack([sample, -sample])
     if _in_convex_hull(query, points):
         return "inside", None
     if (family.translations == "full" and family.linear == "identity"
             and isinstance(body, (Polytope, Ball))
-            and isinstance(feasible_translations(body, sample), EmptySet)):
+            and body.feasible_translations(sample) is EMPTY):
         return "inside", None
     nparams = family.param_count(d)
     rng = np.random.default_rng(seed)
@@ -398,8 +356,8 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
             ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError:
             return None
-        return (_containment_violation(body, sample @ ginv.T - x),
-                _containment_violation(body, (ginv @ query - x)[None]))
+        return (body.excess(sample @ ginv.T - x),
+                body.excess((ginv @ query - x)[None]))
 
     def objective(params):
         v = violations(params)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ball, HalfBall, Polytope, row_norms
 
 __all__ = [
     "PoissonSample",
@@ -146,150 +145,37 @@ def _replicate_rngs(prefix, count):
             yield rng
 
 
-def _ball_surface_area(r, d):
-    if d == 2:
-        return 2 * math.pi * r
-    if d == 3:
-        return 4 * math.pi * r * r
-    return 2 * math.pi ** (d / 2) / math.gamma(d / 2) * r ** (d - 1)
-
-
-def _ball_volume(r, d):
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r ** d
-
-
 class BoundarySampler:
-    """Draws (eta, u) from normalized surface measure with attached normals.
-
-    A generator's draws for n marks come in one fixed order after its mark
-    count, which is the stream contract of `sample_PK`:
-
-    - polytopes: one ``random(3n)`` (d=2) or ``random(5n)`` (d=3), split
-      into the n weights, the n facet picks, then per mark the position on
-      its segment (d=2), or the fan-triangle pick and two barycentric
-      coordinates (d=3);
-    - balls: ``random(n)`` for the weights, then ``standard_normal((n, d))``;
-    - half-balls: one ``random(2n)`` for the weights and the cap flags, then
-      the k cap normals ``standard_normal((k, d))``, the flat-part
-      directions ``standard_normal((n-k, d-1))`` and radii ``random(n-k)``.
-
-    `fill` makes those calls for one generator; `draw` maps the fills of a
-    block of generators in one pass, elementwise or row by row, so each
-    generator's marks do not depend on the block around it.  The facet pick
-    is `Generator.choice`'s algorithm on the facet cdf that `Polytope`
-    caches with the rest of its facet geometry, once per body object.
-    """
+    """The mark rate of a body, surface_area / volume, and the map of a
+    block's boundary draws to marks (`body.boundary_place`).
+    `perfbench/tracing.py` times `__init__` and `draw` by name."""
 
     def __init__(self, body):
         self.body = body
-        if isinstance(body, Polytope):
-            if not body.is_full_dimensional:
-                raise ValueError("body must be full-dimensional")
-            (areas, self.facet_cdf, self.facet_verts,
-             self.fan_cdfs) = body.facet_geometry
-            self.surface_area = float(areas.sum())
-            self.volume = body.volume
-        elif isinstance(body, Ball):
-            self.surface_area = _ball_surface_area(body.radius, body.dim)
-            self.volume = _ball_volume(body.radius, body.dim)
-        elif isinstance(body, HalfBall):
-            d, r = body.dim, body.radius
-            if d < 2:
-                raise ValueError("half-ball sampling needs dimension >= 2")
-            self.cap_area = _ball_surface_area(r, d) / 2.0
-            self.flat_area = _ball_volume(r, d - 1)
-            self.surface_area = self.cap_area + self.flat_area
-            self.volume = _ball_volume(r, d) / 2.0
-            # Orthonormal frame with the axis last, for flat-part sampling.
-            q, _ = np.linalg.qr(np.column_stack(
-                [body.axis, np.eye(d)[:, :d - 1]]))
-            q = q * np.sign(q[:, 0] @ body.axis)
-            self.frame = q[:, 1:]
-        else:
-            raise TypeError(f"unsupported body {type(body).__name__}")
-
-    def fill(self, rng, n):
-        """One generator's draws for n marks: the n weight uniforms, then
-        the arrays that `draw` maps."""
-        body = self.body
-        d = body.dim
-        if isinstance(body, Polytope):
-            raw = rng.random((3 if d == 2 else 5) * n)
-            return raw[:n], raw[n:2 * n], raw[2 * n:]
-        if isinstance(body, Ball):
-            return rng.random(n), rng.standard_normal((n, d))
-        raw = rng.random(2 * n)
-        cap = raw[n:] < self.cap_area / self.surface_area
-        k = int(np.count_nonzero(cap))
-        return (raw[:n], cap, rng.standard_normal((k, d)),
-                rng.standard_normal((n - k, d - 1)), rng.random(n - k))
+        self.rate = body.surface_area / body.volume
 
     def draw(self, fills):
-        """The marks of a block, as (eta, u), two (n, d) arrays.
-
-        `fills` holds each generator's `fill` less its weights, in
-        generator order; the marks come in the same order.
-        """
-        parts = [np.concatenate(p) for p in zip(*fills)]
-        body = self.body
-        d = body.dim
-        if isinstance(body, Polytope):
-            pick, coords = parts
-            idx = self.facet_cdf.searchsorted(pick, side="right")
-            u = body.facet_normals[idx]
-            v0 = self.facet_verts[idx, 0]
-            if d == 2:
-                lam = coords[:, None]
-                return v0 + lam * (self.facet_verts[idx, 1] - v0), u
-            c, a, b = coords.reshape(-1, 3).T
-            flip = a + b > 1
-            a, b = np.where(flip, 1 - a, a), np.where(flip, 1 - b, b)
-            # searchsorted(cdf, c, side="right") of each mark's facet.
-            i = 1 + np.sum(self.fan_cdfs[idx] <= c[:, None], axis=1)
-            eta = (v0 + a[:, None] * (self.facet_verts[idx, i] - v0)
-                   + b[:, None] * (self.facet_verts[idx, i + 1] - v0))
-            return eta, u
-        r = body.radius
-        if isinstance(body, Ball):
-            (u,) = parts
-            u /= row_norms(u)[:, None]
-            return r * u, u
-        # HalfBall: a cap normal drawn in the lower hemisphere is reflected
-        # into the upper one; only the sign of its product with the axis is
-        # read, so that product may run on the whole block.
-        cap, cap_u, flat, radii = parts
-        cap_u /= row_norms(cap_u)[:, None]
-        cap_u[cap_u @ body.axis < 0] *= -1
-        flat /= row_norms(flat)[:, None]
-        flat = r * flat * (radii ** (1.0 / (d - 1)))[:, None]
-        # The product with the frame runs per generator, over its flat
-        # marks (one radius each): BLAS may round a longer product otherwise.
-        sizes = [len(fill[-1]) for fill in fills]
-        ends = np.cumsum(sizes)
-        eta, u = np.empty((len(cap), d)), np.empty((len(cap), d))
-        eta[cap], u[cap] = r * cap_u, cap_u
-        eta[~cap] = np.concatenate([flat[a:b] @ self.frame.T
-                                    for a, b in zip(ends - sizes, ends)])
-        u[~cap] = -body.axis
-        return eta, u
+        return self.body.boundary_place(fills)
 
 
 def sample_PK_block(body, t_max, rngs):
     """One Poisson sample of marks with t <= t_max per generator.
 
     Each generator draws its count, Poisson(rate * t_max), then its
-    `BoundarySampler.fill`, before the next one is taken from `rngs`;
-    `draw` then maps the whole block.  The weights t are i.i.d. uniform on
-    (0, t_max], independent of the boundary marks.  Returns the marks of
-    all generators, concatenated in generator order, as one
-    `PoissonSample`, and the (k,) mark count of each generator.  Generator
-    i's marks are those `sample_PK` draws from it alone, bit for bit.
+    `body.boundary_draw`, before the next one is taken from `rngs`;
+    `BoundarySampler.draw` then maps the whole block.  Those draws, in the
+    order each body's `boundary_draw` names them, are the stream contract
+    of `sample_PK`.  The weights t are i.i.d. uniform on (0, t_max],
+    independent of the boundary marks.  Returns the marks of all
+    generators, concatenated in generator order, as one `PoissonSample`,
+    and the (k,) mark count of each generator.  Generator i's marks are
+    those `sample_PK` draws from it alone, bit for bit.
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     sampler = BoundarySampler(body)
-    mean = sampler.surface_area / sampler.volume * t_max
-    fills = [sampler.fill(rng, rng.poisson(mean)) for rng in rngs]
+    mean = sampler.rate * t_max
+    fills = [body.boundary_draw(rng, rng.poisson(mean)) for rng in rngs]
     counts = np.array([len(f[0]) for f in fills])
     t = t_max * (1.0 - np.concatenate([f[0] for f in fills]))
     eta, u = sampler.draw([f[1:] for f in fills])
@@ -303,7 +189,7 @@ def sample_PK(body, t_max, seed=None):
 
     The count is Poisson(rate * t_max); t values are i.i.d. uniform on
     (0, t_max], independent of the boundary marks, which follow the draw
-    order of `BoundarySampler`.  This is `sample_PK_block` over one
+    order of `sample_PK_block`.  This is `sample_PK_block` over one
     generator.
     """
     return sample_PK_block(body, t_max, [np.random.default_rng(seed)])[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .bodies import Ball, GEO_TOL, HalfBall, Polytope, row_norms
+from .bodies import Ball, GEO_TOL, row_norms
 from .poisson import sample_PK
 
 __all__ = [
@@ -126,7 +126,7 @@ def window_horizon(body, window_radius):
     <C eta + x, u> <= R * (1 + |eta|), so marks with t > R * (1 + max |eta|)
     never cut it.
     """
-    return window_radius * (1.0 + _max_boundary_norm(body))
+    return window_radius * (1.0 + body.max_norm)
 
 
 def build_zero_cell(body, window_radius, seed=None):
@@ -143,14 +143,6 @@ def build_zero_cell(body, window_radius, seed=None):
     sample = sample_PK(body, window_horizon(body, window_radius), seed)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
     return HalfSpaceSystem(normals, offsets, body.dim, sample=sample)
-
-
-def _max_boundary_norm(body):
-    if isinstance(body, Polytope):
-        return body.max_norm
-    if isinstance(body, (Ball, HalfBall)):
-        return float(body.radius)
-    raise TypeError(f"unsupported body {type(body).__name__}")
 
 
 def membership(system, point):
@@ -293,14 +285,7 @@ class RecessionCone:
 
 
 def recession_cone_TK(body):
-    if isinstance(body, Polytope):
-        rows = [flatten_pair(u, np.outer(u, v))
-                for idx, u in zip(body.facet_vertex_sets(), body.facet_normals)
-                for v in body.vertices[idx]]
-        return RecessionCone(body, np.array(rows))
-    if isinstance(body, Ball):
-        return RecessionCone(body)
-    raise TypeError(f"unsupported body {type(body).__name__}")
+    return RecessionCone(body, body.normal_bundle_rows)
 
 
 def _min_sphere_quadratic(a, b):

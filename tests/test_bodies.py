@@ -23,7 +23,6 @@ from khull.bodies import (
     polar,
     polar_cone,
     row_norms,
-    support_function,
     supporting_cone,
     _extreme_points,
 )
@@ -76,23 +75,23 @@ def test_row_norms_equals_numpy_norm_bit_for_bit(d):
 
 
 def test_support_unit_ball():
-    assert support_function(Ball(1.0, 2), np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert Ball(1.0, 2).support(np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_support_square_diagonal():
     u = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert support_function(SQUARE, u) == pytest.approx(np.sqrt(2))
+    assert SQUARE.support(u) == pytest.approx(np.sqrt(2))
 
 
 def test_support_polytope_brute_force():
     verts = np.array([[2.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     p = Polytope.from_vertices(verts)
     u = np.array([1.0, 0.0])
-    assert support_function(p, u) == pytest.approx(2.0)
+    assert p.support(u) == pytest.approx(2.0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = rng.standard_normal(2)
-        assert support_function(p, u) == pytest.approx(np.max(verts @ u))
+        assert p.support(u) == pytest.approx(np.max(verts @ u))
 
 
 def test_polar_ball():
@@ -182,9 +181,9 @@ def test_ball_intersection_nonempty_with_infeasible_centroid():
     assert x.contains([[1.0, 0.0]])[0]
     assert not x.is_empty()
     # The lens between the balls at 0 and (2, 0) spans x1 in [0.8, 1.2].
-    assert support_function(x, np.array([1.0, 0.0])) == pytest.approx(
+    assert x.support(np.array([1.0, 0.0])) == pytest.approx(
         1.2, abs=1e-6)
-    assert support_function(x, np.array([-1.0, 0.0])) == pytest.approx(
+    assert x.support(np.array([-1.0, 0.0])) == pytest.approx(
         -0.8, abs=1e-6)
 
 
@@ -220,17 +219,17 @@ def test_ball_intersection_support_matches_boundary_grid():
         grid = _circle_grid_in_balls(centers, r, angles)
         for theta in 2 * np.pi * rng.random(6):
             u = np.array([np.cos(theta), np.sin(theta)])
-            exact = support_function(x, u)
+            exact = x.support(u)
             brute = float(np.max(grid @ u))
             assert brute <= exact + 1e-9
             assert exact - brute <= r * step
-            assert support_function(x, 2.5 * u) == pytest.approx(
+            assert x.support(2.5 * u) == pytest.approx(
                 2.5 * exact, rel=1e-12, abs=1e-12)
 
 
 def test_ball_intersection_support_empty_and_d3():
     empty = BallIntersection(np.array([[0.0, 0.0], [3.0, 0.0]]), 1.2)
-    assert support_function(empty, np.array([1.0, 0.0])) == -np.inf
+    assert empty.support(np.array([1.0, 0.0])) == -np.inf
     with pytest.raises(ValueError, match="d=2"):
         BallIntersection(np.eye(3), 1.0).support(np.ones(3))
 
@@ -278,18 +277,50 @@ def test_half_ball_membership_and_support():
     hb = HalfBall(1.0, dim=2)
     assert bool(hb.contains(np.array([[0.5, 0.5]]))[0])
     assert not bool(hb.contains(np.array([[-0.1, 0.5]]))[0])
-    assert support_function(hb, np.array([1.0, 0.0])) == pytest.approx(1.0)
-    assert support_function(hb, np.array([-1.0, 0.0])) == pytest.approx(0.0)
-    assert support_function(hb, np.array([-1.0, 1.0])) == pytest.approx(1.0)
+    assert hb.support(np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert hb.support(np.array([-1.0, 0.0])) == pytest.approx(0.0)
+    assert hb.support(np.array([-1.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_unbounded_support_sentinel():
     h = HalfSpace(np.array([1.0, 0.0]), 2.0)
-    assert support_function(h, np.array([1.0, 0.0])) == pytest.approx(2.0)
-    assert support_function(h, np.array([0.0, 1.0])) == np.inf
+    assert h.support(np.array([1.0, 0.0])) == pytest.approx(2.0)
+    assert h.support(np.array([0.0, 1.0])) == np.inf
     cone = PolyhedralCone(generators=np.array([[1.0, 0.0]]), dim=2)
-    assert support_function(cone, np.array([1.0, 0.0])) == np.inf
-    assert support_function(cone, np.array([-1.0, 1.0])) == 0.0
+    assert cone.support(np.array([1.0, 0.0])) == np.inf
+    assert cone.support(np.array([-1.0, 1.0])) == 0.0
+
+
+_BODY_MEMBERS = {  # member -> the arguments of a call, or None for a property
+    "max_norm": None, "volume": None, "surface_area": None,
+    "is_symmetric": None, "normal_bundle_rows": None,
+    "support": ([1.0, 0.0],), "excess": (np.zeros((1, 2)),),
+    "feasible_translations": (np.zeros((1, 2)),),
+    "uniform_draw": (np.random.default_rng(0), 3),
+    "uniform_place": (3, np.zeros((3, 2))),
+    "boundary_draw": (np.random.default_rng(0), 3), "boundary_place": ([],),
+}
+_SUPPORT_ONLY = sorted(set(_BODY_MEMBERS) - {"support"})
+_UNSUPPORTED = (
+    [(HalfSpace(np.array([1.0, 0.0]), 1.0), m) for m in _SUPPORT_ONLY]
+    + [(PolyhedralCone(generators=np.eye(2)), m) for m in _SUPPORT_ONLY]
+    + [(EMPTY, m) for m in _SUPPORT_ONLY]
+    + [(WHOLE_SPACE, m) for m in sorted(_BODY_MEMBERS)]
+    + [(BallIntersection(np.zeros((1, 2)), 1.0), m) for m in _SUPPORT_ONLY]
+    + [(HalfBall(1.0), "feasible_translations"),
+       (HalfBall(1.0), "normal_bundle_rows")])
+
+
+@pytest.mark.parametrize(
+    "body, member", _UNSUPPORTED,
+    ids=[f"{type(b).__name__}-{m}" for b, m in _UNSUPPORTED])
+def test_missing_body_member_raises_unsupported_body(body, member):
+    args = _BODY_MEMBERS[member]
+    with pytest.raises(TypeError,
+                       match=f"^unsupported body {type(body).__name__}$"):
+        value = getattr(body, member)
+        if args is not None:
+            value(*args)
 
 
 def test_sentinels():
@@ -481,12 +512,23 @@ def test_cross_polytope_rejects_bad_dimension(d):
     ({"radius": np.nan}, "radius"), ({"radius": np.inf}, "radius"),
     ({"radius": "1"}, "radius"), ({"radius": 1.0, "dim": 0}, "dim"),
     ({"radius": 1.0, "dim": -1}, "dim"), ({"radius": 1.0, "dim": 2.5}, "dim"),
+    ({"radius": 1.0, "dim": True}, "dim"),
 ])
 @pytest.mark.parametrize("kind", [Ball, HalfBall])
 def test_balls_reject_bad_radius_and_dim(kind, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         kind(**kwargs)
     assert kind(np.float64(2.0), dim=np.int64(3)).dim == 3
+
+
+@pytest.mark.parametrize("kind", ["ball", "half_ball", "cone"])
+def test_json_dim_is_checked_by_the_body(kind):
+    # A whole float reads as an int; a bool is not a dim.
+    body = body_from_json({"kind": kind, "radius": 1.0, "dim": 3.0})
+    assert body.dim == 3 and type(body.dim) is int
+    with pytest.raises(ValueError, match="^dim must be an integer of at "
+                                         "least 1, got True$"):
+        body_from_json({"kind": kind, "radius": 1.0, "dim": True})
 
 
 def test_segment_volume_is_its_length():

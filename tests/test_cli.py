@@ -645,8 +645,8 @@ def test_zero_cell_commands_reject_unsampled_body(command, name, tmp_path,
 @pytest.mark.parametrize("kind, field, value", [
     (kind, "radius", value) for kind in ("ball", "half_ball")
     for value in (0, -1, float("nan"), float("inf"))
-] + [(kind, "dim", value) for kind in ("ball", "half_ball")
-      for value in (0, 2.5, float("inf"))
+] + [(kind, "dim", value) for kind in ("ball", "half_ball", "cone")
+      for value in (0, 2.5, float("inf"), True)
       ] + [("half_space", "facets", []),
            ("half_space", "facets", [{"normal": [1, 0], "offset": 1}] * 2)])
 def test_simulate_pk_invalid_ball_field_names_it(kind, field, value,

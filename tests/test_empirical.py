@@ -10,9 +10,7 @@ from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, cross_polytope,
                           cube, row_norms)
 from khull.empirical import (
     _ball_norm_bound,
-    _draw,
     _MapsKeepSample,
-    _place,
     _xn_map,
     dual_cone_intensity_experiment,
     inclusion_functional_estimate,
@@ -151,7 +149,7 @@ def test_uniform_sample_ball_is_the_reference_formula(d, n):
 @pytest.mark.parametrize("n", [1, 7, 2000])
 def test_place_of_draw_is_uniform_sample(body, n):
     for seed in (0, 1, 12345):
-        got = _place(body, n, _draw(body, n, spawn_rng(seed)))
+        got = body.uniform_place(n, body.uniform_draw(spawn_rng(seed), n))
         want = uniform_sample(body, n, seed=seed)
         assert got.tobytes() == want.tobytes()
         assert got.strides == want.strides
@@ -167,8 +165,8 @@ def test_ball_norm_bound_is_tight_above_every_sample_norm(d, n):
     for radius, seed in ((1.0, 0), (2.5, 1), (0.3, 12345)):
         body = Ball(radius, d)
         for i in range(20):
-            raw = _draw(body, n, spawn_rng(seed, i))
-            norms = row_norms(_place(body, n, raw))
+            raw = body.uniform_draw(spawn_rng(seed, i), n)
+            norms = row_norms(body.uniform_place(n, raw))
             bound = _ball_norm_bound(body, raw[1])
             assert norms.max() <= bound <= norms.max() * (1 + 1e-11)
 
@@ -572,8 +570,8 @@ def test_maps_screen_pass_implies_exact_pass(body):
     outcomes = set()
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        raw = _draw(body, n, spawn_rng(seed))
-        pts = _place(body, n, raw)
+        raw = body.uniform_draw(spawn_rng(seed), n)
+        pts = body.uniform_place(n, raw)
         for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0):
             maps = [(expm(scale * rng.standard_normal((d, d)) / n),
                      scale * rng.standard_normal(d) / n) for _ in range(3)]
@@ -596,7 +594,7 @@ def test_maps_screen_at_the_tolerance(body):
     # spare rows lie far outside and must not be read.
     raw = np.vstack([[[1.0, 0.65], [0.6, 0.25], [0.15, 0.95]],
                      np.full((8, 2), 5.0)])
-    pts = _place(body, 3, raw)
+    pts = body.uniform_place(3, raw)
     assert pts[0, 0] == hi[0]
     for push, inside in ((2.0, False), (0.25, True)):
         keeps = _MapsKeepSample(
@@ -617,8 +615,8 @@ def test_maps_screen_settles_most_replicates(body, cone, points, limit_hits,
                                    for c in points], 2000)
     screened = passed = 0
     for rng in replicate_rngs(0, 1, 300):
-        raw = _draw(body, 2000, rng)
-        pts = _place(body, 2000, raw)
+        raw = body.uniform_draw(rng, 2000)
+        pts = body.uniform_place(2000, raw)
         screen, exact = keeps.screen(raw), keeps.exact(pts)
         assert exact or not screen
         screened += screen
@@ -647,13 +645,13 @@ def test_box_screen_property():
             list(itertools.product(*zip(low, high)))))
         hypothesis.assume(body.is_box)
         n, scale = 50, 10.0 ** log_scale
-        raw = _draw(body, n, rng)
+        raw = body.uniform_draw(rng, n)
         if faces:  # draws at the ends of [0, 1) place points on the faces
             raw[:d] = np.eye(d) * (1.0 - 2.0 ** -53)
         maps = [(expm(scale * rng.standard_normal((d, d)) / n),
                  scale * rng.standard_normal(d) / n) for _ in range(2)]
         keeps = _MapsKeepSample(body, maps, n)
-        assert keeps.exact(_place(body, n, raw)) or not keeps.screen(raw)
+        assert keeps.exact(body.uniform_place(n, raw)) or not keeps.screen(raw)
 
     check()
 

@@ -6,13 +6,12 @@ from scipy.optimize import linprog, minimize
 
 from khull.bodies import (GEO_TOL, Ball, BallIntersection, EmptySet,
                           Polytope, WholeSpace, cube, cross_polytope,
-                          min_enclosing_ball, support_function)
+                          min_enclosing_ball)
 from khull.hulls import (
     BallHullOracle,
     FAMILY_PRESETS,
     HullFamily,
     SphericalHull,
-    feasible_translations,
     generic_hull_membership,
     hull_full_affine,
     hull_linear_ball,
@@ -181,7 +180,7 @@ def _disk_sample(rng, n, radius=0.8):
 
 def _ball_hull(sample, r):
     """The planar ball hull's oracle, built on the sample's feasible set."""
-    return BallHullOracle(feasible_translations(Ball(r, 2), sample))
+    return BallHullOracle(Ball(r, 2).feasible_translations(sample))
 
 
 def _assert_matches_reference(sample, r, queries):
@@ -264,7 +263,7 @@ def test_k_hull_idempotent():
         dense = _boundary_points(body, 200)
         res2 = k_hull_translations(SQUARE, dense)
         for u, h in zip(body.facet_normals, body.facet_offsets):
-            h2 = support_function(res2.body, u)
+            h2 = res2.body.support(u)
             assert abs(h2 - h) < 1e-6
 
 
@@ -288,11 +287,11 @@ def test_feasibility_invariance():
         hull = k_hull_translations(SQUARE, a).body
         if not isinstance(hull, Polytope) or not hull.is_full_dimensional:
             continue
-        x1 = feasible_translations(SQUARE, a)
-        x2 = feasible_translations(SQUARE, _boundary_points(hull, 100))
+        x1 = SQUARE.feasible_translations(a)
+        x2 = SQUARE.feasible_translations(_boundary_points(hull, 100))
         for u in np.vstack([np.eye(2), -np.eye(2)]):
-            assert support_function(x1, u) == pytest.approx(
-                support_function(x2, u), abs=1e-6)
+            assert x1.support(u) == pytest.approx(
+                x2.support(u), abs=1e-6)
 
 
 # -- translations + scalings -----------------------------------------------------
@@ -444,6 +443,20 @@ def test_positive_hull_of_one_direction_is_a_ray(sample):
     assert cone.contains(np.array([[3.0, 0.0], [0.0, 0.0]])).all()
     assert not cone.contains(np.array([[-1.0, 0.0], [1.0, 0.1],
                                        [1.0, -0.1]])).any()
+
+
+def test_positive_hull_of_two_opposite_directions_is_a_line():
+    line = positive_hull(np.array([[1.0, 0.0], [-1.0, 0.0]])).body
+    assert line.contains(np.array([[3.0, 0.0], [-3.0, 0.0]])).all()
+    assert not line.contains(np.array([[0.0, 1.0], [0.0, -1.0]])).any()
+    upper = positive_hull(np.array([[1.0, 0.0], [-1.0, 0.0],
+                                    [0.0, 1.0]])).body
+    assert upper.contains(np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 1.0],
+                                    [-2.0, 5.0]])).all()
+    assert not upper.contains(np.array([[0.0, -1.0], [2.0, -0.1]])).any()
+    segment = spherical_hull_halfball(np.array([[0.0, 1.0], [0.0, -1.0]]))
+    assert segment.contains(np.array([[0.0, 0.5], [0.0, -0.5]])).all()
+    assert not segment.contains(np.array([[-0.5, 0.0], [0.5, 0.0]])).any()
 
 
 def test_positive_hull_spanning():
@@ -791,7 +804,7 @@ def _polytope_margin(poly, q):
 
 def test_feasible_set_translations_exact():
     a = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    x = feasible_translations(SQUARE, a)
+    x = SQUARE.feasible_translations(a)
     # X = {0} x [-1, 1]
     assert sorted(map(tuple, np.round(x.vertices, 9).tolist())) == [
         (0.0, -1.0), (0.0, 1.0)]
@@ -800,17 +813,17 @@ def test_feasible_set_translations_exact():
 def test_feasible_translations_singleton_is_reflected_body():
     # {x : a in K + x} = a - K, so h(a - K, u) = <a, u> + h(K, -u).
     a = np.array([[0.25, -0.5]])
-    x = feasible_translations(SQUARE, a)
+    x = SQUARE.feasible_translations(a)
     rng = np.random.default_rng(4)
     for _ in range(50):
         u = rng.standard_normal(2)
-        assert support_function(x, u) == pytest.approx(
-            float(a[0] @ u) + support_function(SQUARE, -u))
+        assert x.support(u) == pytest.approx(
+            float(a[0] @ u) + SQUARE.support(-u))
 
 
 def _assert_ball_feasible_set_matches_full_sample(sample, r):
     full = BallIntersection(sample, r)
-    got = feasible_translations(Ball(r, sample.shape[1]), sample)
+    got = Ball(r, sample.shape[1]).feasible_translations(sample)
     assert isinstance(got, EmptySet) == full.is_empty()
     if not isinstance(got, EmptySet):
         probes = np.random.default_rng(0).uniform(-2, 2, (200, full.dim))
@@ -832,7 +845,7 @@ def test_ball_feasible_set_of_extreme_points_matches_full_sample(seed, d):
                           1.5 * rho)]
     assert verdicts == [True, True, False, False]
     # Only the extreme points are kept as centres.
-    kept = feasible_translations(Ball(1.5 * rho, d), sample).centers
+    kept = Ball(1.5 * rho, d).feasible_translations(sample).centers
     assert len(kept) < len(sample)
 
 
@@ -862,5 +875,5 @@ def test_ball_feasible_set_three_points_near_enclosing_radius(eps, empty):
 
 
 def test_feasible_set_contains_zero_when_A_in_K():
-    x = feasible_translations(SQUARE, SQUARE.vertices)
+    x = SQUARE.feasible_translations(SQUARE.vertices)
     assert bool(x.contains(np.zeros((1, 2)))[0])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from khull.bodies import (Ball, HalfBall, Polytope, cross_polytope, cube,
-                          support_function)
+from khull.bodies import Ball, HalfBall, Polytope, cross_polytope, cube
 from khull.empirical import uniform_sample
 from khull.poisson import (BoundarySampler, replicate_rngs, sample_PK,
                            sample_PK_block, spawn_rng)
@@ -20,17 +19,20 @@ HALF_BALLS = (HalfBall(1.0, dim=2),
 
 
 def _rate(body):
-    s = BoundarySampler(body)
-    return s.surface_area / s.volume
+    return body.surface_area / body.volume
 
 
 def test_rates():
     assert _rate(SQUARE) == pytest.approx(2.0)  # perimeter 8 / area 4
     assert _rate(Ball(1.0, 2)) == pytest.approx(2.0)
     assert _rate(Ball(1.0, 3)) == pytest.approx(3.0)
-    hb = BoundarySampler(HalfBall(1.0, dim=2))
-    assert hb.surface_area == pytest.approx(2.0 + np.pi)
-    assert hb.volume == pytest.approx(np.pi / 2.0)
+    for body, surface_area, volume in (
+            (HalfBall(1.0, dim=2), 2.0 + np.pi, np.pi / 2.0),
+            (HalfBall(1.0, dim=3), 3.0 * np.pi, 2.0 * np.pi / 3.0),
+            (Ball(1.0, 4), 2.0 * np.pi ** 2, np.pi ** 2 / 2.0)):
+        assert body.surface_area == pytest.approx(surface_area)
+        assert body.volume == pytest.approx(volume)
+        assert BoundarySampler(body).rate == _rate(body)
 
 
 def test_marks_valid_on_all_bodies():
@@ -42,7 +44,7 @@ def test_marks_valid_on_all_bodies():
         assert s.eta.shape == s.u.shape == (len(s), d)
         assert np.all((0 < s.t) & (s.t <= 4.0))
         assert np.all(np.abs(np.linalg.norm(s.u, axis=1) - 1.0) <= 1e-9)
-        h = np.array([support_function(body, u) for u in s.u])
+        h = np.array([body.support(u) for u in s.u])
         assert np.all(np.abs(np.sum(s.eta * s.u, axis=1) - h) <= 1e-9)
     for body in HALF_BALLS:
         s = sample_PK(body, 50.0, seed=1)
@@ -173,12 +175,13 @@ def test_facet_pick_is_generator_choice(body):
 
 def test_repeated_sampler_reuses_body_geometry():
     body = cube(3)
-    first, second = BoundarySampler(body), BoundarySampler(body)
-    assert second.facet_cdf is first.facet_cdf
-    assert second.facet_verts is first.facet_verts
-    assert second.fan_cdfs is first.fan_cdfs
-    assert second.volume == first.volume == 8.0
-    assert second.surface_area == first.surface_area == 24.0
+    first = body.facet_geometry
+    sample_PK(body, 5.0, seed=0)
+    sample_PK(body, 5.0, seed=1)
+    second = body.facet_geometry
+    assert all(b is a for a, b in zip(first, second))
+    assert body.volume == 8.0
+    assert body.surface_area == 24.0
 
 
 @pytest.mark.parametrize("body", [SQUARE, cube(3), HEXAGONAL_PRISM],
