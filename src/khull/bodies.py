@@ -99,8 +99,11 @@ class _Body:
     - `excess(points)`: the largest constraint excess, <= 0 iff all inside;
     - `is_symmetric`: K = -K;
     - `feasible_translations(sample)`: {x : sample ⊆ K + x}, or EMPTY;
-    - `normal_bundle_rows`: the generators (u, u outer y) of Nor(K), or
-      None for a ball (`RecessionCone` solves its maximum exactly);
+    - `normal_bundle_rows`: generators (u, u outer y) of Nor(K), none for
+      a ball; `survival(p)`: max over Nor(K) of <(u, u outer y), p>, and a
+      generator that attains it;
+    - `keep_screen(maps, n)`: a sufficient test on an n-point `uniform_draw`
+      that each map (g, s) keeps the sample in K, or None (the default);
     - `uniform_draw(rng, n)`, `uniform_place(n, raw)`: the generator calls
       of an n-point uniform sample, n >= 1, then their fixed map into K;
     - `boundary_draw(rng, n)`, `boundary_place(fills)`: one generator's
@@ -111,8 +114,12 @@ class _Body:
 
     max_norm = volume = surface_area = property(_unsupported)
     is_symmetric = normal_bundle_rows = property(_unsupported)
-    support = excess = feasible_translations = uniform_draw = _unsupported
-    uniform_place = boundary_draw = boundary_place = _unsupported
+    support = excess = feasible_translations = survival = _unsupported
+    uniform_draw = uniform_place = _unsupported
+    boundary_draw = boundary_place = _unsupported
+
+    def keep_screen(self, maps, n):
+        return None
 
 
 class EmptySet(_Body):
@@ -132,6 +139,9 @@ class EmptySet(_Body):
 
 class WholeSpace(_Body):
     """Sentinel for hulls taken over an empty family of transforms."""
+
+    def support(self, u):
+        return 0.0 if np.linalg.norm(u) < 1e-12 else float("inf")
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -173,6 +183,22 @@ def _extreme_points(vertices):
         lo, hi = np.argmin(proj[:, 0]), np.argmax(proj[:, 0])
         return idx[[lo, hi]] if lo != hi else idx[[lo]]
     return idx[scipy.spatial.ConvexHull(proj).vertices]
+
+
+# A keep screen (of `Polytope` or `Ball`) compares with the margin
+# GEO_TOL / 2 and runs only where rounding stays below GEO_TOL / 4, so its
+# pass implies a pass of every comparison of the exact test.  Let M bound
+# the numbers of either test: M = |U|(|g|_2 |a| + |s|) + max|h| + GEO_TOL
+# for a polytope (facet normals U), M = 2r + 1 for a ball whose screen
+# passes.  Dot-product error bounds put each computed value within R / 2 of
+# its exact value, R = _ROUNDING d^2 M; a box's folded values are at most
+# 2M and take d + 3 more operations, within the same R / 2.  `_to_box`
+# places a coordinate in [lo, hi]: it is at most c = max(|lo|, |hi|)(1 +
+# _ROUNDING) and rounded by at most 4 u max(|lo|, |hi|), u the unit
+# roundoff, so delta = _ROUNDING d |p| c bounds the placement error
+# |<p, e>|.  With R <= GEO_TOL / 4 (for a polytope, checked with |a| <=
+# sqrt(d) c) a pass leaves every true slack within its bound + 3/4 GEO_TOL.
+_ROUNDING = 32 * np.finfo(float).eps  # 64 unit roundoffs
 
 
 def _to_box(u, lo, span):
@@ -325,6 +351,8 @@ class Polytope(_Body):
         if self.dim == 1:
             lo, hi = self.bounding_box
             return float(hi[0] - lo[0])
+        if not self.is_full_dimensional:
+            raise ValueError("body must be full-dimensional")
         return float(scipy.spatial.ConvexHull(self.vertices).volume)
 
     @cached_property
@@ -385,13 +413,19 @@ class Polytope(_Body):
     def is_symmetric(self):
         return bool(np.all(self.contains(-self.vertices)))
 
-    @property
+    @cached_property
     def normal_bundle_rows(self):
-        """(u, u outer v) for each facet normal u and vertex v on it."""
+        """(u, u outer v) for each facet normal u and vertex v on it, once."""
         return np.array([np.append(u, np.outer(u, v))
                          for idx, u in zip(self.facet_vertex_sets(),
                                            self.facet_normals)
                          for v in self.vertices[idx]])
+
+    def survival(self, point):
+        """The largest product with a row: the maximum is at a vertex."""
+        vals = self.normal_bundle_rows @ np.asarray(point, dtype=float)
+        j = int(np.argmax(vals))
+        return float(vals[j]), self.normal_bundle_rows[j]
 
     def support(self, u):
         return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
@@ -438,6 +472,38 @@ class Polytope(_Body):
             return raw
         lo, hi = self.bounding_box
         return _to_box(raw, lo, hi - lo)[:, :n].T
+
+    def keep_screen(self, maps, n):
+        """Passes when the sample's support value in each pulled-back normal
+        p = g^T u is at most h + <u, s> + GEO_TOL / 2, as <u, g a - s> =
+        <g^T u, a> - <u, s>.  A box folds its placement lo + v * span + e
+        into the screen: p * span on the draw rows v, and the bound less
+        <p, lo> + delta.  None for a lower-dimensional polytope or when
+        the rounding budget fails (see `_ROUNDING`)."""
+        if not self.is_full_dimensional:
+            return None
+        d, normals, offsets = self.dim, self.facet_normals, self.facet_offsets
+        lo, hi = self.bounding_box
+        c = float(np.abs([lo, hi]).max()) * (1 + _ROUNDING)
+        norm_g = max(np.linalg.norm(g, 2) for g, _ in maps)
+        norm_s = max(np.linalg.norm(s) for _, s in maps)
+        budget = (GEO_TOL / 4 / (_ROUNDING * d * d)
+                  - float(np.abs(offsets).max()) - GEO_TOL
+                  - float(row_norms(normals).max())
+                  * (norm_g * math.sqrt(d) * c + norm_s))
+        if budget < 0:
+            return None
+        pulled = np.vstack([normals @ g for g, _ in maps])
+        limit = np.concatenate(
+            [offsets + normals @ s + GEO_TOL / 2 for _, s in maps])
+        if self.is_box:  # fold the placement into the screen
+            delta = _ROUNDING * d * c * row_norms(pulled)
+            limit = limit - pulled @ lo - delta
+            pulled = pulled * (hi - lo)
+        # A box draw's rows are contiguous, and so are the columns of any
+        # other polytope sample: the product copies neither.
+        return lambda raw: bool(
+            ((pulled @ raw[:n].T).max(axis=1) <= limit).all())
 
     def boundary_draw(self, rng, n):
         """One ``random(3n)`` (d=2) or ``random(5n)`` (d=3), split into the
@@ -519,7 +585,6 @@ class Ball(_Body):
     radius: float
     dim: int = 2
     is_symmetric = True
-    normal_bundle_rows = None
 
     def __post_init__(self):
         _check_ball(self.radius, self.dim)
@@ -531,6 +596,18 @@ class Ball(_Body):
     @property
     def volume(self):
         return _ball_volume(self.radius, self.dim)
+
+    @property
+    def normal_bundle_rows(self):
+        return np.zeros((0, self.dim + self.dim ** 2))
+
+    def survival(self, point):
+        """At y = r u, s is the maximum over unit u of r u'sym(C)u + <x, u>:
+        the trust-region subproblem, solved exactly."""
+        d, r, p = self.dim, self.radius, np.asarray(point, dtype=float)
+        x, c = p[:d], p[d:].reshape(d, d)
+        val, u = _min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
+        return -val, np.append(u, r * np.outer(u, u))
 
     @property
     def surface_area(self):
@@ -563,6 +640,18 @@ class Ball(_Body):
         normals /= row_norms(normals)[:, None]
         return normals * (self.radius * radial ** (1.0 / self.dim))[:, None]
 
+    def keep_screen(self, maps, n):
+        """|g a - s| <= |g|_2 |a| + |s|: passes when `_ball_norm_bound` times
+        max|g|_2 (1 + 1e-12), for the error of the spectral norm, plus
+        max|s| is at most r + GEO_TOL / 2.  None when the rounding budget
+        fails (see `_ROUNDING`)."""
+        if _ROUNDING * self.dim ** 2 * (2 * self.radius + 1.0) > GEO_TOL / 4:
+            return None
+        grow = max(np.linalg.norm(g, 2) for g, _ in maps) * (1 + 1e-12)
+        room = (self.radius + GEO_TOL / 2
+                - max(np.linalg.norm(s) for _, s in maps))
+        return lambda raw: bool(_ball_norm_bound(self, raw[1]) * grow <= room)
+
     def boundary_draw(self, rng, n):
         """``random(n)`` for the weights, then ``standard_normal((n, d))``."""
         return rng.random(n), rng.standard_normal((n, self.dim))
@@ -571,6 +660,54 @@ class Ball(_Body):
         (u,) = (np.concatenate(p) for p in zip(*fills))
         u /= row_norms(u)[:, None]
         return self.radius * u, u
+
+
+def _ball_norm_bound(body, radial):
+    """A bound on the norms of the ball sample that `uniform_place` makes
+    from these radial draws: r max(U)^(1/d) (1 + 1e-12).  The factor covers
+    the pow's one-ulp error and the error of normalising."""
+    return body.radius * radial.max() ** (1.0 / body.dim) * (1 + 1e-12)
+
+
+def _min_sphere_quadratic(a, b):
+    """min of y^T A y + <b, y> over the unit sphere (A symmetric), and a
+    unit minimiser y: the trust-region subproblem on the boundary, solved
+    through the secular equation in the eigenbasis of A, hard case too."""
+    w, q = np.linalg.eigh(a)
+    beta = q.T @ b
+    lam_min = w[0]
+    gap = w - lam_min
+
+    # y(lam) = -(2(A - lam I))^{-1} b must have unit norm with lam <= lam_min.
+    degenerate = np.abs(beta) < 1e-14
+    if np.all(degenerate[gap < 1e-12]):
+        # Hard case: b has no component along the bottom eigenspace.
+        active = ~degenerate
+        if not np.any(active):
+            return float(lam_min), q[:, 0]
+        n2 = float(np.sum((beta[active] / (2 * gap[active])) ** 2))
+        if n2 <= 1.0:
+            y = np.zeros_like(beta)
+            y[active] = -beta[active] / (2 * gap[active])
+            y[int(np.argmin(w))] = math.sqrt(1.0 - n2)
+            yy = q @ y
+            return float(yy @ a @ yy + b @ yy), yy
+
+    def excess(mu):
+        """|y(lam_min - mu)|^2 - 1, decreasing in mu > 0."""
+        return float(np.sum((beta / (2 * (gap + mu))) ** 2)) - 1.0
+
+    # |y| <= |b| / (2 mu), so the root lies below hi.  Each step down keeps
+    # every coordinate of y below 8 in size (no overflow), and mu > 0 keeps
+    # every division finite.
+    lo = hi = 0.5 * float(np.linalg.norm(b)) + 1.0
+    while excess(lo) < 0.0 and lo > 1e-300:
+        hi, lo = lo, lo / 8.0
+    mu = (lo if excess(lo) < 0.0
+          else scipy.optimize.brentq(excess, lo, hi, xtol=1e-300))
+    y = q @ (-beta / (2 * (gap + mu)))
+    y = y / np.linalg.norm(y)
+    return float(y @ a @ y + b @ y), y
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .bodies import (GEO_TOL, Ball, Polytope, _ball_surface_area,
-                     _ball_volume, cube, row_norms)
+from .bodies import (GEO_TOL, Ball, _ball_surface_area, _ball_volume, cube,
+                     row_norms)
 from .matexp import matrix_exponential
 from .poisson import replicate_rngs, sample_PK_block, spawn_rng
 from .zerocell import cone_projection, halfspaces_from_marks, window_horizon
@@ -72,13 +72,6 @@ def uniform_sample(body, n, seed=None):
     return body.uniform_place(n, body.uniform_draw(rng, n))
 
 
-def _ball_norm_bound(body, radial):
-    """A bound on the norms of the ball sample that `uniform_place` makes
-    from these radial draws: r max(U)^(1/d) (1 + 1e-12).  The factor covers
-    the pow's one-ulp error and the error of normalising."""
-    return body.radius * radial.max() ** (1.0 / body.dim) * (1 + 1e-12)
-
-
 # -- scaled feasible-set membership ----------------------------------------------
 
 def _xn_map(point, n, d):
@@ -100,96 +93,23 @@ def xn_membership(point, batch, n, body):
     return _MapsKeepSample(body, maps, len(batch)).exact(batch)
 
 
-# Bound on the rounding of either test of `_MapsKeepSample`, per d**2 and
-# per unit size of its numbers: 64 unit roundoffs.
-_ROUNDING = 32 * np.finfo(float).eps
-
-
 class _MapsKeepSample:
     """The predicate "do all maps (g, s) keep the sample in the body?" on
     the `uniform_draw` of an n-point sample, n >= 1: is g a - s in the body
     for every map and every point a that `uniform_place` makes of the draw?
 
-    Built once per set of maps.  A call first runs a sufficient screen on
-    the draw's extreme values.  Only when it does not pass is the sample
-    placed and the exact test run: it moves every point by every map in
-    one product and asks `body.contains`, comparing each slack with its
-    bound + GEO_TOL.
-
-    Polytope screen.  <u, g a - s> = <g^T u, a> - <u, s>, so the sample
-    passes when its support value in each pulled-back normal p = g^T u is
-    at most h + <u, s> + GEO_TOL / 2, one product for all maps.  A box
-    places draw row v at lo + v * span + e, e the rounding of the map, so
-    its screen reads the first n draw rows with p * span in place of p and
-    h + <u, s> + GEO_TOL / 2 - <p, lo> - delta in place of the bound,
-    where delta >= |<p, e>|.  Ball screen.  |g a - s| <= |g|_2 |a| + |s|,
-    and `_ball_norm_bound` bounds every |a| from the radial draws, so the
-    sample passes when that bound times max|g|_2 (1 + 1e-12), plus
-    max|s|, is at most r + GEO_TOL / 2; the factor covers the relative
-    error of the computed spectral norm.  Half-balls and
-    lower-dimensional polytopes have no screen.
-
-    Rounding.  Let M bound the numbers of either test: for a polytope
-    M = |U|(|g|_2 |a| + |s|) + max|h| + GEO_TOL over its facet normals U,
-    the maps and the sample; for a ball whose screen passes, M = 2r + 1.
-    Standard dot-product error bounds put each computed support value,
-    slack and bound within R / 2 of its exact value, R = `_ROUNDING` d^2 M;
-    a box's folded values are at most 2M and take d + 3 more operations,
-    within the same R / 2.  Every polytope sample coordinate is mapped
-    from [0, 1) to the bounding box [lo, hi], so it is at most
-    c = max(|lo|, |hi|)(1 + `_ROUNDING`) in size, and the map rounds it by
-    at most 4 u max(|lo|, |hi|), u the unit roundoff: so
-    delta = `_ROUNDING` d |p| c bounds |<p, e>|.  A screen runs only where
-    R <= GEO_TOL / 4 (for a polytope, checked once with |a| <= sqrt(d) c),
-    so a pass leaves every true slack within its bound + 3/4 GEO_TOL, and
-    every comparison of the exact test passes: the verdicts, and so the
-    report bytes, are the exact test's.
+    Built once per set of maps.  A call first runs the body's
+    `keep_screen` on the draw, if any; only when that does not pass is the
+    sample placed and the exact test run: every point moved by every map
+    in one product, then `body.contains`.  A screen pass implies an exact
+    pass (`bodies._ROUNDING`), so the verdicts are the exact test's.
     """
 
     def __init__(self, body, maps, n):
-        d = self.dim = body.dim
-        self.body, self.n = body, n
+        self.body, self.n, self.dim = body, n, body.dim
         self.g_all = np.hstack([g.T for g, _ in maps])
         self.s_all = np.concatenate([s for _, s in maps])
-        self.kind = None
-        norm_g = max(np.linalg.norm(g, 2) for g, _ in maps)
-        norm_s = max(np.linalg.norm(s) for _, s in maps)
-        if isinstance(body, Polytope) and body.is_full_dimensional:
-            normals, offsets = body.facet_normals, body.facet_offsets
-            norm_u = float(row_norms(normals).max())
-            lo, hi = body.bounding_box
-            # Largest size of a placed sample coordinate.
-            c = float(np.abs([lo, hi]).max()) * (1 + _ROUNDING)
-            budget = (GEO_TOL / 4 / (_ROUNDING * d * d)
-                      - float(np.abs(offsets).max()) - GEO_TOL
-                      - norm_u * (norm_g * math.sqrt(d) * c + norm_s))
-            if budget >= 0:
-                self.kind = "polytope"
-                pulled = np.vstack([normals @ g for g, _ in maps])
-                limit = np.concatenate(
-                    [offsets + normals @ s + GEO_TOL / 2 for _, s in maps])
-                if body.is_box:  # fold the placement into the screen
-                    delta = _ROUNDING * d * c * row_norms(pulled)
-                    limit = limit - pulled @ lo - delta
-                    pulled = pulled * (hi - lo)
-                self.pulled, self.limit = pulled, limit
-        elif isinstance(body, Ball) and (
-                _ROUNDING * d * d * (2 * body.radius + 1.0) <= GEO_TOL / 4):
-            self.kind = "ball"
-            self.grow = norm_g * (1 + 1e-12)
-            self.room = body.radius + GEO_TOL / 2 - norm_s
-
-    def screen(self, raw):
-        """Sufficient: True only if every map keeps every point."""
-        if self.kind == "polytope":
-            # A box draw's rows are contiguous, and so are the columns of
-            # any other polytope sample: the product copies neither.
-            support = (self.pulled @ raw[:self.n].T).max(axis=1)
-            return bool((support <= self.limit).all())
-        if self.kind == "ball":
-            bound = _ball_norm_bound(self.body, raw[1])
-            return bool(bound * self.grow <= self.room)
-        return False
+        self.screen = body.keep_screen(maps, n) or (lambda raw: False)
 
     def exact(self, pts):
         moved = (pts @ self.g_all - self.s_all).reshape(-1, self.dim)

@@ -176,6 +176,9 @@ def sample_PK_block(body, t_max, rngs):
     sampler = BoundarySampler(body)
     mean = sampler.rate * t_max
     fills = [body.boundary_draw(rng, rng.poisson(mean)) for rng in rngs]
+    if not fills:  # no generators, no marks
+        none = np.zeros((0, body.dim))
+        return PoissonSample(np.zeros(0), none, none.copy()), np.zeros(0, int)
     counts = np.array([len(f[0]) for f in fills])
     t = t_max * (1.0 - np.concatenate([f[0] for f in fills]))
     eta, u = sampler.draw([f[1:] for f in fills])

@@ -252,32 +252,18 @@ def restrict_to_cone(system, cone):
 class RecessionCone:
     """T_K = {(x,C) : <C y + x, u> >= 0 for all (y,u) in Nor(K)}.
 
-    Membership goes through the survival functional
+    Membership goes through the body's survival functional
     s(p) = max over (y,u) in Nor(K) of <(u, u outer y), p>, which is
     sublinear with -T_K = {s <= 0}: p is in T_K iff
-    `contains_reflected(-p)`.  For polytopes the finite list of
-    (vertex, facet normal) rows is exact; for balls the maximum over the
-    unit sphere is the exact trust-region subproblem.
+    `contains_reflected(-p)`.
     """
 
     body: object
-    rows: np.ndarray | None = None  # (m, d+d^2) generators (u, u outer y)
 
     def survival(self, point):
-        """s(point) and a generator g of Nor(K) with <g, point> = s(point).
-
-        Every such g gives the cut s >= <g, .>, valid everywhere.
-        """
-        p = np.asarray(point, dtype=float)
-        if self.rows is not None:
-            vals = self.rows @ p
-            j = int(np.argmax(vals))
-            return float(vals[j]), self.rows[j]
-        # Ball of radius r, y = r u: max over unit u of r u'sym(C)u + <x, u>.
-        d, r = self.body.dim, self.body.radius
-        x, c = p[:d], p[d:].reshape(d, d)
-        val, u = _min_sphere_quadratic(-0.5 * (c + c.T) * r, -x)
-        return -val, flatten_pair(u, r * np.outer(u, u))
+        """s(point) and a generator g of Nor(K) with <g, point> = s(point):
+        the cut s >= <g, .>, valid everywhere."""
+        return self.body.survival(point)
 
     def contains_reflected(self, point):
         """Membership of the reflected cone -T_K."""
@@ -285,52 +271,7 @@ class RecessionCone:
 
 
 def recession_cone_TK(body):
-    return RecessionCone(body, body.normal_bundle_rows)
-
-
-def _min_sphere_quadratic(a, b):
-    """min of y^T A y + <b, y> over the unit sphere (A symmetric), and a
-    unit minimiser y.
-
-    Trust-region subproblem on the boundary: solved through the secular
-    equation in the eigenbasis of A, with the hard case handled.
-    """
-    w, q = np.linalg.eigh(a)
-    beta = q.T @ b
-    lam_min = w[0]
-    gap = w - lam_min
-
-    # y(lam) = -(2(A - lam I))^{-1} b must have unit norm with lam <= lam_min.
-    degenerate = np.abs(beta) < 1e-14
-    if np.all(degenerate[gap < 1e-12]):
-        # Hard case: b has no component along the bottom eigenspace.
-        active = ~degenerate
-        if not np.any(active):
-            return float(lam_min), q[:, 0]
-        n2 = float(np.sum((beta[active] / (2 * gap[active])) ** 2))
-        if n2 <= 1.0:
-            y = np.zeros_like(beta)
-            y[active] = -beta[active] / (2 * gap[active])
-            extra = math.sqrt(1.0 - n2)
-            y[int(np.argmin(w))] = extra
-            yy = q @ y
-            return float(yy @ a @ yy + b @ yy), yy
-
-    def excess(mu):
-        """|y(lam_min - mu)|^2 - 1, decreasing in mu > 0."""
-        return float(np.sum((beta / (2 * (gap + mu))) ** 2)) - 1.0
-
-    # |y| <= |b| / (2 mu), so the root lies below hi.  Each step down keeps
-    # every coordinate of y below 8 in size (no overflow), and mu > 0 keeps
-    # every division finite.
-    lo = hi = 0.5 * float(np.linalg.norm(b)) + 1.0
-    while excess(lo) < 0.0 and lo > 1e-300:
-        hi, lo = lo, lo / 8.0
-    mu = (lo if excess(lo) < 0.0
-          else scipy.optimize.brentq(excess, lo, hi, xtol=1e-300))
-    y = q @ (-beta / (2 * (gap + mu)))
-    y = y / np.linalg.norm(y)
-    return float(y @ a @ y + b @ y), y
+    return RecessionCone(body)
 
 
 # Cutting-plane rounds before `is_bounded` gives up.  The presets need at
@@ -351,14 +292,13 @@ def is_bounded(body, cone):
     value <= GEO_TOL is a witness, otherwise its generator is a new cut.
     Returns (True, None) or (False, v) with `contains_reflected(v)`.
     """
-    rec = recession_cone_TK(body)
     basis, k = cone.basis, cone.n_params
     faces = [(i, sign) for i in range(k) for sign in (1.0, -1.0)]
-    # A polytope's rows make its first LPs exact.
-    cuts = [] if rec.rows is None else list(rec.rows)
+    # A polytope's rows make its first LPs exact; a ball has none.
+    cuts = list(body.normal_bundle_rows)
     for i, sign in faces:
         v = sign * basis[i]
-        value, g = rec.survival(v)
+        value, g = body.survival(v)
         if value <= GEO_TOL:
             return False, v
         cuts.append(g)
@@ -384,7 +324,7 @@ def is_bounded(body, cone):
             return True, None
         faces = still_open
         v = lowest.x[:k] @ basis
-        value, g = rec.survival(v)
+        value, g = body.survival(v)
         if value <= GEO_TOL:
             return False, v
         cuts.append(g)

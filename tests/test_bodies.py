@@ -26,6 +26,7 @@ from khull.bodies import (
     supporting_cone,
     _extreme_points,
 )
+from khull.hulls import k_hull_translations
 
 SQUARE = cube(2)
 
@@ -294,6 +295,7 @@ def test_unbounded_support_sentinel():
 _BODY_MEMBERS = {  # member -> the arguments of a call, or None for a property
     "max_norm": None, "volume": None, "surface_area": None,
     "is_symmetric": None, "normal_bundle_rows": None,
+    "survival": (np.zeros(6),),
     "support": ([1.0, 0.0],), "excess": (np.zeros((1, 2)),),
     "feasible_translations": (np.zeros((1, 2)),),
     "uniform_draw": (np.random.default_rng(0), 3),
@@ -305,10 +307,10 @@ _UNSUPPORTED = (
     [(HalfSpace(np.array([1.0, 0.0]), 1.0), m) for m in _SUPPORT_ONLY]
     + [(PolyhedralCone(generators=np.eye(2)), m) for m in _SUPPORT_ONLY]
     + [(EMPTY, m) for m in _SUPPORT_ONLY]
-    + [(WHOLE_SPACE, m) for m in sorted(_BODY_MEMBERS)]
+    + [(WHOLE_SPACE, m) for m in _SUPPORT_ONLY]
     + [(BallIntersection(np.zeros((1, 2)), 1.0), m) for m in _SUPPORT_ONLY]
     + [(HalfBall(1.0), "feasible_translations"),
-       (HalfBall(1.0), "normal_bundle_rows")])
+       (HalfBall(1.0), "normal_bundle_rows"), (HalfBall(1.0), "survival")])
 
 
 @pytest.mark.parametrize(
@@ -327,6 +329,17 @@ def test_sentinels():
     pts = np.array([[0.0, 0.0], [100.0, -3.0]])
     assert not EMPTY.contains(pts).any()
     assert WHOLE_SPACE.contains(pts).all()
+
+
+def test_whole_space_support_is_zero_at_zero_and_inf_elsewhere():
+    assert WHOLE_SPACE.support([0.0, 0.0]) == 0.0
+    assert WHOLE_SPACE.support(np.array([1e-13, 0.0])) == 0.0
+    assert WHOLE_SPACE.support([1.0, 0.0]) == np.inf
+    assert WHOLE_SPACE.support(np.array([0.0, -2.0, 1.0])) == np.inf
+    # Two points no disk of radius 0.1 holds: the hull is the whole plane.
+    hull = k_hull_translations(Ball(0.1, 2), [[0.0, 0.0], [1.0, 1.0]]).body
+    assert hull is WHOLE_SPACE
+    assert hull.support([1.0, 0.0]) == np.inf
 
 
 def test_json_round_trip():
@@ -535,6 +548,57 @@ def test_segment_volume_is_its_length():
     assert cube(1).volume == 2.0
     assert cube(1, 0.3).volume == 0.6
     assert Polytope.from_vertices([[0.0], [3.0]]).volume == 3.0
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+], ids=["planar-segment", "triangle-in-3d"])
+def test_lower_dimensional_volume_raises_value_error(vertices):
+    body = Polytope.from_vertices(vertices)
+    assert not body.is_full_dimensional
+    with pytest.raises(ValueError, match="^body must be full-dimensional$"):
+        body.volume
+
+
+def test_ball_normal_bundle_rows_are_empty_of_the_flat_width():
+    assert Ball(1.0, 3).normal_bundle_rows.shape == (0, 12)
+    assert Ball(2.0, 1).normal_bundle_rows.shape == (0, 2)
+
+
+def test_survival_is_the_max_over_the_normal_bundle():
+    """A polytope's survival is the largest row product; a ball's matches a
+    dense sample of its normal bundle from above and attains its value."""
+    rng = np.random.default_rng(3)
+    for body in (SQUARE, cube(3)):
+        d = body.dim
+        for p in rng.standard_normal((20, d + d * d)):
+            value, g = body.survival(p)
+            assert value == np.max(body.normal_bundle_rows @ p)
+            assert g @ p == pytest.approx(value, abs=1e-12)
+    ball = Ball(1.5, 2)
+    theta = np.linspace(0.0, 2 * np.pi, 20001)
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    rows = np.column_stack(
+        [u, 1.5 * (u[:, :, None] * u[:, None, :]).reshape(-1, 4)])
+    for p in rng.standard_normal((20, 6)):
+        value, g = ball.survival(p)
+        assert value == pytest.approx(g @ p, abs=1e-12)
+        assert np.max(rows @ p) <= value + 1e-12
+        assert np.max(rows @ p) >= value - 1e-6
+
+
+@pytest.mark.parametrize("body, scale", [
+    (HalfBall(1.0), 1.0), (HalfBall(1.0, dim=3), 1.0),
+    (Polytope.from_vertices([[0.0, 0.0], [1.0, 1.0]]), 1.0),
+    (Ball(1e7, 2), 1.0), (SQUARE, 1e9),
+], ids=["half-ball2", "half-ball3", "segment-in-plane", "ball-1e7",
+        "square-huge-map"])
+def test_keep_screen_is_none_without_a_screen(body, scale):
+    """A half-ball and a lower-dimensional polytope have no screen; nor has
+    a ball, or maps on a polytope, so large that the rounding guard fails."""
+    d = body.dim
+    assert body.keep_screen([(scale * np.eye(d), np.zeros(d))], 10) is None
 
 
 def _facet_rows(body):

@@ -6,10 +6,9 @@ from scipy import stats
 from scipy.linalg import expm
 
 from khull import empirical
-from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, cross_polytope,
-                          cube, row_norms)
+from khull.bodies import (GEO_TOL, Ball, HalfBall, Polytope, _ball_norm_bound,
+                          cross_polytope, cube, row_norms)
 from khull.empirical import (
-    _ball_norm_bound,
     _MapsKeepSample,
     _xn_map,
     dual_cone_intensity_experiment,

@@ -154,6 +154,19 @@ def test_block_sampler_concatenates_per_generator_samples(body, k, t_max):
         assert 0 < np.count_nonzero(counts == 0) < k
 
 
+@pytest.mark.parametrize("body", [SQUARE, Ball(1.0, 3), HALF_BALLS[1]],
+                         ids=["square", "ball3", "halfball3"])
+def test_block_sampler_without_generators_is_empty(body):
+    """No generators give no marks: an iterator that yields none too."""
+    d = body.dim
+    for rngs in ([], iter([])):
+        marks, counts = sample_PK_block(body, 5.0, rngs)
+        assert len(marks) == 0
+        assert marks.t.shape == (0,)
+        assert marks.eta.shape == marks.u.shape == (0, d)
+        assert counts.shape == (0,) and counts.dtype.kind == "i"
+
+
 @pytest.mark.parametrize("body", [SQUARE, HEXAGON, cube(3),
                                   cross_polytope(3), HEXAGONAL_PRISM],
                          ids=["square", "hexagon", "cube3", "cross3",

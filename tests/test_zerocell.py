@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from khull.bodies import GEO_TOL, Ball, Polytope, cross_polytope, cube
+from khull.bodies import (GEO_TOL, Ball, Polytope, _min_sphere_quadratic,
+                          cross_polytope, cube)
 from khull.poisson import sample_PK, spawn_rng
 from khull.zerocell import (
     CONE_PRESETS,
@@ -28,7 +29,6 @@ from khull.zerocell import (
     transform_translation_of_K,
     translation_point_map,
     _CONTAINS_BLOCK,
-    _min_sphere_quadratic,
 )
 
 SQUARE = cube(2)
