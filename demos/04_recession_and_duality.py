@@ -13,10 +13,10 @@ import numpy as np
 from khull import (
     Ball,
     cone_preset,
+    contains_reflected_recession,
     cube,
     dual_cone_intensity_experiment,
     is_bounded,
-    recession_cone_TK,
     reflected_recession_in_cone,
 )
 
@@ -42,9 +42,9 @@ def main():
     for row in rows[np.lexsort(rows.T)]:
         print(f"  {row}")
 
-    rec = recession_cone_TK(ball)
     probe = np.concatenate([np.zeros(2), (-0.7 * np.eye(2)).ravel()])
-    print(f"\n(0, -0.7 I) in -T_K: {rec.contains_reflected(probe)}")
+    print(f"\n(0, -0.7 I) in -T_K: "
+          f"{contains_reflected_recession(ball, probe)}")
 
     print("\ndual-cone radial intensity (expected exponent -d):")
     for d in (2, 3):

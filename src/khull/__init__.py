@@ -59,11 +59,11 @@ from .zerocell import (
     HalfSpaceSystem,
     build_zero_cell,
     cone_preset,
+    contains_reflected_recession,
     flatten_pair,
     halfspaces_from_marks,
     is_bounded,
     membership,
-    recession_cone_TK,
     reflect,
     reflected_recession_in_cone,
     restrict_to_cone,

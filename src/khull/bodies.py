@@ -95,6 +95,9 @@ class _Body:
     it answers for; any other raises TypeError("unsupported body <Class>").
 
     - `max_norm`, `volume`, `surface_area`;
+    - `facets`: the (unit outer normals, offsets) of a full-dimensional
+      polytope; a lower-dimensional one raises ValueError("body must be
+      full-dimensional");
     - `support(u)`: h(K, u), +inf in unbounded directions;
     - `excess(points)`: the largest constraint excess, <= 0 iff all inside;
     - `is_symmetric`: K = -K;
@@ -112,7 +115,7 @@ class _Body:
       generator's marks do not depend on the block.
     """
 
-    max_norm = volume = surface_area = property(_unsupported)
+    max_norm = volume = surface_area = facets = property(_unsupported)
     is_symmetric = normal_bundle_rows = property(_unsupported)
     support = excess = feasible_translations = survival = _unsupported
     uniform_draw = uniform_place = _unsupported
@@ -216,7 +219,7 @@ class Polytope(_Body):
     a facet list of (unit outer normal, offset) pairs.
 
     Lower-dimensional polytopes (segments, polygons in 3-space) carry a
-    V-rep only; facet queries on them raise.
+    V-rep only; every member that reads `facets` raises on them.
     """
 
     vertices: np.ndarray
@@ -230,6 +233,14 @@ class Polytope(_Body):
     @property
     def is_full_dimensional(self):
         return self.facet_normals is not None
+
+    @property
+    def facets(self):
+        """(facet_normals, facet_offsets); a lower-dimensional polytope
+        has none and raises."""
+        if self.facet_normals is None:
+            raise ValueError("body must be full-dimensional")
+        return self.facet_normals, self.facet_offsets
 
     @staticmethod
     def from_vertices(vertices):
@@ -304,9 +315,10 @@ class Polytope(_Body):
 
     def facet_vertex_sets(self):
         """Indices of vertices lying on each facet."""
-        slack = self.vertices @ self.facet_normals.T - self.facet_offsets
+        normals, offsets = self.facets
+        slack = self.vertices @ normals.T - offsets
         return [np.nonzero(np.abs(slack[:, i]) <= 1e-7)[0]
-                for i in range(len(self.facet_normals))]
+                for i in range(len(normals))]
 
     @cached_property
     def bounding_box(self):
@@ -346,13 +358,12 @@ class Polytope(_Body):
     def volume(self):
         """Volume of a full-dimensional polytope, computed once per object.
 
-        A segment (d = 1) is its length; Qhull needs d >= 2.
+        A segment (d = 1) is its length, the sum of the offsets of its
+        facets -x <= -lo and x <= hi; Qhull needs d >= 2.
         """
+        _, offsets = self.facets
         if self.dim == 1:
-            lo, hi = self.bounding_box
-            return float(hi[0] - lo[0])
-        if not self.is_full_dimensional:
-            raise ValueError("body must be full-dimensional")
+            return float(offsets.sum())
         return float(scipy.spatial.ConvexHull(self.vertices).volume)
 
     @cached_property
@@ -370,8 +381,7 @@ class Polytope(_Body):
         other boundary streams.
         """
         d = self.dim
-        if not self.is_full_dimensional:
-            raise ValueError("body must be full-dimensional")
+        normals, _ = self.facets
         if d not in (2, 3):
             raise ValueError("polytope sampling supported for d in {2, 3}")
         sets = self.facet_vertex_sets()
@@ -379,7 +389,7 @@ class Polytope(_Body):
         areas = np.zeros(len(sets))
         verts = np.zeros((len(sets), width, d))
         cdfs = np.full((len(sets), width - 2), np.inf)
-        for f, (idx, normal) in enumerate(zip(sets, self.facet_normals)):
+        for f, (idx, normal) in enumerate(zip(sets, normals)):
             v = self.vertices[idx]
             if d == 2:
                 # Facet is a segment; order is irrelevant for two points.
@@ -431,16 +441,13 @@ class Polytope(_Body):
         return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
 
     def excess(self, points):
-        return float(np.max(points @ self.facet_normals.T
-                            - self.facet_offsets))
+        normals, offsets = self.facets
+        return float(np.max(points @ normals.T - offsets))
 
     def feasible_translations(self, sample):
-        if not self.is_full_dimensional:
-            raise ValueError("feasible translations need a "
-                             "full-dimensional polytope")
-        shift = np.max(sample @ self.facet_normals.T, axis=0)
-        return Polytope.from_halfspaces(-self.facet_normals,
-                                        self.facet_offsets - shift)
+        normals, offsets = self.facets
+        shift = np.max(sample @ normals.T, axis=0)
+        return Polytope.from_halfspaces(-normals, offsets - shift)
 
     def uniform_draw(self, rng, n):
         """A box draws one (n + 8, d) batch of ``rng.random``.  Any other
@@ -450,6 +457,7 @@ class Polytope(_Body):
         d = self.dim
         if self.is_box:  # a box keeps every candidate of the first batch
             return rng.random((n + 8, d))
+        self.facets  # raises for a lower-dimensional polytope
         lo, hi = self.bounding_box
         parts, filled, drawn = [], 0, 0
         while filled < n:
@@ -568,12 +576,11 @@ def _check_dim(value, name):
                          f"{value!r}")
 
 
-def _check_ball(radius, dim):
-    """Reject a radius that is not finite and positive or a dim that is
-    not an integer of at least 1, with a ValueError that names it."""
-    if not (isinstance(radius, numbers.Real) and 0 < radius < np.inf):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    _check_dim(dim, "dim")
+def _check_finite_positive(value, name):
+    """Reject a size that is not a finite positive real number, with a
+    ValueError that names it."""
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -587,7 +594,8 @@ class Ball(_Body):
     is_symmetric = True
 
     def __post_init__(self):
-        _check_ball(self.radius, self.dim)
+        _check_finite_positive(self.radius, "radius")
+        _check_dim(self.dim, "dim")
 
     @property
     def max_norm(self):
@@ -721,7 +729,8 @@ class HalfBall(_Body):
     is_symmetric = False
 
     def __post_init__(self):
-        _check_ball(self.radius, self.dim)
+        _check_finite_positive(self.radius, "radius")
+        _check_dim(self.dim, "dim")
         axis = self.axis
         if axis is None:
             axis = np.zeros(self.dim)
@@ -1026,7 +1035,7 @@ def polar(body):
                              "interior")
         verts = body.facet_normals / body.facet_offsets[:, None]
         return Polytope.from_vertices(verts)
-    raise TypeError(f"polar unsupported for {type(body).__name__}")
+    _unsupported(body)
 
 
 def _polar_degenerate(body):
@@ -1063,17 +1072,13 @@ def supporting_cone(body, v):
     """cl(union of lambda*(body - v)); v must lie in the body."""
     v = np.asarray(v, dtype=float)
     if isinstance(body, Polytope):
-        if not body.is_full_dimensional:
-            raise ValueError("supporting cone needs a full-dimensional "
-                             "polytope")
+        normals, offsets = body.facets
         if not bool(body.contains(v[None])[0]):
             raise ValueError("point outside the body")
-        slack = body.facet_normals @ v - body.facet_offsets
-        active = np.abs(slack) <= GEO_TOL
+        active = np.abs(normals @ v - offsets) <= GEO_TOL
         if not np.any(active):
             return PolyhedralCone(dim=body.dim)  # interior: whole space
-        return PolyhedralCone(normals=body.facet_normals[active],
-                              dim=body.dim)
+        return PolyhedralCone(normals=normals[active], dim=body.dim)
     if isinstance(body, Ball):
         r = np.linalg.norm(v)
         if r > body.radius + GEO_TOL:
@@ -1081,25 +1086,24 @@ def supporting_cone(body, v):
         if r < body.radius - GEO_TOL:
             return PolyhedralCone(dim=body.dim)
         return HalfSpace(v, 0.0)
-    raise TypeError(f"supporting cone unsupported for {type(body).__name__}")
+    _unsupported(body)
 
 
 def normal_cone(body, v):
     """Cone of outer normals at a boundary point v."""
     v = np.asarray(v, dtype=float)
     if isinstance(body, Polytope):
-        slack = body.facet_normals @ v - body.facet_offsets
-        active = np.abs(slack) <= GEO_TOL
+        normals, offsets = body.facets
+        active = np.abs(normals @ v - offsets) <= GEO_TOL
         if not bool(body.contains(v[None])[0]) or not np.any(active):
             raise ValueError("point is not on the boundary")
-        return PolyhedralCone(generators=body.facet_normals[active],
-                              dim=body.dim)
+        return PolyhedralCone(generators=normals[active], dim=body.dim)
     if isinstance(body, Ball):
         if abs(np.linalg.norm(v) - body.radius) > GEO_TOL:
             raise ValueError("point is not on the sphere")
         return PolyhedralCone(generators=(v / body.radius)[None],
                               dim=body.dim)
-    raise TypeError(f"normal cone unsupported for {type(body).__name__}")
+    _unsupported(body)
 
 
 # -- standard bodies ----------------------------------------------------------
@@ -1121,9 +1125,7 @@ def cube(d, half_width=1.0):
     names it.
     """
     _check_dim(d, "d")
-    if not (isinstance(half_width, numbers.Real) and 0 < half_width < np.inf):
-        raise ValueError(f"half_width must be finite and positive, got "
-                         f"{half_width!r}")
+    _check_finite_positive(half_width, "half_width")
     w = float(half_width)
     corners = np.array(list(itertools.product([-w, w], repeat=d)))
     if d == 2:
@@ -1168,7 +1170,7 @@ def body_to_json(body):
         if body.normals is not None:
             doc["normals"] = body.normals.tolist()
         return doc
-    raise TypeError(f"cannot serialize {type(body).__name__}")
+    _unsupported(body)
 
 
 def _dim(doc):

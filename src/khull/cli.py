@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .bodies import body_from_json, body_to_json
+from .bodies import _check_finite_positive, body_from_json, body_to_json
 from .empirical import (_window_radius, dual_cone_intensity_experiment,
                         inclusion_functional_estimate,
                         so2_square_experiment, translation_box_experiment)
@@ -118,7 +118,9 @@ def _load_body(path):
         raise ConfigError(f"invalid body description in {path}: {exc}")
 
 
-def _load_points(path):
+def _load_points(path, columns):
+    """The rows of a CSV file; with `columns` not None, each row must have
+    that many entries."""
     try:
         with warnings.catch_warnings():
             # An empty file is reported below, not by numpy's warning.
@@ -130,6 +132,9 @@ def _load_points(path):
         raise ConfigError(f"malformed points CSV {path}: {exc}")
     if not len(pts):
         raise ConfigError(f"--points file {path} has no rows")
+    if columns is not None and pts.shape[1] != columns:
+        raise ConfigError(f"--points must have {columns} columns, got "
+                          f"{pts.shape[1]}")
     return pts
 
 
@@ -162,20 +167,20 @@ HULL_FAMILIES = {
 
 def cmd_hull(args):
     hull, takes_body = HULL_FAMILIES[args.family]
-    if takes_body and not args.body:
+    if not takes_body:
+        result = hull(_load_points(args.points, None))
+    elif not args.body:
         raise ConfigError("--body is required for this family")
-    points = _load_points(args.points)
-    result = (hull(_load_body(args.body), points) if takes_body
-              else hull(points))
+    else:
+        body = _load_body(args.body)
+        result = hull(body, _load_points(args.points, body.dim))
     _write_json(args.out, _hull_to_json(result))
     return EXIT_OK
 
 
 def cmd_simulate_pk(args):
     body = _load_body(args.body)
-    if not 0 < args.tmax < math.inf:
-        raise ConfigError(f"--tmax must be finite and positive, got "
-                          f"{args.tmax}")
+    _check_finite_positive(args.tmax, "--tmax")
     sample = sample_PK(body, args.tmax, seed=args.seed)
     d = body.dim
     header = (["t"] + [f"eta_{i + 1}" for i in range(d)]
@@ -207,9 +212,7 @@ def _write_json_array(fh, entry, rows):
 
 def cmd_simulate_zerocell(args):
     body = _load_body(args.body)
-    if not 0 < args.window < math.inf:
-        raise ConfigError(f"--window must be finite and positive, got "
-                          f"{args.window}")
+    _check_finite_positive(args.window, "--window")
     system = build_zero_cell(body, args.window, seed=args.seed)
     s = system.sample
     head = json.dumps({
@@ -263,10 +266,7 @@ def cmd_experiment_recession(args):
 def _run_inclusion(args):
     body = _load_body(args.body)
     cone = cone_preset(args.cone, body.dim)
-    pts = _load_points(args.points)
-    if pts.shape[1] != cone.n_params:
-        raise ConfigError(f"points must have {cone.n_params} columns for "
-                          f"the {args.cone} preset")
+    pts = _load_points(args.points, cone.n_params)
     bad = pts[~np.isfinite(pts)]
     if len(bad):
         raise ConfigError(f"--points must be finite, got {bad[0]}")
@@ -442,10 +442,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

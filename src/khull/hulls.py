@@ -167,9 +167,9 @@ def k_hull_translations(body, sample):
         return HullResult(WHOLE_SPACE)
     if isinstance(body, Ball):
         return HullResult(BallHullOracle(feasible))
-    mins = np.min(feasible.vertices @ body.facet_normals.T, axis=0)
-    return HullResult(Polytope.from_halfspaces(body.facet_normals,
-                                               body.facet_offsets + mins))
+    normals, offsets = body.facets
+    mins = np.min(feasible.vertices @ normals.T, axis=0)
+    return HullResult(Polytope.from_halfspaces(normals, offsets + mins))
 
 
 def hull_translations_scalings(body, sample):
@@ -188,14 +188,9 @@ def hull_translations_scalings(body, sample):
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if isinstance(body, Ball):
         return HullResult(Polytope.from_vertices(sample))
-    if not isinstance(body, Polytope):
-        raise TypeError(f"unsupported body {type(body).__name__}")
-    if not body.is_full_dimensional:
-        raise ValueError("the translations-scalings hull needs a "
-                         "full-dimensional polytope")
+    normals, _ = body.facets
     if not np.all(body.contains(sample)):
         raise ValueError("sample must lie inside the body")
-    normals = body.facet_normals
     return HullResult(Polytope.from_halfspaces(
         normals, np.max(sample @ normals.T, axis=0)))
 

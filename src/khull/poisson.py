@@ -8,12 +8,12 @@ therefore surface_area(K) / volume(K) marks per unit of t.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies import _check_finite_positive
 
 __all__ = [
     "PoissonSample",
@@ -171,8 +171,7 @@ def sample_PK_block(body, t_max, rngs):
     and the (k,) mark count of each generator.  Generator i's marks are
     those `sample_PK` draws from it alone, bit for bit.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _check_finite_positive(t_max, "t_max")
     sampler = BoundarySampler(body)
     mean = sampler.rate * t_max
     fills = [body.boundary_draw(rng, rng.poisson(mean)) for rng in rngs]

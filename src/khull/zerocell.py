@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .bodies import Ball, GEO_TOL, row_norms
+from .bodies import Ball, GEO_TOL, _check_finite_positive, row_norms
 from .poisson import sample_PK
 
 __all__ = [
@@ -24,11 +24,11 @@ __all__ = [
     "build_zero_cell",
     "cone_preset",
     "cone_projection",
+    "contains_reflected_recession",
     "flatten_pair",
     "halfspaces_from_marks",
     "is_bounded",
     "membership",
-    "recession_cone_TK",
     "reflect",
     "reflected_recession_in_cone",
     "restrict_to_cone",
@@ -137,9 +137,7 @@ def build_zero_cell(body, window_radius, seed=None):
     infinite one on the whole window.  A window_radius that is not finite
     and positive raises a ValueError that names it.
     """
-    if not 0 < window_radius < math.inf:
-        raise ValueError(f"window_radius must be finite and positive, got "
-                         f"{window_radius}")
+    _check_finite_positive(window_radius, "window_radius")
     sample = sample_PK(body, window_horizon(body, window_radius), seed)
     normals, offsets = halfspaces_from_marks(sample.t, sample.eta, sample.u)
     return HalfSpaceSystem(normals, offsets, body.dim, sample=sample)
@@ -248,30 +246,15 @@ def restrict_to_cone(system, cone):
 
 # -- recession cone and boundedness --------------------------------------------
 
-@dataclass(frozen=True)
-class RecessionCone:
-    """T_K = {(x,C) : <C y + x, u> >= 0 for all (y,u) in Nor(K)}.
+def contains_reflected_recession(body, point):
+    """Is the flat point in the reflected recession cone -T_K?
 
-    Membership goes through the body's survival functional
-    s(p) = max over (y,u) in Nor(K) of <(u, u outer y), p>, which is
-    sublinear with -T_K = {s <= 0}: p is in T_K iff
-    `contains_reflected(-p)`.
+    T_K = {(x,C) : <C y + x, u> >= 0 for all (y,u) in Nor(K)}.  The body's
+    survival functional s(p) = max over (y,u) in Nor(K) of
+    <(u, u outer y), p> is sublinear with -T_K = {s <= 0}, so p is in
+    T_K iff -p is in -T_K.
     """
-
-    body: object
-
-    def survival(self, point):
-        """s(point) and a generator g of Nor(K) with <g, point> = s(point):
-        the cut s >= <g, .>, valid everywhere."""
-        return self.body.survival(point)
-
-    def contains_reflected(self, point):
-        """Membership of the reflected cone -T_K."""
-        return self.survival(point)[0] <= GEO_TOL
-
-
-def recession_cone_TK(body):
-    return RecessionCone(body)
+    return body.survival(point)[0] <= GEO_TOL
 
 
 # Cutting-plane rounds before `is_bounded` gives up.  The presets need at
@@ -290,7 +273,8 @@ def is_bounded(body, cone):
     every open face, and a face whose bound exceeds GEO_TOL is certified.
     The face with the lowest bound is evaluated at its LP minimiser; a
     value <= GEO_TOL is a witness, otherwise its generator is a new cut.
-    Returns (True, None) or (False, v) with `contains_reflected(v)`.
+    Returns (True, None) or (False, v) with
+    `contains_reflected_recession(body, v)`.
     """
     basis, k = cone.basis, cone.n_params
     faces = [(i, sign) for i in range(k) for sign in (1.0, -1.0)]

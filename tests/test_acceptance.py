@@ -18,10 +18,10 @@ from khull.empirical import (dual_cone_intensity_experiment,
 from khull.hulls import (hull_full_affine, hull_linear_ball,
                          k_hull_translations, positive_hull,
                          spherical_hull_halfball)
-from khull.zerocell import (build_zero_cell, cone_preset, flatten_pair,
+from khull.zerocell import (build_zero_cell, cone_preset,
+                            contains_reflected_recession, flatten_pair,
                             halfspaces_from_marks, is_bounded, membership,
-                            recession_cone_TK, reflected_recession_in_cone,
-                            restrict_to_cone)
+                            reflected_recession_in_cone, restrict_to_cone)
 
 SQUARE = cube(2)
 
@@ -156,11 +156,11 @@ def test_criterion_6_recession_cone_checks():
         rows = reflected_recession_in_cone(Ball(1.0, d), cone)
         if not np.allclose(rows[np.lexsort(rows.T)], np.eye(d), atol=1e-9):
             ok = False
-        rec = recession_cone_TK(Ball(1.0, d))
+        ball = Ball(1.0, d)
         rng = np.random.default_rng(d)
         for _ in range(100):
             mu = rng.standard_normal(d)
-            if rec.contains_reflected(cone.embed(mu)) != bool(
+            if contains_reflected_recession(ball, cone.embed(mu)) != bool(
                     np.all(mu <= 1e-12)):
                 ok = False
     # Boundedness catalogue.

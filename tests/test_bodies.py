@@ -26,7 +26,9 @@ from khull.bodies import (
     supporting_cone,
     _extreme_points,
 )
-from khull.hulls import k_hull_translations
+from khull.empirical import uniform_sample
+from khull.hulls import hull_translations_scalings, k_hull_translations
+from khull.zerocell import cone_preset, is_bounded
 
 SQUARE = cube(2)
 
@@ -293,7 +295,7 @@ def test_unbounded_support_sentinel():
 
 
 _BODY_MEMBERS = {  # member -> the arguments of a call, or None for a property
-    "max_norm": None, "volume": None, "surface_area": None,
+    "max_norm": None, "volume": None, "surface_area": None, "facets": None,
     "is_symmetric": None, "normal_bundle_rows": None,
     "survival": (np.zeros(6),),
     "support": ([1.0, 0.0],), "excess": (np.zeros((1, 2)),),
@@ -310,7 +312,8 @@ _UNSUPPORTED = (
     + [(WHOLE_SPACE, m) for m in _SUPPORT_ONLY]
     + [(BallIntersection(np.zeros((1, 2)), 1.0), m) for m in _SUPPORT_ONLY]
     + [(HalfBall(1.0), "feasible_translations"),
-       (HalfBall(1.0), "normal_bundle_rows"), (HalfBall(1.0), "survival")])
+       (HalfBall(1.0), "normal_bundle_rows"), (HalfBall(1.0), "survival"),
+       (HalfBall(1.0), "facets"), (Ball(1.0), "facets")])
 
 
 @pytest.mark.parametrize(
@@ -323,6 +326,24 @@ def test_missing_body_member_raises_unsupported_body(body, member):
         value = getattr(body, member)
         if args is not None:
             value(*args)
+
+
+_HALF_BALL = HalfBall(1.0)
+_UNSUPPORTED_CALLS = {
+    "polar": (_HALF_BALL, lambda: polar(_HALF_BALL)),
+    "supporting_cone": (_HALF_BALL,
+                        lambda: supporting_cone(_HALF_BALL, [1.0, 0.0])),
+    "normal_cone": (_HALF_BALL, lambda: normal_cone(_HALF_BALL, [1.0, 0.0])),
+    "body_to_json": (EMPTY, lambda: body_to_json(EMPTY)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNSUPPORTED_CALLS))
+def test_functions_of_a_body_raise_unsupported_body(name):
+    body, call = _UNSUPPORTED_CALLS[name]
+    with pytest.raises(TypeError,
+                       match=f"^unsupported body {type(body).__name__}$"):
+        call()
 
 
 def test_sentinels():
@@ -550,15 +571,37 @@ def test_segment_volume_is_its_length():
     assert Polytope.from_vertices([[0.0], [3.0]]).volume == 3.0
 
 
+# Each member that reads `Polytope.facets`, called on a body of any d.
+_FACET_READERS = {
+    "facets": lambda b: b.facets,
+    "facet_vertex_sets": lambda b: b.facet_vertex_sets(),
+    "normal_bundle_rows": lambda b: b.normal_bundle_rows,
+    "survival": lambda b: b.survival(np.zeros(b.dim + b.dim ** 2)),
+    "is_bounded": lambda b: is_bounded(b, cone_preset("translations", b.dim)),
+    "volume": lambda b: b.volume,
+    "facet_geometry": lambda b: b.facet_geometry,
+    "surface_area": lambda b: b.surface_area,
+    "excess": lambda b: b.excess(b.vertices),
+    "feasible_translations": lambda b: b.feasible_translations(b.vertices),
+    "uniform_sample": lambda b: uniform_sample(b, 5, seed=0),
+    "supporting_cone": lambda b: supporting_cone(b, b.vertices[0]),
+    "normal_cone": lambda b: normal_cone(b, b.vertices[0]),
+    "k_hull_translations": lambda b: k_hull_translations(b, b.vertices),
+    "hull_translations_scalings":
+        lambda b: hull_translations_scalings(b, b.vertices),
+}
+
+
+@pytest.mark.parametrize("member", list(_FACET_READERS))
 @pytest.mark.parametrize("vertices", [
     [[0.0, 0.0], [1.0, 1.0]],
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
 ], ids=["planar-segment", "triangle-in-3d"])
-def test_lower_dimensional_volume_raises_value_error(vertices):
+def test_lower_dimensional_polytope_raises_value_error(vertices, member):
     body = Polytope.from_vertices(vertices)
     assert not body.is_full_dimensional
     with pytest.raises(ValueError, match="^body must be full-dimensional$"):
-        body.volume
+        _FACET_READERS[member](body)
 
 
 def test_ball_normal_bundle_rows_are_empty_of_the_flat_width():

@@ -101,9 +101,7 @@ def test_hull_lower_dimensional_body_exits_2(family, two_points_csv,
                  "--points", two_points_csv,
                  "--out", str(tmp_path / "x.json")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "full-dimensional polytope" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: body must be full-dimensional\n"
 
 
 @pytest.mark.parametrize("family", ["k-hull", "translations-scalings"])
@@ -333,6 +331,19 @@ def test_experiment_recession_segment_skew(tmp_path):
                  "--cone", "skew", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["bounded"] is True
+
+
+def test_experiment_recession_lower_dimensional_body_exits_2(tmp_path,
+                                                            capsys):
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"kind": "polytope",
+                                   "vertices": [[0, 0], [1, 1]]}))
+    out = tmp_path / "rec.json"
+    code = main(["experiment", "recession", "--body", str(segment),
+                 "--cone", "skew", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: body must be full-dimensional\n"
+    assert not out.exists()
 
 
 def test_experiment_recession_unbounded(tmp_path):
@@ -679,6 +690,27 @@ def test_empty_points_file_names_the_flag(argv, square_json, tmp_path,
     assert code == 2
     assert capsys.readouterr().err == \
         f"error: --points file {points} has no rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["hull", "--family", family, "--body", body], 2)
+    for family in ("k-hull", "translations-scalings")
+    for body in ("SQUARE", "DISK")
+] + [(["experiment", "inclusion", "--body", "SQUARE", "--cone", "skew"], 1)])
+def test_points_of_another_width_name_the_flag(argv, columns, square_json,
+                                               tmp_path, capsys):
+    disk = tmp_path / "disk.json"
+    disk.write_text(json.dumps(body_to_json(Ball(1.0, 2))))
+    points = tmp_path / "points.csv"
+    points.write_text("0.1,0.2,0.3\n-0.2,0.1,0.0\n")
+    out = tmp_path / "x.json"
+    argv = [{"SQUARE": square_json, "DISK": str(disk)}.get(a, a)
+            for a in argv]
+    code = main(argv + ["--points", str(points), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: --points must have {columns} columns, got 3\n"
     assert not out.exists()
 
 

@@ -322,7 +322,8 @@ def test_replicate_rngs_reject_negative_seed_as_spawn_rng_does():
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan, np.inf])
 def test_t_max_validation(t_max):
-    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+    with pytest.raises(ValueError,
+                       match="^t_max must be finite and positive, got "):
         sample_PK(SQUARE, t_max, seed=0)
 
 

@@ -15,11 +15,11 @@ from khull.zerocell import (
     HalfSpaceSystem,
     build_zero_cell,
     cone_preset,
+    contains_reflected_recession,
     flatten_pair,
     halfspaces_from_marks,
     is_bounded,
     membership,
-    recession_cone_TK,
     reflect,
     reflected_recession_in_cone,
     restrict_to_cone,
@@ -424,17 +424,17 @@ def test_restriction_agrees_with_lifting():
 
 def test_recession_contains_minus_identity():
     for body in (SQUARE, Ball(1.0, 2), Ball(2.0, 3), cube(3)):
-        rec = recession_cone_TK(body)
         d = body.dim
-        assert rec.contains_reflected(flatten_pair(np.zeros(d), -np.eye(d)))
+        assert contains_reflected_recession(
+            body, flatten_pair(np.zeros(d), -np.eye(d)))
 
 
 def test_recession_skew_in_both_for_ball():
-    rec = recession_cone_TK(Ball(1.0, 2))
+    ball = Ball(1.0, 2)
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     p = flatten_pair(np.zeros(2), j)
-    assert rec.contains_reflected(-p)
-    assert rec.contains_reflected(p)
+    assert contains_reflected_recession(ball, -p)
+    assert contains_reflected_recession(ball, p)
 
 
 def test_reflected_recession_diagonal_is_nonpositive_orthant():
@@ -445,13 +445,13 @@ def test_reflected_recession_diagonal_is_nonpositive_orthant():
         # equal to the coordinate vectors.
         assert rows.shape == (d, d)
         assert np.allclose(rows[np.lexsort(rows.T)], np.eye(d), atol=1e-9)
-        rec = recession_cone_TK(Ball(1.0, d))
+        ball = Ball(1.0, d)
         rng = np.random.default_rng(d)
         for _ in range(200):
             mu = rng.standard_normal(d)
             v = cone.embed(mu)
             want = bool(np.all(rows @ mu <= 1e-12))
-            got = rec.contains_reflected(v)
+            got = contains_reflected_recession(ball, v)
             assert got == want
 
 
@@ -470,8 +470,7 @@ def test_is_bounded_witness_verifies():
     ball = Ball(1.0, 2)
     bounded, witness = is_bounded(ball, cone_preset("full", 2))
     assert not bounded
-    rec = recession_cone_TK(ball)
-    assert rec.contains_reflected(witness)
+    assert contains_reflected_recession(ball, witness)
 
 
 def test_is_bounded_square_translations():
@@ -505,7 +504,7 @@ def _assert_witness(body, cone, witness):
     assert np.linalg.norm(witness) >= 1.0 - 1e-12  # c_i = +-1 on a face
     assert np.allclose(cone.basis.T @ (cone.basis @ witness), witness,
                        atol=1e-12)
-    assert recession_cone_TK(body).contains_reflected(witness)
+    assert contains_reflected_recession(body, witness)
 
 
 @pytest.mark.parametrize("name", list(BOUNDEDNESS_BODIES))
@@ -529,14 +528,13 @@ def test_is_bounded_one_dimensional_cones():
     rng = np.random.default_rng(3)
     for body in BOUNDEDNESS_BODIES.values():
         d = body.dim
-        rec = recession_cone_TK(body)
         lines = np.vstack([np.eye(d + d * d),
                            rng.standard_normal((10, d + d * d))])
         for b in lines / np.linalg.norm(lines, axis=1)[:, None]:
             cone = ConeSpec("line", b[None], d)
             bounded, witness = is_bounded(body, cone)
-            assert bounded is (rec.survival(b)[0] > GEO_TOL
-                               and rec.survival(-b)[0] > GEO_TOL)
+            assert bounded is (body.survival(b)[0] > GEO_TOL
+                               and body.survival(-b)[0] > GEO_TOL)
             if not bounded:
                 _assert_witness(body, cone, witness)
 
@@ -554,7 +552,6 @@ def test_is_bounded_cones_through_touching_direction():
     rng = np.random.default_rng(4)
     for body in BOUNDEDNESS_BODIES.values():
         d = body.dim
-        rec = recession_cone_TK(body)
         for k in (1, 2, 3, 4):
             x = rng.standard_normal(d)
             if isinstance(body, Ball):
@@ -562,7 +559,7 @@ def test_is_bounded_cones_through_touching_direction():
             else:
                 x /= np.max(body.facet_normals @ x / body.facet_offsets)
             v0 = np.concatenate([x, -np.eye(d).ravel()])
-            assert abs(rec.survival(v0)[0]) <= 1e-12
+            assert abs(body.survival(v0)[0]) <= 1e-12
             rows = np.vstack([v0, rng.standard_normal((k - 1, len(v0)))])
             cone = ConeSpec("touching", _rotated_span(rng, rows), d)
             bounded, witness = is_bounded(body, cone)
@@ -605,7 +602,6 @@ def test_recession_membership_matches_direct_formulas():
     rng = np.random.default_rng(6)
     for body in BOUNDEDNESS_BODIES.values():
         d = body.dim
-        rec = recession_cone_TK(body)
         if isinstance(body, Polytope):
             # <C y + x, u> >= 0 for every facet normal u and vertex y on it.
             rows = np.array([
@@ -631,8 +627,8 @@ def test_recession_membership_matches_direct_formulas():
             p = np.concatenate([0.3 * rng.standard_normal(d), c.ravel()])
             inside = direct(p)
             hits += inside
-            assert rec.contains_reflected(-p) is inside
-            assert rec.contains_reflected(p) is direct(-p)
+            assert contains_reflected_recession(body, -p) is inside
+            assert contains_reflected_recession(body, p) is direct(-p)
         assert 0 < hits < 60
 
 
