@@ -17,7 +17,6 @@ from khull import (
     cube,
     dual_cone_intensity_experiment,
     is_bounded,
-    reflected_recession_in_cone,
 )
 
 
@@ -36,7 +35,7 @@ def main():
 
     # Restricted to diagonal matrices, the reflected recession cone of the
     # ball is exactly the nonpositive orthant.
-    rows = reflected_recession_in_cone(ball, cone_preset("diagonal", 2))
+    rows = ball.reflected_recession_rows(cone_preset("diagonal", 2))
     print("\nreflected recession cone on diagonal matrices "
           "(rows of c <= 0):")
     for row in rows[np.lexsort(rows.T)]:

@@ -16,10 +16,6 @@ from .bodies import (
     body_to_json,
     cross_polytope,
     cube,
-    normal_cone,
-    polar,
-    polar_cone,
-    supporting_cone,
 )
 from .empirical import (
     ExperimentReport,
@@ -65,7 +61,6 @@ from .zerocell import (
     is_bounded,
     membership,
     reflect,
-    reflected_recession_in_cone,
     restrict_to_cone,
     support_extent,
     transform_rotation_of_K,

@@ -38,11 +38,7 @@ __all__ = [
     "body_to_json",
     "cross_polytope",
     "cube",
-    "normal_cone",
-    "polar",
-    "polar_cone",
     "row_norms",
-    "supporting_cone",
     "unit_direction",
 ]
 
@@ -94,7 +90,7 @@ class _Body:
     """What the pipeline asks of a body.  A body class defines the members
     it answers for; any other raises TypeError("unsupported body <Class>").
 
-    - `max_norm`, `volume`, `surface_area`;
+    - `dim`, `max_norm`, `volume`, `surface_area`;
     - `facets`: the (unit outer normals, offsets) of a full-dimensional
       polytope; a lower-dimensional one raises ValueError("body must be
       full-dimensional");
@@ -112,14 +108,20 @@ class _Body:
     - `boundary_draw(rng, n)`, `boundary_place(fills)`: one generator's
       draws for n marks, weights first; then the marks (eta, u) of a block
       of draws less their weights, mapped elementwise or row by row, so a
-      generator's marks do not depend on the block.
+      generator's marks do not depend on the block;
+    - `polar()`: {x : h(K, x) <= 1}, for a cone its polar cone;
+      `supporting_cone(v)`, `normal_cone(v)` at v in K; `to_json()`;
+    - `reflected_recession_rows(cone)`: rows r with -T_K = {r @ c <= 0} on
+      the cone's coordinates c, exactly.
     """
 
-    max_norm = volume = surface_area = facets = property(_unsupported)
+    dim = max_norm = volume = surface_area = facets = property(_unsupported)
     is_symmetric = normal_bundle_rows = property(_unsupported)
     support = excess = feasible_translations = survival = _unsupported
     uniform_draw = uniform_place = _unsupported
     boundary_draw = boundary_place = _unsupported
+    polar = supporting_cone = normal_cone = to_json = _unsupported
+    reflected_recession_rows = _unsupported
 
     def keep_screen(self, maps, n):
         return None
@@ -539,6 +541,54 @@ class Polytope(_Body):
                + b[:, None] * (verts[idx, i + 1] - v0))
         return eta, u
 
+    def polar(self):
+        """conv(facet normals / offsets), for the origin inside the body; a
+        segment [0, p] gives {<x, p> <= 1}, and {0} the whole space."""
+        if not bool(self.contains(np.zeros((1, self.dim)))[0]):
+            raise ValueError("polar requires the origin inside the body")
+        if self.is_full_dimensional:
+            if np.any(self.facet_offsets <= GEO_TOL):
+                raise ValueError("polar polytope requires origin strictly "
+                                 "interior")
+            return Polytope.from_vertices(
+                self.facet_normals / self.facet_offsets[:, None])
+        norms = np.linalg.norm(self.vertices, axis=1)
+        i0 = int(np.argmin(norms))
+        if len(norms) == 1 and norms[0] <= GEO_TOL:
+            return WHOLE_SPACE
+        if len(norms) == 2 and norms[i0] <= GEO_TOL:
+            p = self.vertices[1 - i0]
+            np_ = np.linalg.norm(p)
+            return HalfSpace(p / np_, 1.0 / np_)
+        raise ValueError("polar of a degenerate polytope is only supported "
+                         "for segments [0, p]")
+
+    def supporting_cone(self, v):
+        v = np.asarray(v, dtype=float)
+        normals, offsets = self.facets
+        if not bool(self.contains(v[None])[0]):
+            raise ValueError("point outside the body")
+        active = np.abs(normals @ v - offsets) <= GEO_TOL
+        if not np.any(active):
+            return PolyhedralCone(dim=self.dim)  # interior: whole space
+        return PolyhedralCone(normals=normals[active], dim=self.dim)
+
+    def normal_cone(self, v):
+        v = np.asarray(v, dtype=float)
+        normals, offsets = self.facets
+        active = np.abs(normals @ v - offsets) <= GEO_TOL
+        if not bool(self.contains(v[None])[0]) or not np.any(active):
+            raise ValueError("point is not on the boundary")
+        return PolyhedralCone(generators=normals[active], dim=self.dim)
+
+    def to_json(self):
+        doc = {"kind": "polytope", "vertices": self.vertices.tolist()}
+        if self.is_full_dimensional:
+            doc["facets"] = [{"normal": n.tolist(), "offset": float(h)}
+                             for n, h in zip(self.facet_normals,
+                                             self.facet_offsets)]
+        return doc
+
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
@@ -577,9 +627,10 @@ def _check_dim(value, name):
 
 
 def _check_finite_positive(value, name):
-    """Reject a size that is not a finite positive real number, with a
-    ValueError that names it."""
-    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+    """Reject a size that is not a finite positive real number (a bool is
+    none, as in `_check_dim`), with a ValueError that names it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
@@ -669,6 +720,50 @@ class Ball(_Body):
         u /= row_norms(u)[:, None]
         return self.radius * u, u
 
+    def polar(self):
+        return Ball(1.0 / self.radius, self.dim)
+
+    def supporting_cone(self, v):
+        r = np.linalg.norm(v)
+        if r > self.radius + GEO_TOL:
+            raise ValueError("point outside the ball")
+        if r < self.radius - GEO_TOL:
+            return PolyhedralCone(dim=self.dim)
+        return HalfSpace(v, 0.0)
+
+    def normal_cone(self, v):
+        v = np.asarray(v, dtype=float)
+        if abs(np.linalg.norm(v) - self.radius) > GEO_TOL:
+            raise ValueError("point is not on the sphere")
+        return PolyhedralCone(generators=(v / self.radius)[None],
+                              dim=self.dim)
+
+    def to_json(self):
+        return {"kind": "ball", "radius": self.radius, "dim": self.dim}
+
+    def reflected_recession_rows(self, cone):
+        """For a cone of pure matrix directions whose matrices are symmetric
+        and pairwise commute: in a common eigenbasis the semidefiniteness
+        condition sym(C) <= 0 of -T_K becomes one linear inequality per
+        eigenvector.  The diagonal preset gives the nonpositive orthant."""
+        d = self.dim
+        mats = []
+        for v in cone.basis:
+            x, c = v[:d], v[d:].reshape(d, d)
+            if np.linalg.norm(x) > 1e-12 or np.linalg.norm(c - c.T) > 1e-12:
+                raise ValueError("cone must consist of symmetric matrix "
+                                 "directions")
+            mats.append(c)
+        for a in mats:
+            for b in mats:
+                if np.linalg.norm(a @ b - b @ a) > 1e-10:
+                    raise ValueError("cone matrices must commute")
+        mix = sum((i + 1) * m for i, m in enumerate(mats))
+        _, q = np.linalg.eigh(mix)
+        rows = np.array([[q[:, j] @ m @ q[:, j] for m in mats]
+                         for j in range(d)])
+        return rows[np.linalg.norm(rows, axis=1) > 1e-12]
+
 
 def _ball_norm_bound(body, radial):
     """A bound on the norms of the ball sample that `uniform_place` makes
@@ -748,6 +843,10 @@ class HalfBall(_Body):
 
     def __hash__(self):
         return hash((self.radius, self.dim))
+
+    def to_json(self):
+        return {"kind": "half_ball", "radius": self.radius,
+                "axis": self.axis.tolist()}
 
     @property
     def max_norm(self):
@@ -859,6 +958,11 @@ class HalfSpace(_Body):
             return c * self.offset
         return float("inf")
 
+    def to_json(self):
+        return {"kind": "half_space",
+                "facets": [{"normal": self.normal.tolist(),
+                            "offset": float(self.offset)}]}
+
 
 @dataclass(frozen=True)
 class PolyhedralCone(_Body):
@@ -898,6 +1002,23 @@ class PolyhedralCone(_Body):
         else:  # H-rep cone: bounded in direction u iff u in pos(normals).
             bounded = _in_positive_hull(u, self.normals)
         return 0.0 if bounded else float("inf")
+
+    def polar(self):
+        """The polar cone {x : <x, y> <= 0 for all y in the cone}: the
+        generator and facet-normal representations swap exactly."""
+        if self.normals is not None:
+            return PolyhedralCone(generators=self.normals, dim=self.dim)
+        if self.generators is not None:
+            return PolyhedralCone(normals=self.generators, dim=self.dim)
+        return PolyhedralCone(generators=np.zeros((1, self.dim)), dim=self.dim)
+
+    def to_json(self):
+        doc = {"kind": "cone", "dim": self.dim}
+        if self.generators is not None:
+            doc["generators"] = self.generators.tolist()
+        if self.normals is not None:
+            doc["normals"] = self.normals.tolist()
+        return doc
 
 
 def _in_positive_hull(p, generators):
@@ -1019,93 +1140,6 @@ def min_enclosing_ball(points):
     return welzl(len(pts), [])
 
 
-# -- polar sets ---------------------------------------------------------------
-
-def polar(body):
-    """Polar set {x : h(body, x) <= 1}; body must contain the origin."""
-    if isinstance(body, Ball):
-        return Ball(1.0 / body.radius, body.dim)
-    if isinstance(body, Polytope):
-        if not bool(body.contains(np.zeros((1, body.dim)))[0]):
-            raise ValueError("polar requires the origin inside the body")
-        if not body.is_full_dimensional:
-            return _polar_degenerate(body)
-        if np.any(body.facet_offsets <= GEO_TOL):
-            raise ValueError("polar polytope requires origin strictly "
-                             "interior")
-        verts = body.facet_normals / body.facet_offsets[:, None]
-        return Polytope.from_vertices(verts)
-    _unsupported(body)
-
-
-def _polar_degenerate(body):
-    verts = body.vertices
-    # Segment [0, p] dualizes to the half-space {<x, p> <= 1}.
-    if len(verts) == 2:
-        norms = np.linalg.norm(verts, axis=1)
-        i0 = int(np.argmin(norms))
-        if norms[i0] <= GEO_TOL:
-            p = verts[1 - i0]
-            np_ = np.linalg.norm(p)
-            return HalfSpace(p / np_, 1.0 / np_)
-    if len(verts) == 1 and np.linalg.norm(verts[0]) <= GEO_TOL:
-        return WHOLE_SPACE
-    raise ValueError("polar of a degenerate polytope is only supported "
-                     "for segments [0, p]")
-
-
-def polar_cone(cone: PolyhedralCone):
-    """Polar cone {x : <x, y> <= 0 for all y in cone}.
-
-    Swaps the generator and facet-normal representations exactly.
-    """
-    if cone.normals is not None:
-        return PolyhedralCone(generators=cone.normals, dim=cone.dim)
-    if cone.generators is not None:
-        return PolyhedralCone(normals=cone.generators, dim=cone.dim)
-    return PolyhedralCone(generators=np.zeros((1, cone.dim)), dim=cone.dim)
-
-
-# -- supporting and normal cones ----------------------------------------------
-
-def supporting_cone(body, v):
-    """cl(union of lambda*(body - v)); v must lie in the body."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(body, Polytope):
-        normals, offsets = body.facets
-        if not bool(body.contains(v[None])[0]):
-            raise ValueError("point outside the body")
-        active = np.abs(normals @ v - offsets) <= GEO_TOL
-        if not np.any(active):
-            return PolyhedralCone(dim=body.dim)  # interior: whole space
-        return PolyhedralCone(normals=normals[active], dim=body.dim)
-    if isinstance(body, Ball):
-        r = np.linalg.norm(v)
-        if r > body.radius + GEO_TOL:
-            raise ValueError("point outside the ball")
-        if r < body.radius - GEO_TOL:
-            return PolyhedralCone(dim=body.dim)
-        return HalfSpace(v, 0.0)
-    _unsupported(body)
-
-
-def normal_cone(body, v):
-    """Cone of outer normals at a boundary point v."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(body, Polytope):
-        normals, offsets = body.facets
-        active = np.abs(normals @ v - offsets) <= GEO_TOL
-        if not bool(body.contains(v[None])[0]) or not np.any(active):
-            raise ValueError("point is not on the boundary")
-        return PolyhedralCone(generators=normals[active], dim=body.dim)
-    if isinstance(body, Ball):
-        if abs(np.linalg.norm(v) - body.radius) > GEO_TOL:
-            raise ValueError("point is not on the sphere")
-        return PolyhedralCone(generators=(v / body.radius)[None],
-                              dim=body.dim)
-    _unsupported(body)
-
-
 # -- standard bodies ----------------------------------------------------------
 
 def cube(d, half_width=1.0):
@@ -1146,37 +1180,19 @@ def cross_polytope(d):
 
 def body_to_json(body):
     """Serialize a body to the documented JSON schema."""
-    if isinstance(body, Polytope):
-        doc = {"kind": "polytope",
-               "vertices": body.vertices.tolist()}
-        if body.is_full_dimensional:
-            doc["facets"] = [{"normal": n.tolist(), "offset": float(h)}
-                             for n, h in zip(body.facet_normals,
-                                             body.facet_offsets)]
-        return doc
-    if isinstance(body, Ball):
-        return {"kind": "ball", "radius": body.radius, "dim": body.dim}
-    if isinstance(body, HalfBall):
-        return {"kind": "half_ball", "radius": body.radius,
-                "axis": body.axis.tolist()}
-    if isinstance(body, HalfSpace):
-        return {"kind": "half_space",
-                "facets": [{"normal": body.normal.tolist(),
-                            "offset": float(body.offset)}]}
-    if isinstance(body, PolyhedralCone):
-        doc = {"kind": "cone", "dim": body.dim}
-        if body.generators is not None:
-            doc["generators"] = body.generators.tolist()
-        if body.normals is not None:
-            doc["normals"] = body.normals.tolist()
-        return doc
-    _unsupported(body)
+    return body.to_json()
 
 
 def _dim(doc):
     """The doc's dim; a whole float (JSON may write 2.0) reads as an int."""
     dim = doc.get("dim", 2)
     return int(dim) if isinstance(dim, float) and dim.is_integer() else dim
+
+
+def _radius(doc):
+    """The doc's radius as a float; a bool is left for the check to reject."""
+    radius = doc["radius"]
+    return radius if isinstance(radius, bool) else float(radius)
 
 
 def body_from_json(doc):
@@ -1196,11 +1212,11 @@ def body_from_json(doc):
     if kind == "polytope":
         return Polytope.from_vertices(np.asarray(doc["vertices"], float))
     if kind == "ball":
-        return Ball(float(doc["radius"]), _dim(doc))
+        return Ball(_radius(doc), _dim(doc))
     if kind == "half_ball":
         axis = doc.get("axis")
         dim = len(axis) if axis is not None else _dim(doc)
-        return HalfBall(float(doc["radius"]),
+        return HalfBall(_radius(doc),
                         np.asarray(axis, float) if axis is not None else None,
                         dim)
     if kind == "half_space":

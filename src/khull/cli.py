@@ -31,12 +31,11 @@ from .bodies import _check_finite_positive, body_from_json, body_to_json
 from .empirical import (_window_radius, dual_cone_intensity_experiment,
                         inclusion_functional_estimate,
                         so2_square_experiment, translation_box_experiment)
-from .hulls import (BallHullOracle, hull_full_affine, hull_linear_ball,
+from .hulls import (hull_full_affine, hull_linear_ball,
                     hull_translations_scalings, k_hull_translations,
                     positive_hull, spherical_hull_halfball)
 from .poisson import sample_PK
-from .zerocell import (CONE_PRESETS, build_zero_cell, cone_preset,
-                       is_bounded, reflected_recession_in_cone)
+from .zerocell import CONE_PRESETS, build_zero_cell, cone_preset, is_bounded
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,18 +138,11 @@ def _load_points(path, columns):
 
 
 def _hull_to_json(result):
-    body = result.body
-    doc = {"exact": True}
-    if isinstance(body, BallHullOracle):
-        # The hull is fixed by the radius and the sample's extreme points.
-        doc.update(kind="ball_hull", radius=body.radius,
-                   centers=body.centers.tolist())
-        return doc
+    """The hull's body document, or its class for a hull with none."""
     try:
-        doc.update(body_to_json(body))
+        return {"exact": True, **body_to_json(result.body)}
     except TypeError:
-        doc["kind"] = type(body).__name__.lower()
-    return doc
+        return {"exact": True, "kind": type(result.body).__name__.lower()}
 
 
 # Each `hull --family` with its hull function and whether that takes the
@@ -251,7 +243,7 @@ def cmd_experiment_recession(args):
     if witness is not None:
         doc["unbounded_direction"] = witness.tolist()
     try:
-        rows = reflected_recession_in_cone(body, cone)
+        rows = body.reflected_recession_rows(cone)
         doc["reflected_recession_facets"] = rows.tolist()
     except (TypeError, ValueError):
         pass

@@ -31,6 +31,7 @@ from .bodies import (
     HalfBall,
     Polytope,
     PolyhedralCone,
+    _Body,
     _extreme_points,
     _in_convex_hull,
 )
@@ -111,7 +112,7 @@ class HullResult:
         return self.body.contains(points)
 
 
-class BallHullOracle:
+class BallHullOracle(_Body):
     """Intersection of all radius-r balls whose centers cover the sample.
 
     The oracle is built on the feasible centres F = ∩_{v∈ext conv A} B(v, r)
@@ -156,12 +157,26 @@ class BallHullOracle:
     def contains(self, points):
         return self.max_center_distances(points) <= self.radius + GEO_TOL
 
+    def to_json(self):
+        """The hull is fixed by the radius and the sample's extreme points."""
+        return {"kind": "ball_hull", "radius": self.radius,
+                "centers": self.centers.tolist()}
+
+
+def _rows(points, d, name="sample"):
+    """The points as the rows of a float array of d columns."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != d:
+        raise ValueError(f"{name} must have {d} columns, got "
+                         f"{points.shape[1]}")
+    return points
+
 
 # -- translation hulls --------------------------------------------------------
 
 def k_hull_translations(body, sample):
     """Intersection of all translates of the body containing the sample."""
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
+    sample = _rows(sample, body.dim)
     feasible = body.feasible_translations(sample)
     if feasible is EMPTY:
         return HullResult(WHOLE_SPACE)
@@ -185,7 +200,7 @@ def hull_translations_scalings(body, sample):
     (a - λp) + λK = a + λ(K - p) contains A for large λ, and its i-th
     half-space is {<u_i, x> <= m_i}: the hull lies in each, so in P.
     """
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
+    sample = _rows(sample, body.dim)
     if isinstance(body, Ball):
         return HullResult(Polytope.from_vertices(sample))
     normals, _ = body.facets
@@ -271,8 +286,9 @@ def _positive_hull_nd(dirs):
 
 
 @dataclass(frozen=True)
-class SphericalHull:
-    """pos(A) clipped to the unit ball, with the induced spherical hull."""
+class SphericalHull(_Body):
+    """pos(A) clipped to the unit ball, with the induced spherical hull.
+    It answers no `_Body` member: `khull hull` writes its class name."""
 
     cone: PolyhedralCone
 
@@ -328,9 +344,9 @@ def generic_hull_membership(body, family, sample, query, budget=64, seed=0):
         can exceed conv(A) (`k-hull`, `translations-scalings`) can get it.
     Deterministic for a fixed seed.
     """
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    query = np.asarray(query, dtype=float)
-    d = sample.shape[1]
+    d = body.dim
+    sample = _rows(sample, d)
+    query = _rows(query, d, "query")[0]
     points = sample
     if family.translations == "zero" and body.is_symmetric:
         points = np.vstack([sample, -sample])

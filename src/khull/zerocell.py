@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .bodies import Ball, GEO_TOL, _check_finite_positive, row_norms
+from .bodies import GEO_TOL, _check_finite_positive, row_norms
 from .poisson import sample_PK
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "is_bounded",
     "membership",
     "reflect",
-    "reflected_recession_in_cone",
     "restrict_to_cone",
     "support_extent",
     "transform_rotation_of_K",
@@ -314,36 +313,6 @@ def is_bounded(body, cone):
         cuts.append(g)
     raise RuntimeError(f"is_bounded undecided after {MAX_CUT_ROUNDS} "
                        "cutting-plane rounds")
-
-
-def reflected_recession_in_cone(body, cone):
-    """Exact H-rep of -T_K intersected with the cone subspace, for a ball.
-
-    Requires a cone of pure matrix directions whose matrices are symmetric
-    and pairwise commute: in a common eigenbasis the semidefiniteness
-    condition sym(C) <= 0 becomes one linear inequality per eigenvector.
-    The diagonal preset returns the nonpositive orthant.
-    """
-    if not isinstance(body, Ball):
-        raise TypeError("exact restricted recession cone needs a ball body")
-    d = body.dim
-    mats = []
-    for v in cone.basis:
-        x, c = v[:d], v[d:].reshape(d, d)
-        if np.linalg.norm(x) > 1e-12 or np.linalg.norm(c - c.T) > 1e-12:
-            raise ValueError("cone must consist of symmetric matrix "
-                             "directions")
-        mats.append(c)
-    for a in mats:
-        for b in mats:
-            if np.linalg.norm(a @ b - b @ a) > 1e-10:
-                raise ValueError("cone matrices must commute")
-    mix = sum((i + 1) * m for i, m in enumerate(mats))
-    _, q = np.linalg.eigh(mix)
-    rows = np.array([[q[:, j] @ m @ q[:, j] for m in mats]
-                     for j in range(d)])
-    rows = rows[np.linalg.norm(rows, axis=1) > 1e-12]
-    return rows  # constraint rows: rows @ coords <= 0
 
 
 # -- reflections and equivariance ----------------------------------------------

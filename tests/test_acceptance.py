@@ -11,7 +11,7 @@ the README section on the rotation-endpoint law.
 import numpy as np
 import pytest
 
-from khull.bodies import Ball, HalfSpace, Polytope, cube, polar
+from khull.bodies import Ball, HalfSpace, Polytope, cube
 from khull.empirical import (dual_cone_intensity_experiment,
                              so2_square_experiment,
                              translation_box_experiment)
@@ -21,7 +21,7 @@ from khull.hulls import (hull_full_affine, hull_linear_ball,
 from khull.zerocell import (build_zero_cell, cone_preset,
                             contains_reflected_recession, flatten_pair,
                             halfspaces_from_marks, is_bounded, membership,
-                            reflected_recession_in_cone, restrict_to_cone)
+                            restrict_to_cone)
 
 SQUARE = cube(2)
 
@@ -153,7 +153,7 @@ def test_criterion_6_recession_cone_checks():
     # nonpositive orthant, exactly.
     for d in (2, 3):
         cone = cone_preset("diagonal", d)
-        rows = reflected_recession_in_cone(Ball(1.0, d), cone)
+        rows = Ball(1.0, d).reflected_recession_rows(cone)
         if not np.allclose(rows[np.lexsort(rows.T)], np.eye(d), atol=1e-9):
             ok = False
         ball = Ball(1.0, d)
@@ -186,7 +186,7 @@ def test_criterion_7_geometry_identities():
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
         seg = Polytope.from_vertices(np.array([np.zeros(2), u / t]))
-        h = polar(seg)
+        h = seg.polar()
         if not (isinstance(h, HalfSpace)
                 and np.allclose(h.normal, u, atol=1e-9)
                 and abs(h.offset - t) < 1e-9):

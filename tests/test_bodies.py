@@ -19,15 +19,14 @@ from khull.bodies import (
     cross_polytope,
     cube,
     min_enclosing_ball,
-    normal_cone,
-    polar,
-    polar_cone,
     row_norms,
-    supporting_cone,
+    _Body,
     _extreme_points,
 )
 from khull.empirical import uniform_sample
-from khull.hulls import hull_translations_scalings, k_hull_translations
+from khull.hulls import (BallHullOracle, SphericalHull,
+                         hull_translations_scalings, k_hull_translations,
+                         positive_hull)
 from khull.zerocell import cone_preset, is_bounded
 
 SQUARE = cube(2)
@@ -98,13 +97,23 @@ def test_support_polytope_brute_force():
 
 
 def test_polar_ball():
-    b = polar(Ball(4.0, 2))
+    b = Ball(4.0, 2).polar()
     assert isinstance(b, Ball)
     assert b.radius == pytest.approx(0.25)
 
 
 def test_polar_square_is_cross_polytope():
-    assert polar(SQUARE) == cross_polytope(2)
+    assert SQUARE.polar() == cross_polytope(2)
+
+
+_POLAR_CONES = {
+    "generators": PolyhedralCone(generators=np.array([[1.0, 0.2],
+                                                      [-0.3, 1.0]])),
+    "normals": PolyhedralCone(normals=np.array([[1.0, 1.0], [-2.0, 1.0]])),
+    "whole-space": PolyhedralCone(dim=2),
+    "origin": PolyhedralCone(generators=np.zeros((1, 2))),
+    "positive-hull": positive_hull([[1.0, 0.5], [0.2, 1.0], [-0.4, 1.0]]).body,
+}
 
 
 def test_polar_involution():
@@ -112,7 +121,17 @@ def test_polar_involution():
     for _ in range(20):
         pts = rng.standard_normal((8, 2)) + np.array([0.05, -0.02])
         p = Polytope.from_vertices(np.vstack([pts, -pts]))  # origin interior
-        assert polar(polar(p)) == p
+        assert p.polar().polar() == p
+    for r in 0.1 + 9.9 * rng.random(20):
+        b = Ball(r, 3).polar().polar()
+        assert b.dim == 3 and b.radius == pytest.approx(r, rel=1e-15)
+    pts = 3.0 * rng.standard_normal((60, 2))
+    for cone in _POLAR_CONES.values():
+        assert np.array_equal(cone.polar().polar().contains(pts),
+                              cone.contains(pts))
+    # The whole plane and {0} are each other's polar.
+    assert _POLAR_CONES["whole-space"].polar().contains(pts).sum() == 0
+    assert _POLAR_CONES["origin"].polar().contains(pts).all()
 
 
 def test_polar_segment_is_half_space():
@@ -122,7 +141,7 @@ def test_polar_segment_is_half_space():
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
         seg = Polytope.from_vertices(np.array([np.zeros(2), u / t]))
-        h = polar(seg)
+        h = seg.polar()
         assert isinstance(h, HalfSpace)
         assert np.allclose(h.normal, u, atol=1e-9)
         assert h.offset == pytest.approx(t, abs=1e-9)
@@ -131,18 +150,18 @@ def test_polar_segment_is_half_space():
 def test_polar_rejects_origin_outside():
     p = Polytope.from_vertices(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
-        polar(p)
+        p.polar()
 
 
 def test_supporting_cone_ball_boundary():
-    c = supporting_cone(Ball(1.0, 2), np.array([1.0, 0.0]))
+    c = Ball(1.0, 2).supporting_cone(np.array([1.0, 0.0]))
     assert isinstance(c, HalfSpace)
     assert np.allclose(c.normal, [1.0, 0.0])
     assert c.offset == 0.0
 
 
 def test_supporting_cone_square_corner():
-    c = supporting_cone(SQUARE, np.array([1.0, 1.0]))
+    c = SQUARE.supporting_cone(np.array([1.0, 1.0]))
     assert sorted(map(tuple, np.round(c.normals, 9).tolist())) == [
         (0.0, 1.0), (1.0, 0.0)]
     assert bool(c.contains(np.array([[-1.0, -2.0]]))[0])
@@ -150,26 +169,38 @@ def test_supporting_cone_square_corner():
 
 
 def test_supporting_cone_interior_is_whole_space():
-    c = supporting_cone(SQUARE, np.zeros(2))
+    c = SQUARE.supporting_cone(np.zeros(2))
     assert c.is_whole_space()
 
 
 def test_normal_cone_examples():
-    ray = normal_cone(Ball(1.0, 2), np.array([0.0, 1.0]))
+    ray = Ball(1.0, 2).normal_cone(np.array([0.0, 1.0]))
     assert np.allclose(ray.generators, [[0.0, 1.0]])
-    corner = normal_cone(SQUARE, np.array([1.0, 1.0]))
+    corner = SQUARE.normal_cone(np.array([1.0, 1.0]))
     assert len(corner.generators) == 2
-    facet = normal_cone(SQUARE, np.array([1.0, 0.0]))
+    facet = SQUARE.normal_cone(np.array([1.0, 0.0]))
     assert np.allclose(facet.generators, [[1.0, 0.0]])
 
 
+def _boundary_cases():
+    """(body, boundary point): the square's vertices; a random polygon's
+    vertices and edge midpoints; points of the circle of radius 2."""
+    rng = np.random.default_rng(4)
+    polygon = Polytope.from_vertices(rng.standard_normal((12, 2)))
+    mids = [polygon.vertices[idx].mean(axis=0)
+            for idx in polygon.facet_vertex_sets()]
+    angles = 2 * np.pi * rng.random(8)
+    circle = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return ([(SQUARE, v) for v in SQUARE.vertices]
+            + [(polygon, v) for v in [*polygon.vertices, *mids]]
+            + [(Ball(2.0, 2), v) for v in circle])
+
+
 def test_normal_cone_is_polar_of_supporting_cone():
-    for v in SQUARE.vertices:
-        s = supporting_cone(SQUARE, v)
-        n = normal_cone(SQUARE, v)
-        dual = polar_cone(n)
-        rng = np.random.default_rng(3)
-        pts = rng.standard_normal((200, 2))
+    pts = np.random.default_rng(3).standard_normal((200, 2))
+    for body, v in _boundary_cases():
+        s = body.supporting_cone(v)
+        dual = body.normal_cone(v).polar()
         assert np.array_equal(s.contains(pts), dual.contains(pts))
 
 
@@ -295,25 +326,42 @@ def test_unbounded_support_sentinel():
 
 
 _BODY_MEMBERS = {  # member -> the arguments of a call, or None for a property
-    "max_norm": None, "volume": None, "surface_area": None, "facets": None,
-    "is_symmetric": None, "normal_bundle_rows": None,
+    "dim": None, "max_norm": None, "volume": None, "surface_area": None,
+    "facets": None, "is_symmetric": None, "normal_bundle_rows": None,
     "survival": (np.zeros(6),),
     "support": ([1.0, 0.0],), "excess": (np.zeros((1, 2)),),
     "feasible_translations": (np.zeros((1, 2)),),
     "uniform_draw": (np.random.default_rng(0), 3),
     "uniform_place": (3, np.zeros((3, 2))),
     "boundary_draw": (np.random.default_rng(0), 3), "boundary_place": ([],),
+    "polar": (), "supporting_cone": ([1.0, 0.0],),
+    "normal_cone": ([1.0, 0.0],), "to_json": (),
+    "reflected_recession_rows": (cone_preset("diagonal", 2),),
 }
-_SUPPORT_ONLY = sorted(set(_BODY_MEMBERS) - {"support"})
-_UNSUPPORTED = (
-    [(HalfSpace(np.array([1.0, 0.0]), 1.0), m) for m in _SUPPORT_ONLY]
-    + [(PolyhedralCone(generators=np.eye(2)), m) for m in _SUPPORT_ONLY]
-    + [(EMPTY, m) for m in _SUPPORT_ONLY]
-    + [(WHOLE_SPACE, m) for m in _SUPPORT_ONLY]
-    + [(BallIntersection(np.zeros((1, 2)), 1.0), m) for m in _SUPPORT_ONLY]
-    + [(HalfBall(1.0), "feasible_translations"),
-       (HalfBall(1.0), "normal_bundle_rows"), (HalfBall(1.0), "survival"),
-       (HalfBall(1.0), "facets"), (Ball(1.0), "facets")])
+_ALL = set(_BODY_MEMBERS)
+_LACKS = [  # a body and every member that it does not answer
+    (HalfSpace(np.array([1.0, 0.0]), 1.0),
+     _ALL - {"dim", "support", "to_json"}),
+    (PolyhedralCone(generators=np.eye(2)),
+     _ALL - {"dim", "support", "polar", "to_json"}),
+    (EMPTY, _ALL - {"support"}),
+    (WHOLE_SPACE, _ALL - {"support"}),
+    (BallIntersection(np.zeros((1, 2)), 1.0), _ALL - {"dim", "support"}),
+    (BallHullOracle(BallIntersection(np.zeros((1, 2)), 1.0)),
+     _ALL - {"to_json"}),
+    (SphericalHull(PolyhedralCone(generators=np.eye(2))), _ALL),
+    (HalfBall(1.0), {"feasible_translations", "normal_bundle_rows",
+                     "survival", "facets", "polar", "supporting_cone",
+                     "normal_cone", "reflected_recession_rows"}),
+    (Ball(1.0), {"facets"}),
+    (SQUARE, {"reflected_recession_rows"}),
+]
+_UNSUPPORTED = [(body, m) for body, lacks in _LACKS for m in sorted(lacks)]
+
+
+def test_body_members_table_names_every_member():
+    assert _ALL == {name for name in vars(_Body) if not name.startswith("_")
+                    and name != "keep_screen"}
 
 
 @pytest.mark.parametrize(
@@ -326,24 +374,6 @@ def test_missing_body_member_raises_unsupported_body(body, member):
         value = getattr(body, member)
         if args is not None:
             value(*args)
-
-
-_HALF_BALL = HalfBall(1.0)
-_UNSUPPORTED_CALLS = {
-    "polar": (_HALF_BALL, lambda: polar(_HALF_BALL)),
-    "supporting_cone": (_HALF_BALL,
-                        lambda: supporting_cone(_HALF_BALL, [1.0, 0.0])),
-    "normal_cone": (_HALF_BALL, lambda: normal_cone(_HALF_BALL, [1.0, 0.0])),
-    "body_to_json": (EMPTY, lambda: body_to_json(EMPTY)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_UNSUPPORTED_CALLS))
-def test_functions_of_a_body_raise_unsupported_body(name):
-    body, call = _UNSUPPORTED_CALLS[name]
-    with pytest.raises(TypeError,
-                       match=f"^unsupported body {type(body).__name__}$"):
-        call()
 
 
 def test_sentinels():
@@ -527,8 +557,8 @@ def test_one_dimensional_polytopes():
 @pytest.mark.parametrize("args,name", [
     ((2, -1), "half_width"), ((2, 0), "half_width"),
     ((2, np.nan), "half_width"), ((2, np.inf), "half_width"),
-    ((0,), "d"),
-], ids=["negative", "zero", "nan", "inf", "d0"])
+    ((2, True), "half_width"), ((0,), "d"),
+], ids=["negative", "zero", "nan", "inf", "bool", "d0"])
 def test_cube_rejects_bad_arguments(args, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         cube(*args)
@@ -546,7 +576,7 @@ def test_cross_polytope_rejects_bad_dimension(d):
     ({"radius": np.nan}, "radius"), ({"radius": np.inf}, "radius"),
     ({"radius": "1"}, "radius"), ({"radius": 1.0, "dim": 0}, "dim"),
     ({"radius": 1.0, "dim": -1}, "dim"), ({"radius": 1.0, "dim": 2.5}, "dim"),
-    ({"radius": 1.0, "dim": True}, "dim"),
+    ({"radius": 1.0, "dim": True}, "dim"), ({"radius": True}, "radius"),
 ])
 @pytest.mark.parametrize("kind", [Ball, HalfBall])
 def test_balls_reject_bad_radius_and_dim(kind, kwargs, name):
@@ -584,8 +614,8 @@ _FACET_READERS = {
     "excess": lambda b: b.excess(b.vertices),
     "feasible_translations": lambda b: b.feasible_translations(b.vertices),
     "uniform_sample": lambda b: uniform_sample(b, 5, seed=0),
-    "supporting_cone": lambda b: supporting_cone(b, b.vertices[0]),
-    "normal_cone": lambda b: normal_cone(b, b.vertices[0]),
+    "supporting_cone": lambda b: b.supporting_cone(b.vertices[0]),
+    "normal_cone": lambda b: b.normal_cone(b.vertices[0]),
     "k_hull_translations": lambda b: k_hull_translations(b, b.vertices),
     "hull_translations_scalings":
         lambda b: hull_translations_scalings(b, b.vertices),

@@ -73,6 +73,47 @@ def test_hull_k_hull_ball_writes_centers(tmp_path):
         k_hull_translations(Ball(1.5, 2), sample).body.contains(queries))
 
 
+_POLYTOPE_KEYS = {"exact", "kind", "vertices", "facets"}
+_TRIANGLE = [[-0.5, -0.5], [0.5, -0.2], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("family, radius, points, keys, kind", [
+    ("k-hull", None, _TRIANGLE, _POLYTOPE_KEYS, "polytope"),
+    ("k-hull", 1.0, _TRIANGLE, {"exact", "kind", "radius", "centers"},
+     "ball_hull"),
+    # No disk of radius 0.5 holds two points 1.8 apart.
+    ("k-hull", 0.5, [[-0.9, 0.0], [0.9, 0.0]], {"exact", "kind"},
+     "wholespace"),
+    ("translations-scalings", None, _TRIANGLE, _POLYTOPE_KEYS, "polytope"),
+    ("translations-scalings", 1.0, _TRIANGLE, _POLYTOPE_KEYS, "polytope"),
+    ("full-affine", None, _TRIANGLE, _POLYTOPE_KEYS, "polytope"),
+    ("linear-ball", None, _TRIANGLE, _POLYTOPE_KEYS, "polytope"),
+    ("positive", None, [[1.0, 0.2], [0.3, 1.0]],
+     {"exact", "kind", "dim", "generators", "normals"}, "cone"),
+    ("spherical", None, [[0.5, 0.2], [0.3, -0.4]], {"exact", "kind"},
+     "sphericalhull"),
+], ids=["k-hull-square", "k-hull-disk", "k-hull-whole-space",
+        "translations-scalings-square", "translations-scalings-disk",
+        "full-affine", "linear-ball", "positive", "spherical"])
+def test_hull_json_of_every_family(family, radius, points, keys, kind,
+                                   square_json, tmp_path):
+    # A family that takes a body gets the square, or a disk of the radius.
+    body = square_json
+    if radius is not None:
+        body = tmp_path / "disk.json"
+        body.write_text(json.dumps(body_to_json(Ball(radius, 2))))
+    csv_path = tmp_path / "points.csv"
+    np.savetxt(csv_path, points, delimiter=",")
+    out = tmp_path / "hull.json"
+    body_args = ["--body", str(body)] if family in (
+        "k-hull", "translations-scalings") else []
+    assert main(["hull", "--family", family, "--points", str(csv_path),
+                 "--out", str(out)] + body_args) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == keys
+    assert doc["exact"] is True and doc["kind"] == kind
+
+
 def test_hull_unknown_family_exits_2(square_json, two_points_csv, tmp_path):
     code = main(["hull", "--body", square_json, "--family", "nonsense",
                  "--points", two_points_csv,
@@ -659,7 +700,8 @@ def test_zero_cell_commands_reject_unsampled_body(command, name, tmp_path,
 ] + [(kind, "dim", value) for kind in ("ball", "half_ball", "cone")
       for value in (0, 2.5, float("inf"), True)
       ] + [("half_space", "facets", []),
-           ("half_space", "facets", [{"normal": [1, 0], "offset": 1}] * 2)])
+           ("half_space", "facets", [{"normal": [1, 0], "offset": 1}] * 2)
+           ] + [(kind, "radius", True) for kind in ("ball", "half_ball")])
 def test_simulate_pk_invalid_ball_field_names_it(kind, field, value,
                                                  tmp_path, capsys):
     doc = {"kind": kind, "radius": 1, field: value}

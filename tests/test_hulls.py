@@ -877,3 +877,25 @@ def test_ball_feasible_set_three_points_near_enclosing_radius(eps, empty):
 def test_feasible_set_contains_zero_when_A_in_K():
     x = SQUARE.feasible_translations(SQUARE.vertices)
     assert bool(x.contains(np.zeros((1, 2)))[0])
+
+
+# -- input width ------------------------------------------------------------------
+
+_WIDE = np.array([[0.1, 0.2, 0.3], [-0.2, 0.1, 0.0], [0.0, -0.3, 0.1]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: hull_translations_scalings(Ball(1.0, 2), _WIDE), "sample"),
+    (lambda: hull_translations_scalings(SQUARE, _WIDE), "sample"),
+    (lambda: k_hull_translations(SQUARE, _WIDE), "sample"),
+    (lambda: k_hull_translations(Ball(1.0, 2), _WIDE), "sample"),
+    (lambda: generic_hull_membership(Ball(1.0, 2), FAMILY_PRESETS[
+        "full-affine"], _WIDE, np.zeros(3)), "sample"),
+    (lambda: generic_hull_membership(Ball(1.0, 2), FAMILY_PRESETS[
+        "full-affine"], _WIDE[:, :2], np.zeros(3)), "query"),
+], ids=["ts-ball", "ts-square", "k-hull-square", "k-hull-ball", "generic",
+        "generic-query"])
+def test_hulls_reject_points_of_another_width(call, name):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must have 2 columns, got 3$"):
+        call()

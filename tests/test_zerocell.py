@@ -21,7 +21,6 @@ from khull.zerocell import (
     is_bounded,
     membership,
     reflect,
-    reflected_recession_in_cone,
     restrict_to_cone,
     rotation_point_map,
     support_extent,
@@ -440,7 +439,7 @@ def test_recession_skew_in_both_for_ball():
 def test_reflected_recession_diagonal_is_nonpositive_orthant():
     for d in (2, 3):
         cone = cone_preset("diagonal", d)
-        rows = reflected_recession_in_cone(Ball(1.0, d), cone)
+        rows = Ball(1.0, d).reflected_recession_rows(cone)
         # H-rep rows r with r @ mu <= 0: the nonpositive orthant has rows
         # equal to the coordinate vectors.
         assert rows.shape == (d, d)
@@ -568,7 +567,7 @@ def test_is_bounded_cones_through_touching_direction():
 
 
 def test_is_bounded_agrees_with_exact_ball_cones():
-    # On commuting symmetric directions `reflected_recession_in_cone` is
+    # On commuting symmetric directions `Ball.reflected_recession_rows` is
     # an exact H-rep rows @ c <= 0, so the cone is bounded iff no face
     # c_i = +-1 of the box |c| <= 1 holds a feasible c.
     rng = np.random.default_rng(5)
@@ -580,7 +579,7 @@ def test_is_bounded_agrees_with_exact_ball_cones():
                 cone = ConeSpec("sub-diagonal",
                                 _rotated_span(rng, rng.standard_normal(
                                     (k, d))) @ diagonal, d)
-                rows = reflected_recession_in_cone(Ball(1.0, d), cone)
+                rows = Ball(1.0, d).reflected_recession_rows(cone)
                 want = True
                 for i in range(k):
                     for sign in (1.0, -1.0):
